@@ -214,7 +214,6 @@ class TimedProvider final : public hetero::ClientProvider {
 
 /// What the algorithm decorator measures.
 struct AlgorithmTally {
-  Tally local_update;
   std::atomic<std::int64_t> local_update_model_ns{0};
   Tally aggregate;
   Tally partial_aggregate;
@@ -251,9 +250,8 @@ class TimedAlgorithm final : public hetero::SplitFederatedAlgorithm {
     const Clock::time_point c0 = Clock::now();
     hetero::ClientUpdate u =
         inner_.local_update(model, global, client_id, data, client_rng);
-    const std::int64_t d = elapsed_ns(c0, Clock::now());
-    tally_.local_update.add(d);
-    tally_.log_update(client_id, static_cast<double>(d) * 1e-9);
+    tally_.log_update(client_id,
+                      static_cast<double>(elapsed_ns(c0, Clock::now())) * 1e-9);
     spans_.add(t0, now_s());
     tally_.local_update_model_ns.fetch_add(t_model_ns - model0,
                                            std::memory_order_relaxed);

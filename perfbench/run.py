@@ -54,12 +54,15 @@ def build():
 
 
 def provenance_id():
-    """The git commit when there is one, else a digest of the sources."""
+    """The git commit (+dirty with local changes), else a source digest."""
     try:
         out = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
                              capture_output=True, text=True, timeout=10)
         if out.returncode == 0 and out.stdout.strip():
-            return out.stdout.strip()
+            dirty = subprocess.run(
+                ["git", "-C", ROOT, "status", "--porcelain", "--", "src",
+                 "perfbench"], capture_output=True, text=True, timeout=10)
+            return out.stdout.strip() + ("+dirty" if dirty.stdout else "")
     except (OSError, subprocess.SubprocessError):
         pass
     digest = hashlib.sha256()
@@ -116,7 +119,7 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, default=15)
+    p.add_argument("--seconds", type=int, default=12)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args()
     if args.seconds < 1:
