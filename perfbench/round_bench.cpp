@@ -190,8 +190,7 @@ struct RunOut {
   SimulationResult result;
   net::NetCounters net;
   Tensor final_state;
-  double start = 0.0;   ///< steady-clock time the engine was entered
-  double wall_s = 0.0;  ///< whole engine call, final evaluation included
+  double start = 0.0;  ///< steady-clock time the engine was entered
   PopulationCounters pop;  ///< this run's delta (zeros for resident)
   std::size_t switch1 = 0, switch2 = 0, hs_updates = 0;
 };
@@ -215,7 +214,6 @@ RunOut run_engine(const Workload& w, Model& model,
   } else {
     out.result = run_simulation(model, algo, pop, cfg);
   }
-  out.wall_s = now_s() - out.start;
   if (has_pop) {
     PopulationCounters after;
     pop.population_counters(after);
