@@ -306,6 +306,10 @@ class ClockObserver final : public hetero::RoundObserver {
     double first_client = -1.0;  ///< -1 when the round had no client event
     double end = 0.0;
   };
+  struct Eval {
+    std::size_t round;  ///< rounds (flushes) done when it ran
+    double seconds;
+  };
 
   void on_round_begin(std::size_t, const std::vector<std::size_t>&) override {
     rounds.push_back(Round{now_s(), -1.0, 0.0});
@@ -322,14 +326,17 @@ class ClockObserver final : public hetero::RoundObserver {
   }
   /// Every engine evaluates right after a round ends and reports the
   /// metrics at once, so the gap since that end is the evaluation time.
-  void on_eval(std::size_t, const hetero::DeviceMetrics&) override {
-    if (!rounds.empty()) eval_seconds.push_back(now_s() - rounds.back().end);
+  void on_eval(std::size_t round, const hetero::DeviceMetrics&) override {
+    if (!rounds.empty()) {
+      evals.push_back(Eval{round, now_s() - rounds.back().end});
+    }
   }
 
   std::vector<Round> rounds;
   /// Client ids whose update time the program accounted, in delivery order.
   std::vector<std::size_t> trained;
-  std::vector<double> eval_seconds;
+  /// Checkpoint evaluations, then the final one (round == config rounds).
+  std::vector<Eval> evals;
 };
 
 }  // namespace perfbench

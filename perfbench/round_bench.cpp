@@ -2,12 +2,12 @@
 // to end and split by layer.
 //
 //   perfbench_round --workload NAME --seed N --seconds S --trace 0|1
-//                   [--threads T] [--commit ID]
+//                   [--commit ID]
 //
 // Every workload is a closed loop in this one process: the server waits on
-// its round's clients (or, for async, keeps k in flight), on at most
-// `threads` worker threads. --seconds fixes the amount of work, not a
-// deadline: a workload runs seconds * rounds_per_s rounds, where
+// its round's clients (or, for async, keeps k in flight), on at most nproc
+// worker threads. --seconds fixes the amount of work, not a deadline: a
+// workload runs seconds * rounds_per_s rounds, where
 // rounds_per_s is a constant chosen so one run lasts about --seconds on a
 // 4-core x86-64 box. Fixed work keeps every run with the same seed
 // bit-reproducible, which the transparency and loopback checks rely on.
@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "cpu_rotation.h"
 #include "device/device_profile.h"
 #include "fl/population.h"
 #include "fl/simulation.h"
@@ -88,12 +89,13 @@ constexpr Workload kWorkloads[] = {
 constexpr std::pair<const char*, std::size_t> kBlockArchs[] = {
     {"mobile-mini", 10}, {"squeeze-mini", 10}};
 
-// Set-up runs at least kSetupRepeats times and for at least
-// kSetupMinSeconds in total, and setup_s is the median: a lazy population
-// builds only its test sets in half a second, and three such builds would
-// sample too little of a noisy host.
-constexpr std::size_t kSetupRepeats = 3;
-constexpr double kSetupMinSeconds = 3.0;
+// Set-up runs once before the timed run and again after it, at least
+// kSetupRepeats times and for at least kSetupMinSeconds in total, and
+// setup_s is the median: a lazy population builds only its test sets in
+// half a second, and four such builds would sample too little of a noisy
+// host.
+constexpr std::size_t kSetupRepeats = 4;
+constexpr double kSetupMinSeconds = 4.0;
 // The run evaluates the global model every rounds / kEvalPoints rounds as
 // well as at the end. final_eval_s is the mean of those evaluations: one
 // lasts about 0.1 s, shorter than the seconds-long spells of interference
@@ -207,8 +209,18 @@ RunOut run_engine(const Workload& w, Model& model,
   const bool has_pop = pop.population_counters(before);
   out.start = now_s();
   if (w.engine == Engine::kLoopback) {
+    // One thread runs the whole loopback tree; it visits every CPU in
+    // turn, a round at a time (cpu_rotation.h).
+    perfbench::CpuRotation rotation;
+    perfbench::RotateEachRound rotate(rotation);
+    MulticastObserver observers;
+    observers.add(cfg.observer);
+    observers.add(&rotate);
+    SimulationConfig rotating = cfg;
+    rotating.observer = &observers;
     net::LoopbackResult lr = net::run_distributed_loopback(
-        model, algo, pop, cfg, kLoopbackWorkers, kLoopbackEdges);
+        model, algo, pop, rotating, kLoopbackWorkers, kLoopbackEdges);
+    rotation.release();
     out.result = std::move(lr.result);
     out.net = lr.counters;
   } else {
@@ -283,6 +295,31 @@ std::uint64_t result_digest(const RunOut& r) {
   mix(acc.data(), acc.size() * sizeof(double));
   mix(r.final_state.data(), r.final_state.size() * sizeof(float));
   return h;
+}
+
+/// RuntimeStats::round_seconds with the checkpoint evaluations taken out.
+/// The sync and loopback engines evaluate between rounds, outside a round's
+/// wall time. The async scheduler evaluates after a flush has restarted its
+/// clock, so an evaluation after flush i lands in flush i + 1.
+std::vector<double> round_seconds_without_eval(
+    const Workload& w, const RuntimeStats& rt,
+    const perfbench::ClockObserver& clock) {
+  std::vector<double> s = rt.round_seconds;
+  if (w.engine != Engine::kAsync) return s;
+  for (const auto& e : clock.evals) {
+    if (e.round < s.size()) s[e.round] = std::max(0.0, s[e.round] - e.seconds);
+  }
+  return s;  // the final evaluation (round == s.size()) follows the run
+}
+
+/// Wall seconds of the checkpoint evaluations (all but the final one).
+double checkpoint_eval_seconds(const perfbench::ClockObserver& clock,
+                               std::size_t rounds) {
+  double sum = 0.0;
+  for (const auto& e : clock.evals) {
+    if (e.round < rounds) sum += e.seconds;
+  }
+  return sum;
 }
 
 /// Nearest-rank percentile, p in (0, 100].
@@ -427,15 +464,17 @@ int run_untraced(const Workload& w, std::uint64_t seed, std::size_t rounds,
                  std::size_t threads) {
   Checks checks;
   std::vector<double> setup_s;
-  double setup_total = 0.0;
-  Setup s;
-  while (setup_s.size() < kSetupRepeats || setup_total < kSetupMinSeconds) {
-    s = Setup{};  // free the previous population before building the next
+  // Set-up is single-threaded; each build runs on the next CPU.
+  perfbench::CpuRotation rotation;
+  auto timed_setup = [&]() {
+    rotation.next();
     const double t0 = now_s();
-    s = build_setup(w, seed);
+    Setup built = build_setup(w, seed);
     setup_s.push_back(now_s() - t0);
-    setup_total += setup_s.back();
-  }
+    rotation.release();
+    return built;
+  };
+  Setup s = timed_setup();
 
   // The only instrument on this run is the timestamping observer, for the
   // evaluation times.
@@ -454,9 +493,26 @@ int run_untraced(const Workload& w, std::uint64_t seed, std::size_t rounds,
     checks.expect(r.net.frames_bad == 0, "no frame rejected");
   }
 
+  // The remaining set-up samples come after the run, so they see the host
+  // at other moments than the first one did.
+  s = Setup{};
+  double setup_total = setup_s.front();
+  while (setup_s.size() < kSetupRepeats || setup_total < kSetupMinSeconds) {
+    timed_setup();
+    setup_total += setup_s.back();
+  }
+  std::printf("setup");
+  for (double x : setup_s) std::printf(" %.4f", x);
+  std::printf(" s\n");
+
   const RuntimeStats& rt = r.result.runtime;
   const Disposition d = disposition(w, rt, rounds);
-  const std::size_t n = rt.round_seconds.size();
+  const std::vector<double> round_s = round_seconds_without_eval(w, rt, clock);
+  double round_total = 0.0;
+  for (double x : round_s) round_total += x;
+  std::vector<double> eval_s;
+  for (const auto& e : clock.evals) eval_s.push_back(e.seconds);
+  const std::size_t n = round_s.size();
   const std::size_t beyond_p90 =
       n - static_cast<std::size_t>(std::ceil(0.9 * static_cast<double>(n)));
   std::printf("rounds %zu round_s samples, %zu beyond p90; %.0f updates "
@@ -472,16 +528,16 @@ int run_untraced(const Workload& w, std::uint64_t seed, std::size_t rounds,
   // host's fast and slow spells, so it spreads beyond any bound the
   // benchmark may set.
   print_metrics({
-      {"round_s_p50", percentile(rt.round_seconds, 50.0), "s"},
+      {"round_s_p50", percentile(round_s, 50.0), "s"},
       {"final_avg_acc", r.result.final_metrics.average, "frac"},
       {"final_worst_acc", r.result.final_metrics.worst_case, "frac"},
       {"fail_frac", fail_frac(d, rt, rounds, r.net), "frac"},
   });
   const std::vector<Metric> metrics = {
       {"setup_s", median(setup_s), "s"},
-      {"clients_per_s", d.committed / rt.total_seconds, "1/s"},
-      {"round_s_p90", percentile(rt.round_seconds, 90.0), "s"},
-      {"final_eval_s", mean(clock.eval_seconds), "s"},
+      {"clients_per_s", d.committed / round_total, "1/s"},
+      {"round_s_p90", percentile(round_s, 90.0), "s"},
+      {"final_eval_s", mean(eval_s), "s"},
       {"peak_rss_mb", rss, "MiB"},
   };
   print_metrics(metrics);
@@ -560,14 +616,16 @@ int run_traced(const Workload& w, std::uint64_t seed, std::size_t rounds,
   const auto& rounds_seen = t.clock.rounds;
   HS_CHECK(rounds_seen.size() == rounds, "perfbench: observer missed rounds");
 
-  // Wall time of the rounds as the observer saw them, and the fan-out:
-  // sync engines deliver client events only after the fan-out, so the
-  // first one marks its end; the async scheduler emits a flush's events
-  // retroactively, so there the fan-out is the wall time during which any
-  // client was materializing or training.
+  // Wall time of the rounds as the observer saw them, checkpoint
+  // evaluations left out, and the fan-out: sync engines deliver client
+  // events only after the fan-out, so the first one marks its end; the
+  // async scheduler emits a flush's events retroactively, so there the
+  // fan-out is the wall time during which any client was materializing or
+  // training.
   double round_wall = 0.0, fanout = 0.0;
   if (w.engine == Engine::kAsync) {
-    round_wall = rounds_seen.back().end - r.start;
+    round_wall = rounds_seen.back().end - r.start -
+                 checkpoint_eval_seconds(t.clock, rounds);
     fanout = t.spans.covered_seconds();
     double observed = 0.0, reported = 0.0;
     for (std::size_t i = 1; i < rounds_seen.size(); ++i) {
@@ -618,7 +676,6 @@ int run_traced(const Workload& w, std::uint64_t seed, std::size_t rounds,
   const double threads_used =
       w.engine == Engine::kLoopback ? 1.0 : static_cast<double>(rt.threads);
   const Disposition d = disposition(w, rt, rounds);
-  const double net_wall = rounds_seen.back().end - rounds_seen.front().begin;
   auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
 
   std::vector<Metric> metrics = {
@@ -677,7 +734,7 @@ int run_traced(const Workload& w, std::uint64_t seed, std::size_t rounds,
       {"net.frames_bad", static_cast<double>(r.net.frames_bad), "count"},
       {"net.overhead_s",
        w.engine == Engine::kLoopback
-           ? net_wall - update_s - aggregate_s - partial_s - materialize_s
+           ? round_wall - update_s - aggregate_s - partial_s - materialize_s
            : 0.0,
        "s"},
       {"trace_overhead_frac",
@@ -702,7 +759,7 @@ const Workload* find_workload(const std::string& name) {
 int usage() {
   std::fprintf(stderr,
                "usage: perfbench_round --workload NAME --seed N --seconds S "
-               "--trace 0|1 [--threads T] [--commit ID]\n");
+               "--trace 0|1 [--commit ID]\n");
   return 2;
 }
 
@@ -729,9 +786,7 @@ int main(int argc, char** argv) {
     const std::uint64_t seed = std::stoull(args["seed"]);
     const double seconds = std::stod(args["seconds"]);
     const bool traced = std::stoi(args["trace"]) != 0;
-    const std::size_t threads =
-        args.count("threads") ? std::stoul(args["threads"]) : nproc;
-    if (!(seconds > 0.0) || threads == 0) return usage();
+    if (!(seconds > 0.0)) return usage();
     const std::size_t rounds = std::max<std::size_t>(
         4, static_cast<std::size_t>(std::llround(seconds * w->rounds_per_s)));
     const std::string commit =
@@ -740,11 +795,11 @@ int main(int argc, char** argv) {
     std::printf("provenance workload=%s seed=%llu seconds=%g rounds=%zu "
                 "trace=%d threads=%zu nproc=%zu build=%s commit=%s\n",
                 w->name, static_cast<unsigned long long>(seed), seconds,
-                rounds, traced ? 1 : 0, threads, nproc, HS_BUILD_TYPE,
+                rounds, traced ? 1 : 0, nproc, nproc, HS_BUILD_TYPE,
                 commit.c_str());
     std::fflush(stdout);
-    const int rc = traced ? run_traced(*w, seed, rounds, threads)
-                          : run_untraced(*w, seed, rounds, threads);
+    const int rc = traced ? run_traced(*w, seed, rounds, nproc)
+                          : run_untraced(*w, seed, rounds, nproc);
     std::fflush(stdout);
     return rc;
   } catch (const std::exception& e) {

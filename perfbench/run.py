@@ -12,7 +12,8 @@ stderr, so the last line of stdout is the benchmark's JSON result.
 --trace 0 prints the end-to-end metrics of an untraced run, --trace 1 the
 per-layer metrics of a traced run (see round_bench.cpp). --workload all runs
 every workload listed in BENCHMARK.json, untraced and traced, prints every
-metric, and exits nonzero if any run failed a check.
+metric, and exits nonzero if any run failed a check. A run that outlives
+run_timeout_s() is stopped and counts as failed.
 
 HS_* variables are removed from the environment of the benchmark binary, so
 the program runs with its defaults whatever the caller's shell sets.
@@ -30,7 +31,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build")
 BINARY = os.path.join(BUILD, "perfbench_round")
-RUN_TIMEOUT_S = 170
+
+
+def run_timeout_s(seconds, trace):
+    """A run's deadline. Set-up takes a fixed time; the work scales with
+    --seconds, up to 2x for loopback_edges, and a traced run does it twice
+    plus a reference run."""
+    return 60 + seconds * (8 if trace else 4)
 
 
 def log(msg):
@@ -83,11 +90,12 @@ def run_one(workload, seed, seconds, trace, commit):
     cmd = [BINARY, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace),
            "--commit", commit]
+    timeout = run_timeout_s(seconds, trace)
     try:
         out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True,
-                             timeout=RUN_TIMEOUT_S)
+                             timeout=timeout)
     except subprocess.TimeoutExpired:
-        log(f"{workload}: no result within {RUN_TIMEOUT_S} s")
+        log(f"{workload}: no result within {timeout} s")
         return 1, []
     return out.returncode, out.stdout.splitlines()
 
