@@ -14,7 +14,7 @@ using namespace hetero::bench;
 
 namespace {
 
-DeviceMetrics run(FederatedAlgorithm& algo, const FlPopulation& pop,
+DeviceMetrics run(SplitFederatedAlgorithm& algo, const ClientProvider& pop,
                   std::size_t rounds, std::size_t k, std::uint64_t seed) {
   ModelSpec spec;
   Rng model_rng(seed);
@@ -50,8 +50,8 @@ int main() {
   pcfg.capture.tensor_size = static_cast<std::size_t>(scale.n(16, 32));
   pcfg.capture.illuminant_sigma_override = -1.0f;  // deployed-population captures
   Rng pop_rng = root.fork(1);
-  const FlPopulation pop = build_population(paper_devices(), pcfg, scenes,
-                                            pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
 
   const LocalTrainConfig local = paper_local_config();
   const std::uint64_t seed = scale.seed() + 7;

@@ -8,7 +8,7 @@ using namespace hetero::bench;
 
 namespace {
 
-double run_fl(const FlPopulation& pop, std::size_t rounds, std::size_t k,
+double run_fl(const ClientProvider& pop, std::size_t rounds, std::size_t k,
               std::uint64_t seed, std::size_t eval_device) {
   ModelSpec spec;
   Rng model_rng(seed);
@@ -21,7 +21,7 @@ double run_fl(const FlPopulation& pop, std::size_t rounds, std::size_t k,
   sim.num_threads = Scale{}.threads();
   sim.observer = trace_sink().run("fig1.fedavg");
   run_simulation(*model, algo, pop, sim);
-  return evaluate_accuracy(*model, pop.device_test.at(eval_device));
+  return evaluate_accuracy(*model, pop.device_test().at(eval_device));
 }
 
 }  // namespace
@@ -57,8 +57,8 @@ int main() {
       if (d != dev) pcfg.exclude_from_training.push_back(d);
     }
     Rng pop_rng = root.fork(10 + dev);
-    FlPopulation pop = build_population(paper_devices(), pcfg, scenes,
-                                        pop_rng);
+    const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
     const double acc = run_fl(pop, rounds, k, scale.seed() + dev, dev);
     homo_stats.add(acc);
     table.add_row({"Homogeneous", name, Table::pct(acc)});
@@ -74,7 +74,8 @@ int main() {
   pcfg.capture.tensor_size = static_cast<std::size_t>(scale.n(16, 32));
   pcfg.capture.illuminant_sigma_override = -1.0f;  // deployed-population captures
   Rng pop_rng = root.fork(99);
-  FlPopulation pop = build_population(paper_devices(), pcfg, scenes, pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
   RunningStats hetero_stats;
   for (const auto& name : homo_devices) {
     const std::size_t dev = device_index(name);

@@ -19,7 +19,7 @@ using namespace hetero::bench;
 
 namespace {
 
-std::vector<double> run_fedavg(const FlPopulation& pop, std::size_t rounds,
+std::vector<double> run_fedavg(const ClientProvider& pop, std::size_t rounds,
                                std::size_t k, std::uint64_t seed) {
   ModelSpec spec;
   Rng model_rng(seed);
@@ -58,14 +58,14 @@ int main() {
   pcfg.capture.illuminant_sigma_override = -1.0f;  // deployed-population captures
 
   Rng pop_rng = root.fork(1);
-  FlPopulation market_pop = build_population(paper_devices(), pcfg, scenes,
-                                             pop_rng);
+  const MaterializedPopulation market_pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
   PopulationConfig ucfg = pcfg;
   ucfg.assignment = DeviceAssignment::kUniform;
   Rng upop_rng = root.fork(1);  // identical data streams, only the device
                                 // assignment differs
-  FlPopulation uniform_pop = build_population(paper_devices(), ucfg, scenes,
-                                              upop_rng);
+  const MaterializedPopulation uniform_pop(
+      PopulationSpec::single_label(paper_devices(), ucfg, scenes), upop_rng);
   std::fprintf(stderr, "[fig4] populations built (%.1fs)\n",
                timer.elapsed_s());
 

@@ -12,7 +12,7 @@ using namespace hetero::bench;
 
 namespace {
 
-double train_and_eval(const FlPopulation& pop, std::size_t rounds,
+double train_and_eval(const ClientProvider& pop, std::size_t rounds,
                       std::size_t k, std::uint64_t seed,
                       std::size_t eval_device) {
   ModelSpec spec;
@@ -26,7 +26,7 @@ double train_and_eval(const FlPopulation& pop, std::size_t rounds,
   sim.num_threads = Scale{}.threads();
   sim.observer = trace_sink().run("fig5.exclude");
   run_simulation(*model, algo, pop, sim);
-  return evaluate_accuracy(*model, pop.device_test.at(eval_device));
+  return evaluate_accuracy(*model, pop.device_test().at(eval_device));
 }
 
 }  // namespace
@@ -54,8 +54,8 @@ int main() {
 
   // Reference: all devices participate equally.
   Rng ref_rng = root.fork(1);
-  FlPopulation ref_pop = build_population(paper_devices(), base_cfg, scenes,
-                                          ref_rng);
+  const MaterializedPopulation ref_pop(
+      PopulationSpec::single_label(paper_devices(), base_cfg, scenes), ref_rng);
   std::vector<double> ref_acc(paper_devices().size());
   {
     ModelSpec spec;
@@ -80,8 +80,8 @@ int main() {
     PopulationConfig cfg = base_cfg;
     cfg.exclude_from_training = {d};
     Rng pop_rng = root.fork(100 + d);
-    FlPopulation pop = build_population(paper_devices(), cfg, scenes,
-                                        pop_rng);
+    const MaterializedPopulation pop(
+        PopulationSpec::single_label(paper_devices(), cfg, scenes), pop_rng);
     const double acc =
         train_and_eval(pop, rounds, k, scale.seed() + 10 + d, d);
     table.add_row({paper_devices()[d].name, Table::pct(ref_acc[d]),

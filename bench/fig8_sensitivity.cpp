@@ -8,7 +8,7 @@ using namespace hetero::bench;
 
 namespace {
 
-double run_fedavg(const FlPopulation& pop, const LocalTrainConfig& local,
+double run_fedavg(const ClientProvider& pop, const LocalTrainConfig& local,
                   std::size_t rounds, std::size_t k, std::uint64_t seed) {
   ModelSpec spec;
   Rng model_rng(seed);
@@ -47,8 +47,8 @@ int main() {
   pcfg.capture.tensor_size = static_cast<std::size_t>(scale.n(16, 32));
   pcfg.capture.illuminant_sigma_override = -1.0f;  // deployed-population captures
   Rng pop_rng = root.fork(1);
-  const FlPopulation pop = build_population(paper_devices(), pcfg, scenes,
-                                            pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
 
   Table table({"Parameter", "Value", "Average Accuracy"});
   const LocalTrainConfig base = paper_local_config();

@@ -67,8 +67,8 @@ int main() {
   const std::size_t rounds = static_cast<std::size_t>(scale.rounds(4, 20));
   const std::size_t samples = static_cast<std::size_t>(scale.n(80, 300));
 
-  const FlPopulation pop =
-      synthetic_population(clients, samples, scale.seed());
+  const MaterializedPopulation pop(
+      synthetic_population(clients, samples, scale.seed()));
 
   std::vector<Scenario> scenarios = {
       {"clean", ""},

@@ -55,8 +55,8 @@ int main() {
   const std::size_t rounds = static_cast<std::size_t>(scale.rounds(6, 30));
   const std::size_t samples = static_cast<std::size_t>(scale.n(120, 400));
 
-  const FlPopulation pop = synthetic_population(clients, samples,
-                                                scale.seed());
+  const MaterializedPopulation pop(
+      synthetic_population(clients, samples, scale.seed()));
 
   std::vector<std::size_t> thread_counts = {1, 2, 4};
   const std::size_t hw = std::max<std::size_t>(

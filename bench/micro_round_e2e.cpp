@@ -1,6 +1,6 @@
 // End-to-end round-throughput bench: full HeteroSwitch federated rounds on
 // a synthetic squeeze-mini population, once per kernel mode —
-//   reference, tiled, fast (HS_KERNEL), and fast + int8 eval (HS_EVAL) —
+//   reference, tiled and fast (HS_KERNEL) —
 // reporting clients/s and rounds/s per mode. Also re-runs the tiled mode
 // with a larger thread count than selected clients (the executor's
 // intra-op lone-straggler/spare-worker grant) and checks the loss history
@@ -52,8 +52,7 @@ struct ModeResult {
 
 int main() {
   const Scale scale;
-  print_header("micro", "round e2e: reference vs tiled vs fast (+int8 eval)",
-               scale);
+  print_header("micro", "round e2e: reference vs tiled vs fast", scale);
 
   // Smoke shrinks the images along with the counts; the paper-shaped run
   // uses the paper's 32x32 inputs (the micro_gemm layer inventory assumes
@@ -70,26 +69,23 @@ int main() {
   spec.image_size = image;
   spec.num_classes = 2;
 
-  FlPopulation pop;
+  FlPopulation clients;
   for (std::size_t i = 0; i < num_clients; ++i) {
-    pop.client_train.push_back(
+    clients.client_train.push_back(
         make_clients_data(samples_per_client, image, 900 + i));
-    pop.client_device.push_back(0);
+    clients.client_device.push_back(0);
   }
-  pop.device_test.push_back(make_clients_data(24, image, 990));
-  pop.device_names.push_back("synthetic");
+  clients.device_test.push_back(make_clients_data(24, image, 990));
+  clients.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(clients));
 
   const LocalTrainConfig cfg = paper_local_config();
 
-  // One full simulation under the given kernel/eval mode. The model is
-  // rebuilt from the same seed each time so every mode trains the same
-  // network on the same schedule.
-  auto run_mode = [&](kernels::KernelKind kind, kernels::EvalMode eval,
-                      std::size_t threads, bool int8_cache = true) {
+  // One full simulation under the given kernel mode. The model is rebuilt
+  // from the same seed each time so every mode trains the same network on
+  // the same schedule.
+  auto run_mode = [&](kernels::KernelKind kind, std::size_t threads) {
     kernels::set_active_kernel(kind);
-    kernels::set_eval_mode(eval);
-    const bool cache_was = kernels::int8_cache_enabled();
-    kernels::set_int8_cache_enabled(int8_cache);
     Rng mrng(7);
     auto model = make_model(spec, mrng);
     HeteroSwitchOptions options;
@@ -105,8 +101,6 @@ int main() {
     const SimulationResult res = run_simulation(*model, algo, pop, sim);
     r.seconds = t.elapsed_s();
     r.loss_history = res.train_loss_history;
-    kernels::set_int8_cache_enabled(cache_was);
-    kernels::set_eval_mode(kernels::EvalMode::kF32);
     kernels::set_active_kernel(kernels::KernelKind::kTiled);
     return r;
   };
@@ -114,20 +108,11 @@ int main() {
   struct Mode {
     const char* name;
     kernels::KernelKind kind;
-    kernels::EvalMode eval;
-    bool int8_cache = true;
   };
-  // The nocache row isolates the HS_EVAL_CACHE weight-code cache: same
-  // kernels, same eval path, re-quantizing the weights on every batch
-  // instead of once per model version. Its delta against fast+int8 is the
-  // cache's contribution.
   const Mode modes[] = {
-      {"reference", kernels::KernelKind::kReference, kernels::EvalMode::kF32},
-      {"tiled", kernels::KernelKind::kTiled, kernels::EvalMode::kF32},
-      {"fast", kernels::KernelKind::kFast, kernels::EvalMode::kF32},
-      {"fast+int8", kernels::KernelKind::kFast, kernels::EvalMode::kInt8},
-      {"fast+int8:nocache", kernels::KernelKind::kFast,
-       kernels::EvalMode::kInt8, false},
+      {"reference", kernels::KernelKind::kReference},
+      {"tiled", kernels::KernelKind::kTiled},
+      {"fast", kernels::KernelKind::kFast},
   };
 
   // HS_E2E_MODES: comma list restricting which modes run (e.g.
@@ -172,8 +157,7 @@ int main() {
   std::vector<std::vector<double>> rep_seconds(selected.size());
   for (std::size_t rep = 0; rep < reps; ++rep) {
     for (std::size_t m = 0; m < selected.size(); ++m) {
-      ModeResult r = run_mode(selected[m]->kind, selected[m]->eval, threads,
-                              selected[m]->int8_cache);
+      ModeResult r = run_mode(selected[m]->kind, threads);
       rep_seconds[m].push_back(r.seconds);
       if (rep == 0 || r.seconds < best[m].seconds) best[m] = std::move(r);
     }
@@ -233,11 +217,9 @@ int main() {
   // Intra-op determinism: tiled with more threads than selected clients
   // routes through the executor's ScopedIntraOp grant; the loss history
   // must match the serial run bit for bit (DESIGN.md §13).
-  const ModeResult serial =
-      run_mode(kernels::KernelKind::kTiled, kernels::EvalMode::kF32, 1);
-  const ModeResult pooled = run_mode(kernels::KernelKind::kTiled,
-                                     kernels::EvalMode::kF32,
-                                     clients_per_round + 2);
+  const ModeResult serial = run_mode(kernels::KernelKind::kTiled, 1);
+  const ModeResult pooled =
+      run_mode(kernels::KernelKind::kTiled, clients_per_round + 2);
   bool deterministic = serial.loss_history.size() == pooled.loss_history.size();
   for (std::size_t i = 0; deterministic && i < serial.loss_history.size();
        ++i) {

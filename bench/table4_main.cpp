@@ -33,15 +33,15 @@ int main() {
   pcfg.capture.tensor_size = static_cast<std::size_t>(scale.n(16, 32));
   pcfg.capture.illuminant_sigma_override = -1.0f;  // deployed-population captures
   Rng pop_rng = root.fork(1);
-  const FlPopulation pop = build_population(paper_devices(), pcfg, scenes,
-                                            pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
   std::fprintf(stderr, "[table4] population: %zu clients (%.1fs)\n",
-               pop.client_train.size(), timer.elapsed_s());
+               pop.num_clients(), timer.elapsed_s());
 
   const LocalTrainConfig local = paper_local_config();
 
   // The seven rows of Table 4.
-  std::vector<std::unique_ptr<FederatedAlgorithm>> methods;
+  std::vector<std::unique_ptr<SplitFederatedAlgorithm>> methods;
   methods.push_back(std::make_unique<FedAvg>(local));
   {
     HeteroSwitchOptions opt;

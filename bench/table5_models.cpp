@@ -28,8 +28,8 @@ int main() {
   pcfg.capture.tensor_size = static_cast<std::size_t>(scale.n(16, 32));
   pcfg.capture.illuminant_sigma_override = -1.0f;  // deployed-population captures
   Rng pop_rng = root.fork(1);
-  const FlPopulation pop = build_population(paper_devices(), pcfg, scenes,
-                                            pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
 
   const LocalTrainConfig local = paper_local_config();
   const std::vector<std::string> archs = {"mobile-mini", "shuffle-mini",
@@ -43,7 +43,7 @@ int main() {
       spec.arch = arch;
       Rng model_rng = root.fork(2);
       auto model = make_model(spec, model_rng);
-      std::unique_ptr<FederatedAlgorithm> method;
+      std::unique_ptr<SplitFederatedAlgorithm> method;
       if (use_hs) {
         method = std::make_unique<HeteroSwitch>(local, HeteroSwitchOptions{});
       } else {

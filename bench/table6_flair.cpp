@@ -30,13 +30,15 @@ int main() {
   capture.illuminant_sigma_override = -1.0f;  // in-the-wild captures
   capture.tensor_size = static_cast<std::size_t>(scale.n(16, 32));
   Rng pop_rng = root.fork(2);
-  const FlPopulation pop = build_flair_population(
-      devices, n_clients, samples, test_per_device, capture, scenes, pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::flair(devices, n_clients, samples, test_per_device,
+                            capture, scenes),
+      pop_rng);
   std::fprintf(stderr, "[table6] %zu devices, %zu clients (%.1fs)\n",
-               devices.size(), pop.client_train.size(), timer.elapsed_s());
+               devices.size(), pop.num_clients(), timer.elapsed_s());
 
   const LocalTrainConfig local = paper_local_config();
-  std::vector<std::unique_ptr<FederatedAlgorithm>> methods;
+  std::vector<std::unique_ptr<SplitFederatedAlgorithm>> methods;
   methods.push_back(std::make_unique<FedAvg>(local));
   methods.push_back(
       std::make_unique<HeteroSwitch>(local, HeteroSwitchOptions{}));

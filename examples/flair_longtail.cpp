@@ -35,11 +35,13 @@ int main() {
   capture.illuminant_sigma_override = -1.0f;  // in-the-wild captures
   Rng pop_rng = rng.fork(2);
   Timer timer;
-  const FlPopulation pop = build_flair_population(
-      devices, /*num_clients=*/24, /*samples_per_client=*/14,
-      /*test_per_device=*/16, capture, scenes, pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::flair(devices, /*num_clients=*/24,
+                            /*samples_per_client=*/14,
+                            /*test_per_device=*/16, capture, scenes),
+      pop_rng);
   std::printf("\nBuilt %zu user datasets (multi-label, %zu labels) in %.1fs\n",
-              pop.client_train.size(), FlairSceneGenerator::kNumLabels,
+              pop.num_clients(), FlairSceneGenerator::kNumLabels,
               timer.elapsed_s());
 
   LocalTrainConfig local;
@@ -57,7 +59,7 @@ int main() {
   for (int use_hs : {0, 1}) {
     Rng model_rng(9);
     auto model = make_model(spec, model_rng);
-    std::unique_ptr<FederatedAlgorithm> algo;
+    std::unique_ptr<SplitFederatedAlgorithm> algo;
     if (use_hs) {
       algo = std::make_unique<HeteroSwitch>(local, HeteroSwitchOptions{});
     } else {
@@ -67,8 +69,8 @@ int main() {
     const SimulationResult r = run_simulation(*model, *algo, pop, sim);
     std::printf("\n%s (%.1fs): averaged precision per device type\n",
                 algo->name().c_str(), timer.elapsed_s());
-    for (std::size_t d = 0; d < pop.device_names.size(); ++d) {
-      std::printf("  %-10s AP %.1f%%\n", pop.device_names[d].c_str(),
+    for (std::size_t d = 0; d < pop.device_names().size(); ++d) {
+      std::printf("  %-10s AP %.1f%%\n", pop.device_names()[d].c_str(),
                   r.final_metrics.per_device[d] * 100.0);
     }
     std::printf("  mean AP %.2f%%  variance %.2f  worst %.2f%%\n",

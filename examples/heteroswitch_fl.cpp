@@ -23,10 +23,10 @@ using namespace hetero;
 namespace {
 
 void report(const char* name, const DeviceMetrics& m,
-            const FlPopulation& pop) {
+            const ClientProvider& pop) {
   std::printf("\n%s:\n", name);
-  for (std::size_t d = 0; d < pop.device_names.size(); ++d) {
-    std::printf("  %-10s %5.1f%%\n", pop.device_names[d].c_str(),
+  for (std::size_t d = 0; d < pop.device_names().size(); ++d) {
+    std::printf("  %-10s %5.1f%%\n", pop.device_names()[d].c_str(),
                 m.per_device[d] * 100.0);
   }
   std::printf("  average %.2f%%  variance %.2f  worst-case %.2f%%\n",
@@ -49,8 +49,8 @@ int main() {
   std::printf("Building market-share population (N=%zu clients)...\n",
               pcfg.num_clients);
   Timer timer;
-  const FlPopulation pop = build_population(paper_devices(), pcfg, scenes,
-                                            pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
   std::printf("  done in %.1fs\n", timer.elapsed_s());
 
   LocalTrainConfig local;  // the paper's B=10, E=1, lr=0.1

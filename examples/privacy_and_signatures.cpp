@@ -60,8 +60,8 @@ int main() {
   pcfg.capture.tensor_size = 16;
   pcfg.capture.illuminant_sigma_override = -1.0f;
   Rng pop_rng = rng.fork(1);
-  const FlPopulation pop = build_population(paper_devices(), pcfg, scenes,
-                                            pop_rng);
+  const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), pcfg, scenes), pop_rng);
 
   LocalTrainConfig local;
   local.lr = 0.1f;

@@ -1,6 +1,5 @@
 #include "fl/algorithm.h"
 
-#include <chrono>
 #include <cmath>
 #include <string>
 
@@ -16,12 +15,6 @@ std::size_t local_steps(const Dataset& data, const LocalTrainConfig& cfg) {
   const std::size_t per_epoch =
       (data.size() + cfg.batch_size - 1) / cfg.batch_size;
   return per_epoch * cfg.epochs;
-}
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 }  // namespace
@@ -64,18 +57,6 @@ bool validate_update(const ClientUpdate& update) {
   return true;
 }
 
-std::size_t drop_invalid_updates(std::vector<ClientUpdate>& updates) {
-  const std::size_t before = updates.size();
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    if (!validate_update(updates[i])) continue;
-    if (keep != i) updates[keep] = std::move(updates[i]);
-    ++keep;
-  }
-  updates.resize(keep);
-  return before - keep;
-}
-
 RoundStats summarize_updates(const std::vector<ClientUpdate>& updates,
                              std::size_t global_state_size) {
   HS_CHECK(!updates.empty(), "summarize_updates: no client updates");
@@ -99,60 +80,13 @@ RoundStats summarize_updates(const std::vector<ClientUpdate>& updates,
   return stats;
 }
 
-// --------------------------------------------------------------------- NVI
-
-RoundStats FederatedAlgorithm::run_round(
-    Model& model, const std::vector<std::size_t>& selected,
-    const std::vector<Dataset>& client_data, Rng& rng, RoundContext* ctx) {
-  RoundContext local;
-  return do_run_round(model, selected, client_data, rng, ctx ? *ctx : local);
-}
-
-double FederatedAlgorithm::staleness_weight(std::size_t staleness,
-                                            double exponent) const {
+double SplitFederatedAlgorithm::staleness_weight(std::size_t staleness,
+                                                 double exponent) const {
   // s == 0 (and exponent == 0) must return exactly 1.0 — not pow's
   // approximation of it — so a zero-staleness flush multiplies weights by
   // the identity and stays bit-identical to sync FedAvg aggregation.
   if (staleness == 0 || exponent == 0.0) return 1.0;
   return std::pow(1.0 + static_cast<double>(staleness), -exponent);
-}
-
-// ------------------------------------------------- SplitFederatedAlgorithm
-
-RoundStats SplitFederatedAlgorithm::do_run_round(
-    Model& model, const std::vector<std::size_t>& selected,
-    const std::vector<Dataset>& client_data, Rng& rng, RoundContext& ctx) {
-  HS_CHECK(!selected.empty(), "run_round: no clients selected");
-  const Tensor global = model.state();
-  std::vector<ClientUpdate> updates;
-  updates.reserve(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    const std::size_t id = selected[i];
-    Rng client_rng = rng.fork(id);
-    const Clock::time_point c0 = Clock::now();
-    updates.push_back(
-        local_update(model, global, id, client_data.at(id), client_rng));
-    updates.back().train_seconds = seconds_since(c0);
-    ctx.finish_client(updates.back(), i);
-  }
-  // Quarantine organically non-finite updates (diverged training) before
-  // the server phase — the same guard the ClientExecutor applies. When a
-  // quarantine happens on this reference path the update's client_end
-  // event has already been delivered above, so only the aggregate-side
-  // exclusion (and the fault.* extras) differ from a clean round.
-  const std::size_t quarantined = drop_invalid_updates(updates);
-  if (updates.empty()) {
-    // Graceful abort: no usable update this round, global model untouched.
-    RoundStats stats;
-    stats.extras["fault.quarantined"] = static_cast<double>(quarantined);
-    stats.extras["fault.aborted"] = 1.0;
-    return stats;
-  }
-  RoundStats stats = aggregate(model, global, updates);
-  if (quarantined > 0) {
-    stats.extras["fault.quarantined"] = static_cast<double>(quarantined);
-  }
-  return stats;
 }
 
 ClientUpdate SplitFederatedAlgorithm::partial_aggregate(

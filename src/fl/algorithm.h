@@ -1,17 +1,14 @@
 // Federated optimization algorithms.
 //
-// A FederatedAlgorithm owns both sides of one method: the client update rule
-// and the server aggregation. The simulation calls run_round() with the
-// round's selected clients; the algorithm mutates the shared global Model.
-// A single Model instance is reused for every simulated client by swapping
-// flat states (memory stays O(1) in the number of clients).
-//
-// run_round is a non-virtual entry point (NVI): it builds a default
-// RoundContext when the caller passes none and forwards to the protected
-// virtual do_run_round(..., RoundContext&). The context threads the
-// telemetry observer (fl/observer.h) and per-client wall-time accounting
-// through every execution path, so existing 4-argument callsites keep
-// compiling while new callers attach observability.
+// A SplitFederatedAlgorithm owns both sides of one method: a pure
+// per-client update rule (local_update) and a serial server aggregation
+// (aggregate). The round engines — ClientExecutor for sync rounds,
+// EventScheduler for async/buffered flushes, the net nodes for distributed
+// runs — call local_update once per selected client and aggregate once per
+// round or flush; the algorithm mutates the shared global Model only in
+// aggregate.
+// Per-worker model replicas are reused for every simulated client by
+// swapping flat states (memory stays O(workers) in the number of clients).
 //
 // Implemented methods (Section 6.2 of the paper):
 //   * FedAvg   (McMahan et al. 2017)  - sample-weighted state averaging.
@@ -30,7 +27,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "fl/observer.h"
 #include "fl/trainer.h"
 #include "nn/model.h"
 
@@ -68,8 +64,6 @@ struct RoundStats {
   std::map<std::string, double> extras;
 };
 
-class SplitFederatedAlgorithm;
-
 /// Server-side algorithm state captured at a round boundary for
 /// checkpoint/resume (fl/checkpoint.h). Three typed maps so every kind of
 /// state round-trips bit-exactly: `scalars` for doubles (written as raw
@@ -81,63 +75,6 @@ struct AlgorithmCheckpoint {
   std::map<std::string, double> scalars;
   std::map<std::string, std::uint64_t> words;
   std::map<std::string, Tensor> tensors;
-};
-
-class FederatedAlgorithm {
- public:
-  virtual ~FederatedAlgorithm() = default;
-
-  /// Called once before round 0. num_clients is the population size N.
-  virtual void init(Model& model, std::size_t num_clients) {
-    (void)model;
-    (void)num_clients;
-  }
-
-  /// Runs one communication round over the selected clients (indices into
-  /// client_data) and updates the global model in place. When `ctx` is
-  /// null a throwaway context is used (no telemetry); otherwise per-client
-  /// observations and wall-time accounting flow through it.
-  RoundStats run_round(Model& model, const std::vector<std::size_t>& selected,
-                       const std::vector<Dataset>& client_data, Rng& rng,
-                       RoundContext* ctx = nullptr);
-
-  /// Runtime hook: algorithms whose round decomposes into pure per-client
-  /// local updates plus a serial aggregate return themselves here, which
-  /// lets the parallel client executor fan their clients out over worker
-  /// threads. Kept as a virtual instead of a dynamic_cast so the runtime
-  /// library needs no link-time dependency on this one. Algorithms with
-  /// serial cross-client state (e.g. a shared noise stream) return nullptr
-  /// and always run their own round serially.
-  virtual SplitFederatedAlgorithm* as_split() { return nullptr; }
-
-  /// Staleness decay applied by the async/buffered event scheduler to an
-  /// update that arrives `staleness` server versions after its dispatch
-  /// (FedAsync; DESIGN.md §11): the aggregation weight is multiplied by
-  /// f(s) = (1 + s)^-exponent. The default guarantees f(0) == 1 exactly,
-  /// so zero-staleness updates keep their sync FedAvg weight bit-for-bit;
-  /// algorithms may override for other decay families.
-  virtual double staleness_weight(std::size_t staleness,
-                                  double exponent) const;
-
-  /// Checkpoint hooks: capture / restore every piece of server-side state
-  /// the algorithm mutates across rounds, so a resumed run continues
-  /// bit-for-bit (asserted in tests/test_population.cpp). Stateless
-  /// algorithms (FedAvg, q-FedAvg, FedProx) keep the no-op defaults.
-  /// load_state is always called after init() on a freshly constructed
-  /// algorithm, so implementations may rely on init()-sized containers.
-  virtual void save_state(AlgorithmCheckpoint& out) const { (void)out; }
-  virtual void load_state(const AlgorithmCheckpoint& in) { (void)in; }
-
-  virtual std::string name() const = 0;
-
- protected:
-  /// The actual round implementation. Implementations must report every
-  /// client through ctx.finish_client (timing + observer delivery); round
-  /// begin/end events are emitted by the driver (ClientExecutor), not here.
-  virtual RoundStats do_run_round(Model& model,
-                                  const std::vector<std::size_t>& selected,
-                                  const std::vector<Dataset>& client_data,
-                                  Rng& rng, RoundContext& ctx) = 0;
 };
 
 /// The result of one client's local training, produced by
@@ -169,12 +106,8 @@ std::uint64_t update_payload_bytes(const ClientUpdate& update);
 /// Partial-aggregation guard (DESIGN.md §10): true when every numeric field
 /// and tensor coordinate of the update is finite and the weight is
 /// non-negative. Aggregates must never see an update that fails this —
-/// the executor (and the serial reference round) quarantines it first.
+/// the round engines (executor, scheduler, net nodes) quarantine it first.
 bool validate_update(const ClientUpdate& update);
-
-/// Removes updates failing validate_update (stable, preserves `selected`
-/// order); returns how many were quarantined.
-std::size_t drop_invalid_updates(std::vector<ClientUpdate>& updates);
 
 /// Fills the generic RoundStats fields from a round's client updates:
 /// sample-weighted mean loss, unweighted min/max loss, client/weight
@@ -185,9 +118,9 @@ std::size_t drop_invalid_updates(std::vector<ClientUpdate>& updates);
 RoundStats summarize_updates(const std::vector<ClientUpdate>& updates,
                              std::size_t global_state_size);
 
-/// Base for algorithms split into a pure per-client phase and a serial
-/// server phase. The contract that makes parallel execution bit-identical
-/// to serial execution:
+/// The algorithm interface: a pure per-client phase plus a serial server
+/// phase. The contract that makes parallel execution bit-identical to
+/// serial execution:
 ///   * local_update is const and must not touch shared mutable state; it
 ///     depends only on (global, client_id, data, client_rng). The caller
 ///     derives client_rng as rng.fork(client_id) — keyed by client id, not
@@ -195,8 +128,16 @@ RoundStats summarize_updates(const std::vector<ClientUpdate>& updates,
 ///     scheduled.
 ///   * aggregate runs serially and folds updates in `selected` order, so
 ///     floating-point accumulation order never depends on thread timing.
-class SplitFederatedAlgorithm : public FederatedAlgorithm {
+class SplitFederatedAlgorithm {
  public:
+  virtual ~SplitFederatedAlgorithm() = default;
+
+  /// Called once before round 0. num_clients is the population size N.
+  virtual void init(Model& model, std::size_t num_clients) {
+    (void)model;
+    (void)num_clients;
+  }
+
   /// One client's local training pass against the round-start state
   /// `global`. Must set_state(global) on the given model before touching
   /// it; the model may be a per-worker replica with arbitrary prior state.
@@ -218,7 +159,25 @@ class SplitFederatedAlgorithm : public FederatedAlgorithm {
   virtual RoundStats aggregate(Model& model, const Tensor& global,
                                std::vector<ClientUpdate>& updates) = 0;
 
-  SplitFederatedAlgorithm* as_split() override { return this; }
+  /// Staleness decay applied by the async/buffered event scheduler to an
+  /// update that arrives `staleness` server versions after its dispatch
+  /// (FedAsync; DESIGN.md §11): the aggregation weight is multiplied by
+  /// f(s) = (1 + s)^-exponent. The default guarantees f(0) == 1 exactly,
+  /// so zero-staleness updates keep their sync FedAvg weight bit-for-bit;
+  /// algorithms may override for other decay families.
+  virtual double staleness_weight(std::size_t staleness,
+                                  double exponent) const;
+
+  /// Checkpoint hooks: capture / restore every piece of server-side state
+  /// the algorithm mutates across rounds, so a resumed run continues
+  /// bit-for-bit (asserted in tests/test_population.cpp). Stateless
+  /// algorithms (FedAvg, q-FedAvg, FedProx) keep the no-op defaults.
+  /// load_state is always called after init() on a freshly constructed
+  /// algorithm, so implementations may rely on init()-sized containers.
+  virtual void save_state(AlgorithmCheckpoint& out) const { (void)out; }
+  virtual void load_state(const AlgorithmCheckpoint& in) { (void)in; }
+
+  virtual std::string name() const = 0;
 
   /// Edge-tier (hierarchical) aggregation capability (DESIGN.md §14): true
   /// when aggregate() is a renormalized weighted mean over update states,
@@ -240,22 +199,13 @@ class SplitFederatedAlgorithm : public FederatedAlgorithm {
   virtual bool stateless_client_phase() const { return false; }
 
   /// Folds one edge group's updates into a single weighted digest: state =
-  /// renormalized weighted mean over the group (the PR 4 partial-
-  /// aggregation primitive), weight = summed group weight, train_loss =
+  /// renormalized weighted mean over the group (the partial-aggregation
+  /// primitive of DESIGN.md §10), weight = summed group weight, train_loss =
   /// weighted mean group loss. The digest is a valid ClientUpdate, so the
   /// root-side aggregate() consumes digests exactly like client updates.
   /// Consumes the group's state tensors.
   virtual ClientUpdate partial_aggregate(const Tensor& global,
                                          std::vector<ClientUpdate>& group) const;
-
- protected:
-  /// Serial reference implementation: local_update per selected client on
-  /// the shared model (timed, reported through ctx), then aggregate. The
-  /// parallel executor produces the same updates from worker replicas.
-  RoundStats do_run_round(Model& model,
-                          const std::vector<std::size_t>& selected,
-                          const std::vector<Dataset>& client_data, Rng& rng,
-                          RoundContext& ctx) override;
 };
 
 class FedAvg : public SplitFederatedAlgorithm {

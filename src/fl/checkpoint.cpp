@@ -4,15 +4,20 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "tensor/serialize.h"
+#include "util/config.h"
 
 namespace hetero {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'S', 'C', 'K'};
 constexpr std::uint32_t kVersion = 1;
+// Smallest keyed map entry on disk: a u32 key length plus an 8-byte value
+// (a tensor entry is larger still).
+constexpr std::uint64_t kMinEntryBytes = sizeof(std::uint32_t) + 8;
 
 void write_u32(std::ostream& os, std::uint32_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -55,8 +60,36 @@ double read_f64(std::istream& is) {
   return v;
 }
 
+/// Bytes between the read position and the end of the file. Every length
+/// field read from disk is bounded by this before anything is allocated,
+/// so a forged count fails as a malformed file instead of reserving
+/// terabytes.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streampos here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(here);
+  if (!is || here < 0 || end < here) {
+    throw std::runtime_error("checkpoint: unreadable file");
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
+/// Reads a u64 item count and rejects one whose items, at `min_item_bytes`
+/// each, could not fit in the rest of the file.
+std::uint64_t read_count(std::istream& is, std::uint64_t min_item_bytes) {
+  const std::uint64_t n = read_u64(is);
+  if (n > bytes_left(is) / min_item_bytes) {
+    throw std::runtime_error("checkpoint: length exceeds file size");
+  }
+  return n;
+}
+
 std::string read_string(std::istream& is) {
   const std::uint32_t n = read_u32(is);
+  if (n > bytes_left(is)) {
+    throw std::runtime_error("checkpoint: length exceeds file size");
+  }
   std::string s(n, '\0');
   is.read(s.data(), static_cast<std::streamsize>(n));
   if (!is) throw std::runtime_error("checkpoint: truncated file");
@@ -69,7 +102,7 @@ void write_f64_vector(std::ostream& os, const std::vector<double>& v) {
 }
 
 std::vector<double> read_f64_vector(std::istream& is) {
-  const std::uint64_t n = read_u64(is);
+  const std::uint64_t n = read_count(is, sizeof(std::uint64_t));
   std::vector<double> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_f64(is));
@@ -98,13 +131,20 @@ CheckpointOptions parse_checkpoint_spec(const std::string& spec) {
       const std::string key = field.substr(0, eq);
       const std::string value = field.substr(eq + 1);
       if (key == "every") {
-        const unsigned long n = std::stoul(value);
-        if (n == 0) {
-          throw std::runtime_error("parse_checkpoint_spec: every must be > 0");
+        const std::optional<std::uint64_t> n = parse_uint(value);
+        if (!n || *n == 0) {
+          throw std::runtime_error(
+              "parse_checkpoint_spec: every must be a positive integer, got '" +
+              value + "'");
         }
-        opts.every = static_cast<std::size_t>(n);
+        opts.every = static_cast<std::size_t>(*n);
       } else if (key == "resume") {
-        opts.resume = value != "0";
+        if (value != "0" && value != "1") {
+          throw std::runtime_error(
+              "parse_checkpoint_spec: resume must be 0 or 1, got '" + value +
+              "'");
+        }
+        opts.resume = value == "1";
       } else {
         throw std::runtime_error("parse_checkpoint_spec: unknown key '" + key +
                                  "'");
@@ -197,23 +237,23 @@ bool read_checkpoint(const std::string& path, SimulationCheckpoint& out) {
   out.loss_history = read_f64_vector(is);
   out.round_virtual_seconds = read_f64_vector(is);
   out.counters.clear();
-  const std::uint64_t n_counters = read_u64(is);
+  const std::uint64_t n_counters = read_count(is, kMinEntryBytes);
   for (std::uint64_t i = 0; i < n_counters; ++i) {
     std::string key = read_string(is);
     out.counters[std::move(key)] = read_f64(is);
   }
   out.algo = AlgorithmCheckpoint{};
-  const std::uint64_t n_scalars = read_u64(is);
+  const std::uint64_t n_scalars = read_count(is, kMinEntryBytes);
   for (std::uint64_t i = 0; i < n_scalars; ++i) {
     std::string key = read_string(is);
     out.algo.scalars[std::move(key)] = read_f64(is);
   }
-  const std::uint64_t n_words = read_u64(is);
+  const std::uint64_t n_words = read_count(is, kMinEntryBytes);
   for (std::uint64_t i = 0; i < n_words; ++i) {
     std::string key = read_string(is);
     out.algo.words[std::move(key)] = read_u64(is);
   }
-  const std::uint64_t n_tensors = read_u64(is);
+  const std::uint64_t n_tensors = read_count(is, kMinEntryBytes);
   for (std::uint64_t i = 0; i < n_tensors; ++i) {
     std::string key = read_string(is);
     out.algo.tensors[std::move(key)] = read_tensor(is);

@@ -4,7 +4,7 @@
 // A checkpoint freezes everything the sync loop needs to continue a run
 // bit-for-bit: the round cursor, the model state, the sampling Rng's full
 // engine state, the loss/virtual-time histories, the fault counters, and
-// the algorithm's cross-round state via FederatedAlgorithm::save_state.
+// the algorithm's cross-round state via SplitFederatedAlgorithm::save_state.
 // Doubles are stored as raw 8-byte little-endian words so the round-trip is
 // bit-exact; tensors reuse the "HSTN" serializer from tensor/serialize.h.
 //
@@ -49,7 +49,7 @@ struct SimulationCheckpoint {
   std::uint64_t seed = 0;
   std::uint64_t num_clients = 0;
   std::uint64_t clients_per_round = 0;
-  std::string algorithm;  ///< FederatedAlgorithm::name() at save time
+  std::string algorithm;  ///< SplitFederatedAlgorithm::name() at save time
   RngState rng;           ///< sampling/fork Rng cursor
   Tensor model_state;
   std::vector<double> loss_history;

@@ -104,56 +104,12 @@ class ClientProvider {
     return false;
   }
 
-  /// The resident dataset vector, when this provider has one. Serial-only
-  /// algorithms (no split form) run FederatedAlgorithm::run_round, whose
-  /// signature indexes a vector — the executor uses this escape hatch and
-  /// rejects virtual populations there (materializing N datasets to run a
-  /// serial fallback would defeat the provider's purpose).
+  /// Nothing in the program reads this. The virtual stays only because the
+  /// round benchmark's forwarding provider (perfbench/probes.h) overrides
+  /// it; drop the two together.
   virtual const std::vector<Dataset>* dataset_vector() const {
     return nullptr;
   }
-};
-
-/// Adapter over a bare dataset vector (no device metadata): every client is
-/// device 0 and there are no test sets. The legacy vector<Dataset> entry
-/// points of ClientExecutor / EventScheduler wrap their argument in this, so
-/// pre-provider call sites keep compiling and behaving identically.
-class VectorDatasetProvider final : public ClientProvider {
- public:
-  explicit VectorDatasetProvider(const std::vector<Dataset>& data)
-      : data_(&data) {}
-
-  std::size_t num_clients() const override { return data_->size(); }
-  std::size_t device_of(std::size_t) const override { return 0; }
-  double work_of(std::size_t client) const override {
-    return static_cast<double>(data_->at(client).size());
-  }
-  const Dataset& client_dataset(std::size_t client,
-                                ClientSlot&) const override {
-    return data_->at(client);
-  }
-  const std::vector<Dataset>& device_test() const override {
-    return empty_datasets();
-  }
-  const std::vector<std::string>& device_names() const override {
-    static const std::vector<std::string> kEmpty;
-    return kEmpty;
-  }
-  const std::vector<double>& device_speed_scale() const override {
-    static const std::vector<double> kEmpty;
-    return kEmpty;
-  }
-  const std::vector<Dataset>* dataset_vector() const override {
-    return data_;
-  }
-
- private:
-  static const std::vector<Dataset>& empty_datasets() {
-    static const std::vector<Dataset> kEmpty;
-    return kEmpty;
-  }
-
-  const std::vector<Dataset>* data_;
 };
 
 }  // namespace hetero

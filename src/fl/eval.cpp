@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "kernels/kernels.h"
 #include "nn/loss.h"
 #include "tensor/tensor_ops.h"
 
@@ -11,13 +10,8 @@ namespace hetero {
 namespace {
 
 /// Runs the model over the dataset in eval mode and returns stacked logits.
-/// The EvalScope marks every forward below as inference-only, which is what
-/// lets HS_EVAL=int8 reroute them (server-side eval and HeteroSwitch's
-/// L_init / post-training probes all funnel through here) while training
-/// forwards stay in f32 unconditionally.
 Tensor forward_all(Model& model, const Dataset& data, std::size_t batch_size) {
   HS_CHECK(!data.empty(), "forward_all: empty dataset");
-  const kernels::EvalScope eval_scope;
   Tensor logits;
   std::size_t out_dim = 0;
   std::vector<std::size_t> idx;

@@ -5,7 +5,6 @@
 
 #include "fl/algorithm.h"
 #include "fl/simulation.h"
-#include "obs/metrics.h"
 #include "obs/tracer.h"
 
 namespace hetero {
@@ -27,11 +26,6 @@ void RoundContext::finish_client(const ClientObservation& client) {
   client_seconds_sum += client.train_seconds;
   client_seconds_max = std::max(client_seconds_max, client.train_seconds);
   if (observer) observer->on_client_end(round, client);
-}
-
-void RoundContext::finish_client(const ClientUpdate& update,
-                                 std::size_t order) {
-  finish_client(make_observation(update, order));
 }
 
 // --------------------------------------------------------- MulticastObserver
@@ -58,18 +52,6 @@ void MulticastObserver::on_round_end(std::size_t round,
 void MulticastObserver::on_eval(std::size_t round,
                                 const DeviceMetrics& metrics) {
   for (RoundObserver* c : children_) c->on_eval(round, metrics);
-}
-
-// ---------------------------------------------------------- CallbackObserver
-
-void CallbackObserver::on_round_end(std::size_t round,
-                                    const RoundStats& stats) {
-  if (fn_) fn_(round, stats.mean_train_loss);
-}
-
-std::unique_ptr<RoundObserver> observer_from_callback(
-    std::function<void(std::size_t, double)> fn) {
-  return std::make_unique<CallbackObserver>(std::move(fn));
 }
 
 // ----------------------------------------------------------- TracingObserver
@@ -147,47 +129,6 @@ void TracingObserver::on_eval(std::size_t round, const DeviceMetrics& metrics) {
   b.add("devices", static_cast<std::uint64_t>(metrics.per_device.size()));
   b.add_array("per_device", metrics.per_device);
   tracer_.write(b);
-}
-
-// ----------------------------------------------------------- MetricsObserver
-
-void MetricsObserver::on_round_begin(std::size_t /*round*/,
-                                     const std::vector<std::size_t>& selected) {
-  registry_.counter("fl.rounds").add(1);
-  registry_.counter("fl.clients").add(selected.size());
-}
-
-void MetricsObserver::on_client_end(std::size_t /*round*/,
-                                    const ClientObservation& client) {
-  registry_.histogram("fl.client_loss").observe(client.train_loss);
-  registry_.histogram("fl.client_seconds").observe(client.train_seconds);
-  if (client.virtual_seconds > 0.0) {
-    registry_.histogram("fl.client_vseconds").observe(client.virtual_seconds);
-  }
-  if (client.scheduled) {
-    registry_.histogram("fl.client_staleness")
-        .observe(static_cast<double>(client.staleness));
-  }
-  if (client.fault != 0) registry_.counter("fl.client_faults").add(1);
-}
-
-void MetricsObserver::on_round_end(std::size_t /*round*/,
-                                   const RoundStats& stats) {
-  registry_.histogram("fl.round_loss").observe(stats.mean_train_loss);
-  registry_.histogram("fl.round_seconds").observe(stats.round_seconds);
-  registry_.gauge("fl.last_round_loss").set(stats.mean_train_loss);
-  registry_.counter("fl.bytes_up").add(stats.bytes_up);
-  registry_.counter("fl.bytes_down").add(stats.bytes_down);
-  for (const auto& [key, value] : stats.extras) {
-    registry_.gauge("fl.extra." + key).set(value);
-  }
-}
-
-void MetricsObserver::on_eval(std::size_t /*round*/,
-                              const DeviceMetrics& metrics) {
-  registry_.gauge("fl.eval_average").set(metrics.average);
-  registry_.gauge("fl.eval_variance").set(metrics.variance);
-  registry_.gauge("fl.eval_worst_case").set(metrics.worst_case);
 }
 
 }  // namespace hetero

@@ -14,15 +14,13 @@
 // RoundStats::round_seconds are wall-clock and therefore nondeterministic;
 // TracingObserver can omit them to produce byte-identical traces.
 //
-// This header is include-light on purpose (the runtime layer includes it
-// through fl/algorithm.h): heavyweight types are forward-declared and the
-// concrete observers live in observer.cpp.
+// This header is include-light on purpose (the runtime layer includes
+// it): heavyweight types are forward-declared and the concrete observers
+// live in observer.cpp.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 namespace hetero {
@@ -32,7 +30,6 @@ struct DeviceMetrics;
 struct RoundStats;
 
 namespace obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace obs
 
@@ -88,11 +85,9 @@ class RoundObserver {
                        const DeviceMetrics& /*metrics*/) {}
 };
 
-/// Per-round execution context threaded through FederatedAlgorithm::
-/// run_round and the ClientExecutor: carries the observer (may be null)
-/// plus the per-client wall-time accounting every execution path fills —
-/// including the serial-only algorithms (DP-FedAvg, CompressedFedAvg), so
-/// RuntimeStats::client_seconds_* is populated on every path.
+/// Per-round execution context threaded through the ClientExecutor:
+/// carries the observer (may be null) plus the per-client wall-time
+/// accounting behind RuntimeStats::client_seconds_*.
 struct RoundContext {
   std::size_t round = 0;
   RoundObserver* observer = nullptr;  ///< non-owning; null = no telemetry
@@ -103,8 +98,6 @@ struct RoundContext {
   /// Records one client's wall time and, when an observer is attached,
   /// delivers its observation.
   void finish_client(const ClientObservation& client);
-  /// Convenience: finish_client(make_observation(update, order)).
-  void finish_client(const ClientUpdate& update, std::size_t order);
 };
 
 /// Fans events out to any number of child observers (registration order).
@@ -125,23 +118,6 @@ class MulticastObserver : public RoundObserver {
   std::vector<RoundObserver*> children_;
 };
 
-/// Adapter for the deprecated SimulationConfig::on_round callback: forwards
-/// on_round_end as fn(round, stats.mean_train_loss).
-class CallbackObserver : public RoundObserver {
- public:
-  explicit CallbackObserver(std::function<void(std::size_t, double)> fn)
-      : fn_(std::move(fn)) {}
-
-  void on_round_end(std::size_t round, const RoundStats& stats) override;
-
- private:
-  std::function<void(std::size_t, double)> fn_;
-};
-
-/// Wraps a legacy (round, mean-loss) callback in a RoundObserver.
-std::unique_ptr<RoundObserver> observer_from_callback(
-    std::function<void(std::size_t, double)> fn);
-
 /// Emits the trace events of DESIGN.md §8 through an obs::Tracer. Honours
 /// the tracer's include_timings flag: with timings off the emitted trace is
 /// byte-identical for any thread count.
@@ -158,30 +134,6 @@ class TracingObserver : public RoundObserver {
 
  private:
   obs::Tracer& tracer_;
-};
-
-/// Feeds an obs::MetricsRegistry:
-///   counters   fl.rounds, fl.clients, fl.bytes_up, fl.bytes_down,
-///              fl.client_faults (clients with a non-zero fault kind)
-///   histograms fl.client_loss, fl.client_seconds, fl.round_loss,
-///              fl.round_seconds
-///   gauges     fl.last_round_loss, fl.eval_average, fl.eval_variance,
-///              fl.eval_worst_case, plus fl.extra.<key> for every
-///              per-algorithm RoundStats extra.
-class MetricsObserver : public RoundObserver {
- public:
-  explicit MetricsObserver(obs::MetricsRegistry& registry)
-      : registry_(registry) {}
-
-  void on_round_begin(std::size_t round,
-                      const std::vector<std::size_t>& selected) override;
-  void on_client_end(std::size_t round,
-                     const ClientObservation& client) override;
-  void on_round_end(std::size_t round, const RoundStats& stats) override;
-  void on_eval(std::size_t round, const DeviceMetrics& metrics) override;
-
- private:
-  obs::MetricsRegistry& registry_;
 };
 
 }  // namespace hetero

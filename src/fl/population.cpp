@@ -47,15 +47,12 @@ void check_spec(const PopulationSpec& spec) {
 std::size_t pop_cache_capacity_from_env() {
   const auto v = env_string("HS_POP_CACHE");
   if (!v) return 64;
-  std::size_t parsed = 0;
-  for (char c : *v) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument("HS_POP_CACHE: invalid capacity '" + *v +
-                                  "' (expected a non-negative integer)");
-    }
-    parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
+  const std::optional<std::uint64_t> parsed = parse_uint(*v);
+  if (!parsed) {
+    throw std::invalid_argument("HS_POP_CACHE: invalid capacity '" + *v +
+                                "' (expected a non-negative integer)");
   }
-  return parsed;
+  return static_cast<std::size_t>(*parsed);
 }
 
 }  // namespace
@@ -310,38 +307,13 @@ FlPopulation VirtualPopulation::materialize_all() const {
 
 MaterializedPopulation::MaterializedPopulation(const PopulationSpec& spec,
                                                const Rng& root)
-    : owned_(VirtualPopulation(spec, root).materialize_all()), pop_(&owned_) {}
+    : pop_(VirtualPopulation(spec, root).materialize_all()) {}
 
 MaterializedPopulation::MaterializedPopulation(FlPopulation population)
-    : owned_(std::move(population)), pop_(&owned_) {}
-
-MaterializedPopulation::MaterializedPopulation(const FlPopulation* borrowed)
-    : pop_(borrowed) {
-  HS_CHECK(borrowed != nullptr, "MaterializedPopulation: null population");
-}
+    : pop_(std::move(population)) {}
 
 FlPopulation make_population(const PopulationSpec& spec, const Rng& root) {
   return VirtualPopulation(spec, root).materialize_all();
-}
-
-FlPopulation build_population(const std::vector<DeviceProfile>& devices,
-                              const PopulationConfig& cfg,
-                              const SceneGenerator& scenes, Rng& rng) {
-  return make_population(PopulationSpec::single_label(devices, cfg, scenes),
-                         rng);
-}
-
-FlPopulation build_flair_population(const std::vector<DeviceProfile>& devices,
-                                    std::size_t num_clients,
-                                    std::size_t samples_per_client,
-                                    std::size_t test_per_device,
-                                    const CaptureConfig& capture,
-                                    const FlairSceneGenerator& scenes,
-                                    Rng& rng) {
-  return make_population(
-      PopulationSpec::flair(devices, num_clients, samples_per_client,
-                            test_per_device, capture, scenes),
-      rng);
 }
 
 }  // namespace hetero

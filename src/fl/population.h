@@ -64,10 +64,9 @@ struct PopulationConfig {
   std::vector<std::size_t> exclude_from_training;
 };
 
-/// The unified declarative recipe behind both population kinds (the old
-/// build_population / build_flair_population signature pair collapsed into
-/// one struct + factory). The scene generators are borrowed: the caller
-/// keeps them alive for the life of any provider built from the spec.
+/// The unified declarative recipe behind both population kinds. The scene
+/// generators are borrowed: the caller keeps them alive for the life of any
+/// provider built from the spec.
 struct PopulationSpec {
   enum class Kind {
     kSingleLabel,  ///< 12-class scenes, one label per sample
@@ -84,9 +83,8 @@ struct PopulationSpec {
   std::size_t test_samples = 6;
   DeviceAssignment assignment = DeviceAssignment::kMarketShare;
   CaptureConfig capture;
-  /// Honoured by BOTH kinds (the old build_flair_population silently
-  /// ignored PopulationConfig::exclude_from_training; the spec path fixes
-  /// that): excluded devices get no training clients but keep a test set.
+  /// Honoured by both kinds: excluded devices get no training clients but
+  /// keep a test set.
   std::vector<std::size_t> exclude_from_training;
   const SceneGenerator* scenes = nullptr;             ///< kSingleLabel
   const FlairSceneGenerator* flair_scenes = nullptr;  ///< kFlair
@@ -200,67 +198,39 @@ class VirtualPopulation final : public ClientProvider {
 
 /// Eager population: serves a resident FlPopulation through the provider
 /// interface. Construct from a spec (runs the VirtualPopulation recipe for
-/// every client), adopt a built FlPopulation, or borrow one the caller
-/// keeps alive (the FlPopulation-based run_simulation overload does this).
+/// every client) or adopt a built FlPopulation.
 class MaterializedPopulation final : public ClientProvider {
  public:
   MaterializedPopulation(const PopulationSpec& spec, const Rng& root);
   explicit MaterializedPopulation(FlPopulation population);
-  explicit MaterializedPopulation(const FlPopulation* borrowed);
 
-  std::size_t num_clients() const override {
-    return pop_->client_train.size();
-  }
+  std::size_t num_clients() const override { return pop_.client_train.size(); }
   std::size_t device_of(std::size_t client) const override {
-    return client < pop_->client_device.size() ? pop_->client_device[client]
-                                               : 0;
+    return client < pop_.client_device.size() ? pop_.client_device[client] : 0;
   }
   double work_of(std::size_t client) const override {
-    return static_cast<double>(pop_->client_train.at(client).size());
+    return static_cast<double>(pop_.client_train.at(client).size());
   }
   const Dataset& client_dataset(std::size_t client,
                                 ClientSlot&) const override {
-    return pop_->client_train.at(client);
+    return pop_.client_train.at(client);
   }
   const std::vector<Dataset>& device_test() const override {
-    return pop_->device_test;
+    return pop_.device_test;
   }
   const std::vector<std::string>& device_names() const override {
-    return pop_->device_names;
+    return pop_.device_names;
   }
   const std::vector<double>& device_speed_scale() const override {
-    return pop_->device_speed_scale;
+    return pop_.device_speed_scale;
   }
-  const std::vector<Dataset>* dataset_vector() const override {
-    return &pop_->client_train;
-  }
-
-  const FlPopulation& population() const { return *pop_; }
 
  private:
-  FlPopulation owned_;
-  const FlPopulation* pop_;  ///< &owned_ unless borrowing
+  FlPopulation pop_;
 };
 
 /// Factory: eagerly builds the spec'd population (VirtualPopulation's
 /// recipe, all clients). The root Rng is copied, never advanced.
 FlPopulation make_population(const PopulationSpec& spec, const Rng& root);
-
-/// Deprecated shim over make_population (use PopulationSpec::single_label).
-/// Kept so existing benches compile unchanged. Unlike the pre-provider
-/// builder it no longer advances `rng` — every caller in the tree passes a
-/// dedicated single-use stream, which is still the right usage.
-FlPopulation build_population(const std::vector<DeviceProfile>& devices,
-                              const PopulationConfig& cfg,
-                              const SceneGenerator& scenes, Rng& rng);
-
-/// Deprecated shim over make_population (use PopulationSpec::flair).
-FlPopulation build_flair_population(const std::vector<DeviceProfile>& devices,
-                                    std::size_t num_clients,
-                                    std::size_t samples_per_client,
-                                    std::size_t test_per_device,
-                                    const CaptureConfig& capture,
-                                    const FlairSceneGenerator& scenes,
-                                    Rng& rng);
 
 }  // namespace hetero

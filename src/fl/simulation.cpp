@@ -12,10 +12,11 @@ namespace {
 /// Runs the async/buffered virtual-clock scheduler (DESIGN.md §11) and
 /// maps its accounting into SimulationResult. `rounds` counts server
 /// flushes; eval checkpoints fire on the same eval_every grid as sync.
-SimulationResult run_scheduled(Model& model, SplitFederatedAlgorithm& split,
+SimulationResult run_scheduled(Model& model,
+                               SplitFederatedAlgorithm& algorithm,
                                const ClientProvider& population,
-                               const SimulationConfig& cfg,
-                               RoundObserver* observer) {
+                               const SimulationConfig& cfg) {
+  RoundObserver* observer = cfg.observer;
   EventScheduler sched(cfg.num_threads, cfg.sched);
 
   FaultOptions faults = cfg.faults;
@@ -46,9 +47,9 @@ SimulationResult run_scheduled(Model& model, SplitFederatedAlgorithm& split,
   };
 
   Rng rng(cfg.seed);
-  split.init(model, population.num_clients());
+  algorithm.init(model, population.num_clients());
   SchedulerRunResult run =
-      sched.run(model, split, cfg.rounds, cfg.clients_per_round, population,
+      sched.run(model, algorithm, cfg.rounds, cfg.clients_per_round, population,
                 rng, observer, on_flush);
 
   result.train_loss_history = std::move(run.loss_history);
@@ -101,7 +102,6 @@ void save_runtime_counters(const RuntimeStats& rt,
   out["straggled"] = static_cast<double>(rt.clients_straggled);
   out["retries"] = static_cast<double>(rt.fault_retries);
   out["aborted"] = static_cast<double>(rt.rounds_aborted);
-  out["serial_fallback"] = rt.serial_fallback ? 1.0 : 0.0;
 }
 
 void load_runtime_counters(const std::map<std::string, double>& in,
@@ -115,27 +115,16 @@ void load_runtime_counters(const std::map<std::string, double>& in,
   rt.clients_straggled = static_cast<std::size_t>(get("straggled"));
   rt.fault_retries = static_cast<std::size_t>(get("retries"));
   rt.rounds_aborted = static_cast<std::size_t>(get("aborted"));
-  rt.serial_fallback = get("serial_fallback") != 0.0;
 }
 
 }  // namespace
-
-DeviceMetrics evaluate_per_device(Model& model, const FlPopulation& pop) {
-  return evaluate_device_tests(model, pop.device_test);
-}
 
 DeviceMetrics evaluate_per_device(Model& model, const ClientProvider& pop) {
   return evaluate_device_tests(model, pop.device_test());
 }
 
-SimulationResult run_simulation(Model& model, FederatedAlgorithm& algorithm,
-                                const FlPopulation& population,
-                                const SimulationConfig& cfg) {
-  const MaterializedPopulation provider(&population);
-  return run_simulation(model, algorithm, provider, cfg);
-}
-
-SimulationResult run_simulation(Model& model, FederatedAlgorithm& algorithm,
+SimulationResult run_simulation(Model& model,
+                                SplitFederatedAlgorithm& algorithm,
                                 const ClientProvider& population,
                                 const SimulationConfig& cfg) {
   // The provider interface carries N through num_clients(), so the sync
@@ -146,30 +135,18 @@ SimulationResult run_simulation(Model& model, FederatedAlgorithm& algorithm,
   HS_CHECK(cfg.clients_per_round > 0 && cfg.clients_per_round <= num_clients,
            "run_simulation: bad clients_per_round");
 
-  // Fan telemetry out to the configured observer and, for compatibility,
-  // the deprecated on_round callback wrapped as an observer.
-  MulticastObserver fanout;
-  fanout.add(cfg.observer);
-  std::unique_ptr<RoundObserver> legacy;
-  if (cfg.on_round) {
-    legacy = observer_from_callback(cfg.on_round);
-    fanout.add(legacy.get());
-  }
-  RoundObserver* observer = fanout.empty() ? nullptr : &fanout;
+  RoundObserver* observer = cfg.observer;
 
   if (cfg.sched.scheduled()) {
     // Async / buffered modes run on the virtual-clock event scheduler.
     // Sync deliberately does NOT: the loop below is the original path, so
     // sync output stays byte-identical to pre-scheduler builds.
-    SplitFederatedAlgorithm* split = algorithm.as_split();
-    HS_CHECK(split != nullptr,
-             "run_simulation: scheduled modes require a split algorithm");
     HS_CHECK(!cfg.checkpoint.enabled(),
              "run_simulation: checkpoint/resume supports the sync loop only");
     HS_CHECK(cfg.edge_groups == 0,
              "run_simulation: edge aggregation supports the sync loop only");
     SimulationResult result =
-        run_scheduled(model, *split, population, cfg, observer);
+        run_scheduled(model, algorithm, population, cfg);
     result.final_metrics = evaluate_per_device(model, population);
     if (observer) observer->on_eval(cfg.rounds, result.final_metrics);
     return result;
@@ -245,7 +222,6 @@ SimulationResult run_simulation(Model& model, FederatedAlgorithm& algorithm,
     result.runtime.client_seconds_sum += round_runtime.client_seconds_sum;
     result.runtime.client_seconds_max = std::max(
         result.runtime.client_seconds_max, round_runtime.client_seconds_max);
-    result.runtime.serial_fallback |= round_runtime.serial_fallback;
     result.runtime.clients_dropped += round_runtime.clients_dropped;
     result.runtime.clients_quarantined += round_runtime.clients_quarantined;
     result.runtime.clients_straggled += round_runtime.clients_straggled;

@@ -2,13 +2,13 @@
 // generalization metrics of Section 6.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "fl/algorithm.h"
 #include "fl/checkpoint.h"
 #include "fl/client_provider.h"
+#include "fl/observer.h"
 #include "fl/population.h"
 #include "nn/model.h"
 #include "runtime/faults.h"
@@ -28,7 +28,6 @@ struct DeviceMetrics {
 
 /// Evaluates accuracy (or AP for multi-label test sets) on every device
 /// test set of the population.
-DeviceMetrics evaluate_per_device(Model& model, const FlPopulation& pop);
 DeviceMetrics evaluate_per_device(Model& model, const ClientProvider& pop);
 
 struct SimulationConfig {
@@ -44,10 +43,6 @@ struct SimulationConfig {
   /// Telemetry sink for the run's round/client/eval events (see
   /// fl/observer.h and DESIGN.md §8). Non-owning; null disables telemetry.
   RoundObserver* observer = nullptr;
-  /// Deprecated: use `observer`. Still honoured through an internal
-  /// CallbackObserver adapter — fires as (round, mean train loss) after
-  /// every round, alongside (not instead of) `observer`.
-  std::function<void(std::size_t, double)> on_round;
   /// Deterministic fault injection + partial-aggregation hardening (see
   /// runtime/faults.h and DESIGN.md §10). Defaults inject nothing and are
   /// byte-identical to a run without the fault layer. Populated from
@@ -55,8 +50,8 @@ struct SimulationConfig {
   FaultOptions faults;
   /// Virtual-clock event scheduling (DESIGN.md §11). The default (sync)
   /// keeps the original round loop — byte-identical to pre-scheduler
-  /// builds; async/buffered modes route rounds through the EventScheduler
-  /// (requires a split algorithm). `rounds` then counts server flushes.
+  /// builds; async/buffered modes route rounds through the EventScheduler.
+  /// `rounds` then counts server flushes.
   /// Populated from HS_SCHED by the benches/CLI via parse_sched_spec.
   SchedulerOptions sched;
   /// Round-level checkpoint/resume (DESIGN.md §12; sync loop only —
@@ -93,13 +88,9 @@ struct RuntimeStats {
   double virtual_seconds = 0.0;
   /// Per-round virtual makespan (sync) / per-flush clock span (scheduled).
   std::vector<double> round_virtual_seconds;
-  /// Summed / worst per-client local-training wall time. Populated on
-  /// every execution path, including serial-only algorithms.
+  /// Summed / worst per-client local-training wall time.
   double client_seconds_sum = 0.0;
   double client_seconds_max = 0.0;
-  /// True when the algorithm had no split client phase, so rounds ran its
-  /// own serial implementation regardless of num_threads.
-  bool serial_fallback = false;
   /// Fault totals over the whole run (all zero for clean zero-fault runs).
   std::size_t clients_dropped = 0;      ///< dropout + timeout + failed
   std::size_t clients_quarantined = 0;  ///< non-finite updates excluded
@@ -131,17 +122,12 @@ struct SimulationResult {
 /// Runs T rounds of the algorithm on the population, mutating the model.
 /// Per round, K clients are sampled uniformly without replacement from the
 /// population (device skew is already baked into the provider's device
-/// assignment). This provider form is primary: a VirtualPopulation runs a
+/// assignment). A VirtualPopulation runs a
 /// 1M-client federation in O(k) memory per round, and is bit-identical to
 /// the MaterializedPopulation built from the same (spec, root).
-SimulationResult run_simulation(Model& model, FederatedAlgorithm& algorithm,
+SimulationResult run_simulation(Model& model,
+                                SplitFederatedAlgorithm& algorithm,
                                 const ClientProvider& population,
-                                const SimulationConfig& cfg);
-
-/// Legacy entry point over an eager FlPopulation; borrows it through a
-/// MaterializedPopulation and behaves identically to pre-provider builds.
-SimulationResult run_simulation(Model& model, FederatedAlgorithm& algorithm,
-                                const FlPopulation& population,
                                 const SimulationConfig& cfg);
 
 }  // namespace hetero

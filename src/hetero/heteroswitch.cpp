@@ -1,7 +1,6 @@
 #include "hetero/heteroswitch.h"
 
 #include "fl/eval.h"
-#include "kernels/kernels.h"
 #include "util/rng.h"
 
 namespace hetero {
@@ -155,12 +154,6 @@ RoundStats HeteroSwitch::aggregate(Model& model, const Tensor& global,
   stats.extras["hs.switch1"] = static_cast<double>(round_switch1);
   stats.extras["hs.switch2"] = static_cast<double>(round_switch2);
   stats.extras["hs.ema_loss"] = ema_.value();
-  if (kernels::eval_mode() == kernels::EvalMode::kInt8) {
-    // Marks traces whose probe losses came through the quantized eval
-    // path. Emitted only when the mode is on so default-mode traces stay
-    // byte-identical to pre-int8 runs.
-    stats.extras["hs.eval_int8"] = 1.0;
-  }
   return stats;
 }
 

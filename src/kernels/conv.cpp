@@ -46,9 +46,8 @@
 namespace hetero::kernels {
 
 // Blocked transpose of a (rows, ld) matrix into (ld, rows) order, so the
-// weight-gradient GEMM (and the int8 eval path, which shares it through
-// internal.h) can reduce over the batched column index with unit-stride
-// loads.
+// weight-gradient GEMM can reduce over the batched column index with
+// unit-stride loads.
 HS_TILED_CLONES
 void detail::transpose_to(const float* HS_RESTRICT src, std::size_t rows,
                           std::size_t ld, float* HS_RESTRICT dst) {

@@ -1,7 +1,6 @@
 // Cross-TU internals of the kernel layer: the fast-kind GEMM entry points
-// (gemm_fast.cpp), the blocked transpose shared with the int8 eval path
-// (defined in conv.cpp), and the intra-op task-grid helper. Not installed
-// with the public kernels.h API.
+// (gemm_fast.cpp), the blocked transpose (defined in conv.cpp), and the
+// intra-op task-grid helper. Not installed with the public kernels.h API.
 #pragma once
 
 #include <cstddef>
@@ -101,8 +100,7 @@ void gemm_tn_fast_region(const float* a, const float* b, float* c,
 // ------------------------------------------------------------ transpose ----
 
 /// Blocked transpose of a (rows, ld) matrix into (ld, rows) order. Defined
-/// in conv.cpp (the dW packing); the int8 eval path reuses it to turn
-/// patch-matrix columns into quantizable rows.
+/// in conv.cpp (the dW packing).
 void transpose_to(const float* src, std::size_t rows, std::size_t ld,
                   float* dst);
 

@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -55,77 +54,6 @@ const char* kernel_name(KernelKind kind);
 /// Strict mode parsing: returns the kind for "reference" / "tiled" /
 /// "fast", throws std::invalid_argument listing the valid modes otherwise.
 KernelKind parse_kernel_kind(const std::string& value);
-
-// ------------------------------------------------- forward-only eval mode --
-// HS_EVAL selects how inference-only passes (server-side eval and
-// HeteroSwitch's per-round L_init probe) run: "f32" (default) keeps the
-// active kernel kind; "int8" dynamically quantizes Linear and Conv2d
-// forwards (per-channel scales, i32 dot, f32 dequant). Training passes are
-// never quantized: the mode only applies inside an EvalScope, which
-// fl/eval.cpp installs around its batched forward loop.
-
-enum class EvalMode { kF32, kInt8 };
-
-/// Process-wide eval-mode selection: HS_EVAL env var on first use ("f32" or
-/// "int8"; unset means f32, anything else throws), overridable at runtime
-/// via set_eval_mode(). Thread-safe.
-EvalMode eval_mode();
-void set_eval_mode(EvalMode mode);
-const char* eval_mode_name(EvalMode mode);
-
-/// Strict mode parsing: "f32" / "int8" or std::invalid_argument.
-EvalMode parse_eval_mode(const std::string& value);
-
-/// Marks the calling thread as running a forward-only eval pass for the
-/// scope's lifetime (re-entrant). While active — and only then — an int8
-/// eval mode reroutes Linear/Conv2d forwards to the quantized kernels.
-class EvalScope {
- public:
-  EvalScope();
-  ~EvalScope();
-  EvalScope(const EvalScope&) = delete;
-  EvalScope& operator=(const EvalScope&) = delete;
-};
-
-/// True when eval_mode() == kInt8 and the calling thread is inside an
-/// EvalScope.
-bool int8_eval_active();
-
-// ------------------------------------------------ int8 weight-code cache --
-// The int8 eval path used to re-quantize every layer's weight matrix on
-// every eval batch even though the weights cannot change mid-eval. The
-// layers now keep the quantized weight codes in their Workspace and stamp
-// them with the process-wide weight generation below; the quantize is
-// skipped while the stamp matches. Any mutation of trained parameters
-// (Sgd::step, Model::set_params/set_state) bumps the generation, so a
-// stale code block can never be served.
-
-/// Current weight generation (starts at 1, monotone). Thread-safe.
-std::uint64_t weight_version();
-
-/// Marks all cached weight codes stale. Called by every parameter-mutating
-/// entry point; cheap enough (one relaxed atomic increment) to sit on the
-/// training hot path.
-void bump_weight_version();
-
-/// HS_EVAL_CACHE env knob: "on" (default) / "off"; anything else throws.
-/// Off forces the pre-cache behavior (re-quantize every call) — useful to
-/// rule the cache out when debugging quantized-eval drift.
-bool int8_cache_enabled();
-void set_int8_cache_enabled(bool enabled);
-
-/// Per-layer stamp for the quantized weight codes held in the layer's
-/// Workspace (slots kSlotQa/kSlotSa of the int8 kernels). version 0 means
-/// empty. Copies start cold, exactly like Workspace: a cloned layer's
-/// workspace has no codes, so its stamp must not claim otherwise.
-struct Int8WeightCache {
-  std::uint64_t version = 0;  ///< weight_version() at quantize time; 0=empty
-  std::size_t elems = 0;      ///< weight element count at quantize time
-
-  Int8WeightCache() = default;
-  Int8WeightCache(const Int8WeightCache&) {}
-  Int8WeightCache& operator=(const Int8WeightCache&) { return *this; }
-};
 
 // ---------------------------------------------------- intra-op parallelism --
 // A thread-local context carrying an optional worker handle (type-erased so
@@ -267,42 +195,5 @@ void scale_plane(float* plane, std::size_t count, float s);
 /// Σ dy[i]·x[i] in f64.
 double se_backward_plane(const float* dy, const float* x, float* dx,
                          std::size_t count, float g);
-
-// ------------------------------------------- int8 dynamic-quantized eval ----
-// Forward-only inference kernels for HS_EVAL=int8: symmetric per-row
-// dynamic quantization (scale = amax/127), int8×int8→i32 dot products
-// (integer adds are exact, so the i32 reduction is associativity-free), and
-// f32 dequantization. Used by the nn layers only while int8_eval_active().
-
-/// Quantizes each row of a (rows, cols) f32 matrix to int8 with its own
-/// symmetric scale: scales[r] = amax(row r)/127, q = round(src/scale)
-/// clamped to ±127. An all-zero row gets scale 0 (and all-zero codes).
-void quantize_rows_int8(const float* src, std::size_t rows, std::size_t cols,
-                        std::int8_t* q, float* scales);
-
-/// C(m,n) with c[i,j] = f32(dot_i32(aq row i, bq row j)) * sa[i] * sb[j].
-/// Overwrites C. Rows of both operands are length k.
-void gemm_nt_int8(const std::int8_t* aq, const float* sa,
-                  const std::int8_t* bq, const float* sb, float* c,
-                  std::size_t m, std::size_t k, std::size_t n);
-
-/// Quantized Linear forward: y(n, out) = q(x)·q(w)^T dequantized (+ bias
-/// when non-null). Per-sample input scales, per-out-feature weight scales.
-/// When `wcache` is non-null and the cache knob is on, the weight codes are
-/// reused across calls until the weight generation bumps (bit-identical to
-/// re-quantizing: the codes are a pure function of the weight bytes).
-void linear_forward_int8(const float* x, const float* w, const float* bias,
-                         float* y, std::size_t n, std::size_t in,
-                         std::size_t out, Workspace& ws,
-                         Int8WeightCache* wcache = nullptr);
-
-/// Quantized Conv2d forward over the batched im2col lowering: per-output-
-/// pixel patch scales, per-out-channel weight scales, f32 bias fused into
-/// the scatter. Depthwise layers (one in/out channel per group) fall back
-/// to the f32 tiled planes — a 9-tap per-channel pass gains nothing from
-/// quantization. Allocation-free in steady state (all scratch via `ws`).
-void conv2d_forward_int8(const ConvShape& s, const float* x, const float* w,
-                         const float* bias, float* y, Workspace& ws,
-                         Int8WeightCache* wcache = nullptr);
 
 }  // namespace hetero::kernels

@@ -143,7 +143,7 @@ void HubSink::send(std::size_t conn, FrameType type,
 }  // namespace
 
 LoopbackResult run_distributed_loopback(Model& model,
-                                        FederatedAlgorithm& algorithm,
+                                        SplitFederatedAlgorithm& algorithm,
                                         const ClientProvider& population,
                                         const SimulationConfig& cfg,
                                         std::size_t num_workers,
@@ -154,8 +154,6 @@ LoopbackResult run_distributed_loopback(Model& model,
            "loopback: scheduled modes are monolithic-only");
   HS_CHECK(!cfg.checkpoint.enabled(),
            "loopback: checkpointing is monolithic-only");
-  HS_CHECK(!cfg.on_round,
-           "loopback: legacy on_round callback unsupported; use observer");
   HS_CHECK(num_workers > 0, "loopback: need at least one worker");
   HS_CHECK(num_edges == 0 || num_workers >= num_edges,
            "loopback: need at least one worker per edge");

@@ -30,12 +30,11 @@ struct LoopbackResult {
 /// num_workers, num_edges) and edges forward partial digests to the root).
 ///
 /// Supports the same subset as the wire layer: the sync loop with a
-/// stateless-client-phase split algorithm, no faults, no scheduler, no
-/// checkpointing, no legacy on_round callback. Mutates `model` exactly like
-/// run_simulation. Throws std::invalid_argument on unsupported configs or
-/// any protocol failure.
+/// stateless-client-phase algorithm, no faults, no scheduler, no
+/// checkpointing. Mutates `model` exactly like run_simulation. Throws
+/// std::invalid_argument on unsupported configs or any protocol failure.
 LoopbackResult run_distributed_loopback(Model& model,
-                                        FederatedAlgorithm& algorithm,
+                                        SplitFederatedAlgorithm& algorithm,
                                         const ClientProvider& population,
                                         const SimulationConfig& cfg,
                                         std::size_t num_workers,

@@ -33,18 +33,16 @@ const char* conn_state_name(ConnState state) {
 
 // ------------------------------------------------------------- RootServer
 
-RootServer::RootServer(Model& model, FederatedAlgorithm& algorithm,
+RootServer::RootServer(Model& model, SplitFederatedAlgorithm& algorithm,
                        const ClientProvider& population,
                        const NetSimConfig& cfg, FrameSink& sink)
     : model_(model),
-      split_(algorithm.as_split()),
+      algorithm_(algorithm),
       population_(population),
       cfg_(cfg),
       sink_(sink),
       rng_(cfg.seed) {
-  HS_CHECK(split_ != nullptr,
-           "RootServer: distributed runs require a split algorithm");
-  HS_CHECK(split_->stateless_client_phase(),
+  HS_CHECK(algorithm_.stateless_client_phase(),
            "RootServer: this algorithm's client phase reads server-held "
            "state and cannot run on remote workers");
   HS_CHECK(cfg_.rounds > 0, "RootServer: rounds must be positive");
@@ -52,7 +50,7 @@ RootServer::RootServer(Model& model, FederatedAlgorithm& algorithm,
   if (cfg_.edge_groups > 0) {
     HS_CHECK(cfg_.edge_groups == cfg_.num_downstream,
              "RootServer: edge_groups must equal the edge-node count");
-    HS_CHECK(split_->supports_partial_aggregation(),
+    HS_CHECK(algorithm_.supports_partial_aggregation(),
              "RootServer: algorithm does not support edge-tier partial "
              "aggregation");
   }
@@ -60,7 +58,7 @@ RootServer::RootServer(Model& model, FederatedAlgorithm& algorithm,
   HS_CHECK(n > 0, "RootServer: no clients");
   HS_CHECK(cfg_.clients_per_round > 0 && cfg_.clients_per_round <= n,
            "RootServer: bad clients_per_round");
-  split_->init(model_, n);
+  algorithm_.init(model_, n);
   conn_of_node_.assign(cfg_.num_downstream, -1);
   node_state_.assign(cfg_.num_downstream, ConnState::kHandshakeWait);
   result_.runtime.threads = 1;
@@ -277,7 +275,7 @@ void RootServer::finish_round_flat() {
   const bool aborted = survivors.empty();
   RoundStats stats;
   if (!aborted) {
-    stats = split_->aggregate(model_, global_, survivors);
+    stats = algorithm_.aggregate(model_, global_, survivors);
   } else {
     model_.set_state(global_);
   }
@@ -332,7 +330,7 @@ void RootServer::finish_round_edges() {
     for (DigestMsg& digest : digests_) {
       if (digest.has_digest) folds.push_back(std::move(digest.digest));
     }
-    const RoundStats agg = split_->aggregate(model_, global_, folds);
+    const RoundStats agg = algorithm_.aggregate(model_, global_, folds);
     for (const auto& [key, value] : agg.extras) stats.extras[key] = value;
     stats.extras["net.edges"] = static_cast<double>(cfg_.edge_groups);
   } else {
@@ -405,18 +403,17 @@ void RootServer::finish_round_common(RoundStats stats, std::size_t quarantined,
 
 // ------------------------------------------------------------- WorkerNode
 
-WorkerNode::WorkerNode(Model& model, const FederatedAlgorithm& algorithm,
+WorkerNode::WorkerNode(Model& model,
+                       const SplitFederatedAlgorithm& algorithm,
                        const ClientProvider& population, FrameSink& sink,
                        std::size_t upstream_conn, std::uint64_t node_index)
     : model_(model),
-      split_(const_cast<FederatedAlgorithm&>(algorithm).as_split()),
+      algorithm_(algorithm),
       population_(population),
       sink_(sink),
       upstream_conn_(upstream_conn),
       node_index_(node_index) {
-  HS_CHECK(split_ != nullptr,
-           "WorkerNode: distributed runs require a split algorithm");
-  HS_CHECK(split_->stateless_client_phase(),
+  HS_CHECK(algorithm_.stateless_client_phase(),
            "WorkerNode: this algorithm's client phase reads server-held "
            "state and cannot run on remote workers");
 }
@@ -491,8 +488,8 @@ void WorkerNode::on_frame(std::size_t conn, const Frame& frame) {
         UpdatePushMsg push;
         push.round = round_cfg_.round;
         push.position = round_cfg_.positions[j];
-        push.update = split_->local_update(model_, m.state, id, data,
-                                           client_rng);
+        push.update = algorithm_.local_update(model_, m.state, id, data,
+                                              client_rng);
         push.update.train_seconds = monotonic_seconds() - t0;
         pushes.push_back(std::move(push));
       }
@@ -517,17 +514,15 @@ void WorkerNode::on_frame(std::size_t conn, const Frame& frame) {
 
 // --------------------------------------------------------------- EdgeNode
 
-EdgeNode::EdgeNode(const FederatedAlgorithm& algorithm, FrameSink& sink,
-                   std::size_t upstream_conn, std::uint64_t edge_index,
-                   std::size_t num_workers)
-    : split_(const_cast<FederatedAlgorithm&>(algorithm).as_split()),
+EdgeNode::EdgeNode(const SplitFederatedAlgorithm& algorithm,
+                   FrameSink& sink, std::size_t upstream_conn,
+                   std::uint64_t edge_index, std::size_t num_workers)
+    : algorithm_(algorithm),
       sink_(sink),
       upstream_conn_(upstream_conn),
       edge_index_(edge_index),
       num_workers_(num_workers) {
-  HS_CHECK(split_ != nullptr,
-           "EdgeNode: distributed runs require a split algorithm");
-  HS_CHECK(split_->supports_partial_aggregation(),
+  HS_CHECK(algorithm_.supports_partial_aggregation(),
            "EdgeNode: algorithm does not support edge-tier partial "
            "aggregation");
   HS_CHECK(num_workers_ > 0, "EdgeNode: no workers");
@@ -746,7 +741,7 @@ void EdgeNode::finish_block() {
   }
   if (!group.empty()) {
     msg.has_digest = 1;
-    msg.digest = split_->partial_aggregate(global_, group);
+    msg.digest = algorithm_.partial_aggregate(global_, group);
   }
   state_ = ConnState::kPushing;
   sink_.send(upstream_conn_, FrameType::kDigest, encode_digest(msg));

@@ -82,7 +82,7 @@ struct NetSimConfig {
 /// model and the observer event stream. One instance per run.
 class RootServer {
  public:
-  RootServer(Model& model, FederatedAlgorithm& algorithm,
+  RootServer(Model& model, SplitFederatedAlgorithm& algorithm,
              const ClientProvider& population, const NetSimConfig& cfg,
              FrameSink& sink);
 
@@ -110,7 +110,7 @@ class RootServer {
                            bool aborted);
 
   Model& model_;
-  SplitFederatedAlgorithm* split_;
+  SplitFederatedAlgorithm& algorithm_;
   const ClientProvider& population_;
   NetSimConfig cfg_;
   FrameSink& sink_;
@@ -147,7 +147,7 @@ class RootServer {
 /// Identical protocol whether its upstream is the root or an edge.
 class WorkerNode {
  public:
-  WorkerNode(Model& model, const FederatedAlgorithm& algorithm,
+  WorkerNode(Model& model, const SplitFederatedAlgorithm& algorithm,
              const ClientProvider& population, FrameSink& sink,
              std::size_t upstream_conn, std::uint64_t node_index);
 
@@ -165,7 +165,7 @@ class WorkerNode {
   void protocol_error(const std::string& message);
 
   Model& model_;
-  const SplitFederatedAlgorithm* split_;
+  const SplitFederatedAlgorithm& algorithm_;
   const ClientProvider& population_;
   FrameSink& sink_;
   std::size_t upstream_conn_;
@@ -181,13 +181,13 @@ class WorkerNode {
 
 /// An edge aggregator: relays round configs and the global state to its
 /// workers, validates their updates, folds the survivors into one weighted
-/// digest with SplitFederatedAlgorithm::partial_aggregate (the PR 4
-/// renormalization — the same call the monolithic hierarchical_aggregate
-/// makes, so the digest is bit-identical), and forwards digest + per-client
-/// metas to the root.
+/// digest with SplitFederatedAlgorithm::partial_aggregate (the
+/// renormalization of DESIGN.md §10 — the same call the monolithic
+/// hierarchical_aggregate makes, so the digest is bit-identical), and
+/// forwards digest + per-client metas to the root.
 class EdgeNode {
  public:
-  EdgeNode(const FederatedAlgorithm& algorithm, FrameSink& sink,
+  EdgeNode(const SplitFederatedAlgorithm& algorithm, FrameSink& sink,
            std::size_t upstream_conn, std::uint64_t edge_index,
            std::size_t num_workers);
 
@@ -210,7 +210,7 @@ class EdgeNode {
   void handle_worker(std::size_t conn, const Frame& frame);
   void finish_block();
 
-  const SplitFederatedAlgorithm* split_;
+  const SplitFederatedAlgorithm& algorithm_;
   FrameSink& sink_;
   std::size_t upstream_conn_;
   std::uint64_t edge_index_;

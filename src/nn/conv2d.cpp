@@ -64,20 +64,10 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
            "Conv2d: kernel larger than padded input");
   const kernels::ConvShape s = shape(n, h, w);
 
-  // Every forward path (reference/tiled/fast/int8, pointwise/depthwise/
-  // general) writes the full output, so the zero-fill is skipped.
+  // Every forward path (reference/tiled/fast, pointwise/depthwise/general)
+  // writes the full output, so the zero-fill is skipped.
   Tensor y = Tensor::uninit({n, out_c_, s.out_h(), s.out_w()});
   const kernels::KernelKind kind = kernels::active_kernel();
-  if (!train && kernels::int8_eval_active()) {
-    // Forward-only eval pass under HS_EVAL=int8. Never caches patch
-    // matrices: backward always replays the kind (and cols layout) of a
-    // f32 training forward. The quantized weight codes *are* cached in the
-    // workspace, stamped against the weight generation.
-    kernels::conv2d_forward_int8(s, x.data(), w_.data(),
-                                 has_bias_ ? b_.data() : nullptr, y.data(),
-                                 ws_, &int8_wcache_);
-    return y;
-  }
   float* cols = nullptr;
   if (train) {
     cols = ws_.get(0, s.cols_size());

@@ -57,7 +57,6 @@ class Conv2d : public Layer {
   // workspace (slot 0); their layout depends on the kernel kind, so the
   // kind is pinned at forward time and reused by backward.
   kernels::Workspace ws_;
-  kernels::Int8WeightCache int8_wcache_;  // stamp for ws_'s weight codes
   kernels::KernelKind cached_kind_ = kernels::KernelKind::kReference;
   bool has_cached_ = false;
   std::size_t cached_n_ = 0, cached_h_ = 0, cached_w_ = 0;

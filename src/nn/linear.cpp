@@ -25,15 +25,6 @@ Tensor Linear::forward(const Tensor& x, bool train) {
   if (train) cached_x_ = x;
   const std::size_t n = x.dim(0);
   Tensor y = Tensor::uninit({n, out_});  // y = x W^T (fully written below)
-  if (!train && kernels::int8_eval_active()) {
-    // Forward-only eval pass under HS_EVAL=int8: dynamic per-row
-    // quantization, bias fused by the kernel. Training forwards never take
-    // this branch (train == true bypasses the check entirely).
-    kernels::linear_forward_int8(x.data(), w_.data(),
-                                 has_bias_ ? b_.data() : nullptr, y.data(), n,
-                                 in_, out_, ws_, &int8_wcache_);
-    return y;
-  }
   kernels::gemm_nt(kernels::active_kernel(), x.data(), w_.data(), y.data(), n,
                    in_, out_, /*accumulate=*/false);
   if (has_bias_) {

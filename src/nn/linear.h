@@ -37,7 +37,6 @@ class Linear : public Layer {
   Tensor gw_, gb_;      // gradients
   Tensor cached_x_;     // (N, in) from the last training forward
   kernels::Workspace ws_;  // scratch for the weight-gradient GEMM
-  kernels::Int8WeightCache int8_wcache_;  // stamp for ws_'s weight codes
 };
 
 }  // namespace hetero

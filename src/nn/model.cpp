@@ -1,7 +1,5 @@
 #include "nn/model.h"
 
-#include "kernels/kernels.h"
-
 namespace hetero {
 
 Model::Model(std::string id, std::unique_ptr<Layer> net)
@@ -38,14 +36,12 @@ Tensor Model::grads() const { return flatten_tensors(group_.grads); }
 
 void Model::set_params(const Tensor& flat) {
   unflatten_tensors(flat, group_.params);
-  kernels::bump_weight_version();
 }
 
 void Model::set_state(const Tensor& flat) {
   std::vector<Tensor*> all = group_.params;
   all.insert(all.end(), group_.buffers.begin(), group_.buffers.end());
   unflatten_tensors(flat, all);
-  kernels::bump_weight_version();
 }
 
 }  // namespace hetero

@@ -1,7 +1,5 @@
 #include "nn/optimizer.h"
 
-#include "kernels/kernels.h"
-
 namespace hetero {
 
 Sgd::Sgd(Layer& model, SgdOptions options) : options_(options) {
@@ -37,9 +35,6 @@ void Sgd::step() {
       }
     }
   }
-  // Invalidate any cached int8 weight codes (HS_EVAL_CACHE): the trained
-  // parameters just changed under them.
-  kernels::bump_weight_version();
 }
 
 void Sgd::step_and_zero() {

@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
-
-#include "obs/jsonl.h"
 
 namespace hetero::obs {
-
-// ----------------------------------------------------------------- Histogram
 
 void Histogram::observe(double v) {
   samples_.push_back(v);
@@ -46,78 +40,6 @@ double Histogram::percentile(double p) const {
   std::size_t rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
   if (rank > 0) --rank;
   return sorted_[std::min(rank, sorted_.size() - 1)];
-}
-
-// ----------------------------------------------------------- MetricsRegistry
-
-namespace {
-constexpr int kCounter = 0;
-constexpr int kGauge = 1;
-constexpr int kHistogram = 2;
-}  // namespace
-
-void MetricsRegistry::claim_name(const std::string& name, int kind) {
-  const auto [it, inserted] = kinds_.emplace(name, kind);
-  if (!inserted && it->second != kind) {
-    throw std::invalid_argument("MetricsRegistry: '" + name +
-                                "' already registered as another kind");
-  }
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  claim_name(name, kCounter);
-  return counters_[name];
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  claim_name(name, kGauge);
-  return gauges_[name];
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  claim_name(name, kHistogram);
-  return histograms_[name];
-}
-
-void MetricsRegistry::write_jsonl(JsonlWriter& out) const {
-  for (const auto& [name, c] : counters_) {
-    JsonObjectBuilder b;
-    b.add("metric", name).add("type", "counter").add("value", c.value());
-    out.write(b);
-  }
-  for (const auto& [name, g] : gauges_) {
-    JsonObjectBuilder b;
-    b.add("metric", name).add("type", "gauge").add("value", g.value());
-    out.write(b);
-  }
-  for (const auto& [name, h] : histograms_) {
-    JsonObjectBuilder b;
-    b.add("metric", name)
-        .add("type", "histogram")
-        .add("count", static_cast<std::uint64_t>(h.count()))
-        .add("mean", h.mean())
-        .add("min", h.min())
-        .add("max", h.max())
-        .add("p50", h.percentile(50))
-        .add("p90", h.percentile(90))
-        .add("p99", h.percentile(99));
-    out.write(b);
-  }
-}
-
-std::string MetricsRegistry::to_text() const {
-  std::ostringstream os;
-  for (const auto& [name, c] : counters_) {
-    os << name << " = " << c.value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    os << name << " = " << g.value() << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    os << name << ": n=" << h.count() << " mean=" << h.mean()
-       << " p50=" << h.percentile(50) << " p99=" << h.percentile(99) << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace hetero::obs

@@ -1,41 +1,12 @@
-// MetricsRegistry: named counters, gauges and histograms for the FL
-// runtime's telemetry (DESIGN.md §8).
-//
-// The registry is deliberately not thread-safe: RoundObserver events are
-// delivered on the simulation's caller thread in deterministic `selected`
-// order (the executor buffers worker results and flushes serially), so
-// metrics never see concurrent writers. Names iterate in sorted order, so
-// snapshots are deterministic too.
+// Histogram: the exact-percentile latency summary tools/trace_check prints
+// over a trace's round and client times (DESIGN.md §8). Not thread-safe;
+// one reader fills it.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace hetero::obs {
-
-class JsonlWriter;
-
-/// Monotonically increasing event count.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Last-write-wins scalar.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
 
 /// Exact-sample histogram: keeps every observation so percentiles are
 /// exact (nearest-rank). Fine at simulation scale — rounds × clients
@@ -57,37 +28,6 @@ class Histogram {
   mutable std::vector<double> sorted_;   // lazily rebuilt percentile cache
   mutable bool sorted_valid_ = false;
   double sum_ = 0.0;
-};
-
-/// Owns all metrics of one run, keyed by name. Accessors create on first
-/// use; a name belongs to exactly one metric kind (violations throw).
-class MetricsRegistry {
- public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
-  /// One JSON object per metric, sorted by name:
-  ///   {"metric":"...","type":"counter","value":N}
-  ///   {"metric":"...","type":"gauge","value":X}
-  ///   {"metric":"...","type":"histogram","count":N,"mean":X,"min":X,
-  ///    "max":X,"p50":X,"p90":X,"p99":X}
-  void write_jsonl(JsonlWriter& out) const;
-
-  /// Human-readable one-line-per-metric dump (bench stderr summaries).
-  std::string to_text() const;
-
- private:
-  void claim_name(const std::string& name, int kind);
-
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
-  std::map<std::string, int> kinds_;
 };
 
 }  // namespace hetero::obs

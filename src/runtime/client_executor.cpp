@@ -49,17 +49,7 @@ void ClientExecutor::set_faults(const FaultOptions& options) {
 }
 
 RoundStats ClientExecutor::run_round(Model& model,
-                                     FederatedAlgorithm& algorithm,
-                                     const std::vector<std::size_t>& selected,
-                                     const std::vector<Dataset>& client_data,
-                                     Rng& rng, RoundRuntime* runtime,
-                                     RoundContext* ctx) {
-  const VectorDatasetProvider provider(client_data);
-  return run_round(model, algorithm, selected, provider, rng, runtime, ctx);
-}
-
-RoundStats ClientExecutor::run_round(Model& model,
-                                     FederatedAlgorithm& algorithm,
+                                     SplitFederatedAlgorithm& algorithm,
                                      const std::vector<std::size_t>& selected,
                                      const ClientProvider& provider,
                                      Rng& rng, RoundRuntime* runtime,
@@ -70,35 +60,13 @@ RoundStats ClientExecutor::run_round(Model& model,
   if (c.observer) c.observer->on_round_begin(c.round, selected);
 
   if (runtime) *runtime = RoundRuntime{};
-  RoundStats stats;
   // Lazy providers expose cumulative materialization counters; stamp this
   // round's deltas as pop.* extras (same idiom as the fault extras) so
   // traces carry per-round cache behaviour.
   PopulationCounters pop_begin;
   const bool has_pop_counters = provider.population_counters(pop_begin);
-  SplitFederatedAlgorithm* split = algorithm.as_split();
-  const bool parallel = split != nullptr && pool_ != nullptr;
-  if (split) {
-    // Unified split path, serial (inline on the shared model) or parallel
-    // (per-worker replicas) — the only path fault injection supports.
-    stats = run_split(model, *split, selected, provider, rng, c, runtime);
-  } else {
-    // Serial fallback: the algorithm's own round implementation, which
-    // times every client and reports it through the context. The fault
-    // layer cannot intercept a round the executor does not drive. Its
-    // signature indexes a resident dataset vector, so providers without
-    // one (virtual populations) are rejected rather than materialized.
-    HS_CHECK(plan_ == nullptr,
-             "ClientExecutor: fault injection requires a split algorithm");
-    HS_CHECK(edge_groups_ == 0,
-             "ClientExecutor: edge aggregation requires a split algorithm");
-    const std::vector<Dataset>* data = provider.dataset_vector();
-    HS_CHECK(data != nullptr,
-             "ClientExecutor: this algorithm has no split client phase; "
-             "virtual populations require a split algorithm");
-    stats = algorithm.run_round(model, selected, *data, rng, &c);
-  }
-
+  RoundStats stats =
+      run_clients(model, algorithm, selected, provider, rng, c, runtime);
   stats.round_seconds = seconds_since(start);
   if (has_pop_counters) {
     PopulationCounters pop_end;
@@ -113,8 +81,6 @@ RoundStats ClientExecutor::run_round(Model& model,
         pop_end.gen_seconds - pop_begin.gen_seconds;
   }
   if (runtime) {
-    runtime->parallel = parallel;
-    runtime->serial_fallback = split == nullptr;
     runtime->client_seconds_sum = c.client_seconds_sum;
     runtime->client_seconds_max = c.client_seconds_max;
     runtime->round_seconds = stats.round_seconds;
@@ -123,12 +89,12 @@ RoundStats ClientExecutor::run_round(Model& model,
   return stats;
 }
 
-RoundStats ClientExecutor::run_split(Model& model,
-                                     SplitFederatedAlgorithm& split,
-                                     const std::vector<std::size_t>& selected,
-                                     const ClientProvider& provider,
-                                     Rng& rng, RoundContext& ctx,
-                                     RoundRuntime* runtime) {
+RoundStats ClientExecutor::run_clients(Model& model,
+                                       SplitFederatedAlgorithm& algorithm,
+                                       const std::vector<std::size_t>& selected,
+                                       const ClientProvider& provider,
+                                       Rng& rng, RoundContext& ctx,
+                                       RoundRuntime* runtime) {
   HS_CHECK(!selected.empty(), "ClientExecutor: no clients selected");
   const Tensor global = model.state();
   const std::size_t n = selected.size();
@@ -174,12 +140,14 @@ RoundStats ClientExecutor::run_split(Model& model,
           // transient failures: they consume the retry budget. The rerun
           // is deterministic — the client stream is re-forked from the id.
           try {
-            updates[i] = split.local_update(m, global, id, data, client_rng);
+            updates[i] =
+                algorithm.local_update(m, global, id, data, client_rng);
           } catch (const std::exception&) {
             failed = true;
           }
         } else {
-          updates[i] = split.local_update(m, global, id, data, client_rng);
+          updates[i] =
+              algorithm.local_update(m, global, id, data, client_rng);
         }
         if (!failed) {
           // Pure wall time; injected delay and backoff are reported
@@ -210,7 +178,7 @@ RoundStats ClientExecutor::run_split(Model& model,
 
   if (pool_ && n == 1) {
     // Lone straggler: run the single client inline on the caller (which,
-    // like the serial path, trains on the shared model — local_update
+    // like the one-thread path, trains on the shared model — local_update
     // rewinds to `global` first) and grant it the whole pool.
     const kernels::ScopedIntraOp intra(intra_run, num_threads_);
     run_client(0, model, slots_[0]);
@@ -312,12 +280,12 @@ RoundStats ClientExecutor::run_split(Model& model,
   RoundStats stats;
   if (!aborted) {
     stats = edge_groups_ > 0
-                ? hierarchical_aggregate(model, split, global, survivors,
+                ? hierarchical_aggregate(model, algorithm, global, survivors,
                                          survivor_pos, n, edge_groups_)
-                : split.aggregate(model, global, survivors);
+                : algorithm.aggregate(model, global, survivors);
   } else {
     // Too few usable updates: report the survivors' summary (if any) and
-    // leave the global model untouched. On the serial path the shared
+    // leave the global model untouched. On the one-thread path the shared
     // model doubles as the training scratch replica, so "untouched" means
     // restoring the round-entry snapshot explicitly.
     if (!survivors.empty()) {

@@ -1,13 +1,10 @@
 // ClientExecutor: fans one round's selected clients over a worker pool.
 //
-// Split algorithms (FederatedAlgorithm::as_split() != nullptr) expose a
-// pure per-client local_update; the executor runs those on per-worker Model
-// replicas (cloned lazily from the global model, so memory stays
-// O(workers), not O(clients)) and then runs the serial aggregate on the
-// caller's thread. With one thread the same unified path runs inline on
-// the shared model — identical code, identical results. Algorithms without
-// a split form fall back to their own serial round (reported as
-// serial_fallback); fault injection requires the split path.
+// The executor runs the algorithm's pure per-client local_update on
+// per-worker Model replicas (cloned lazily from the global model, so memory
+// stays O(workers), not O(clients)) and then runs the serial aggregate on
+// the caller's thread. With one thread the same path runs inline on the
+// shared model — identical code, identical results.
 //
 // Determinism contract (see DESIGN.md §7): every client's RNG stream is
 // forked from its client id — never from loop order or worker identity —
@@ -35,11 +32,11 @@
 // Telemetry: the executor is the driver of one round, so it emits the
 // round-level observer events — on_round_begin before any client trains and
 // on_round_end (with RoundStats::round_seconds filled) after the aggregate.
-// Client events from the split path are buffered with the updates and
-// flushed in `selected` order on the caller's thread before the aggregate,
-// so the event stream is deterministic for any thread count too. Every
-// selected client gets exactly one client_end event; excluded clients
-// carry their FaultKind in ClientObservation::fault with zero weight.
+// Client events are buffered with the updates and flushed in `selected`
+// order on the caller's thread before the aggregate, so the event stream
+// is deterministic for any thread count too. Every selected client gets
+// exactly one client_end event; excluded clients carry their FaultKind in
+// ClientObservation::fault with zero weight.
 #pragma once
 
 #include <memory>
@@ -47,6 +44,7 @@
 
 #include "fl/algorithm.h"
 #include "fl/client_provider.h"
+#include "fl/observer.h"
 #include "runtime/faults.h"
 #include "runtime/thread_pool.h"
 
@@ -61,10 +59,6 @@ struct RoundRuntime {
   double virtual_seconds = 0.0;
   double client_seconds_sum = 0.0;  ///< summed per-client local_update time
   double client_seconds_max = 0.0;  ///< slowest single client update
-  bool parallel = false;            ///< false when a serial path ran
-  /// True when the algorithm has no split client phase and ran its own
-  /// serial round regardless of the requested thread count.
-  bool serial_fallback = false;
 
   /// Fault accounting (all zero when the fault layer is off and every
   /// update validated).
@@ -103,42 +97,31 @@ class ClientExecutor {
   /// PR 4 renormalization), and the digests — not the client updates — feed
   /// the serial aggregate. Exactly the fold the distributed edge tier runs,
   /// so a loopback run with matching edges is byte-identical. 0 (default)
-  /// keeps the flat fold. Requires a split algorithm with
+  /// keeps the flat fold. Requires an algorithm with
   /// supports_partial_aggregation().
   void set_edge_groups(std::size_t groups) { edge_groups_ = groups; }
   std::size_t edge_groups() const { return edge_groups_; }
 
-  /// Runs one communication round, mutating the global model exactly like
-  /// algorithm.run_round would. Per-client timing and fault outcomes are
-  /// reported through `runtime` when non-null (every path, split or not).
-  /// When `ctx` is non-null its observer receives the full event stream of
-  /// the round (round_begin, one client_end per client in `selected`
-  /// order, round_end).
+  /// Runs one communication round: local_update for every selected client,
+  /// then the serial aggregate, mutating the global model in place.
+  /// Per-client timing and fault outcomes are reported through `runtime`
+  /// when non-null. When `ctx` is non-null its observer receives the full
+  /// event stream of the round (round_begin, one client_end per client in
+  /// `selected` order, round_end).
   ///
-  /// The provider form is primary: datasets are materialized through the
-  /// per-worker ClientSlot pool, so lazy providers cost O(workers) memory
-  /// per round. Algorithms without a split phase run their own serial
-  /// round, which indexes a resident dataset vector — the executor rejects
-  /// providers that cannot supply one (dataset_vector() == nullptr).
-  RoundStats run_round(Model& model, FederatedAlgorithm& algorithm,
+  /// Datasets are materialized through the per-worker ClientSlot pool, so
+  /// lazy providers cost O(workers) memory per round.
+  RoundStats run_round(Model& model, SplitFederatedAlgorithm& algorithm,
                        const std::vector<std::size_t>& selected,
                        const ClientProvider& provider, Rng& rng,
-                       RoundRuntime* runtime = nullptr,
-                       RoundContext* ctx = nullptr);
-
-  /// Legacy entry point over a bare dataset vector; wraps it in a
-  /// VectorDatasetProvider and behaves identically to pre-provider builds.
-  RoundStats run_round(Model& model, FederatedAlgorithm& algorithm,
-                       const std::vector<std::size_t>& selected,
-                       const std::vector<Dataset>& client_data, Rng& rng,
                        RoundRuntime* runtime = nullptr,
                        RoundContext* ctx = nullptr);
 
  private:
-  RoundStats run_split(Model& model, SplitFederatedAlgorithm& split,
-                       const std::vector<std::size_t>& selected,
-                       const ClientProvider& provider, Rng& rng,
-                       RoundContext& ctx, RoundRuntime* runtime);
+  RoundStats run_clients(Model& model, SplitFederatedAlgorithm& algorithm,
+                         const std::vector<std::size_t>& selected,
+                         const ClientProvider& provider, Rng& rng,
+                         RoundContext& ctx, RoundRuntime* runtime);
 
   std::size_t num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;              // null when num_threads_==1

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "fl/algorithm.h"
+#include "util/config.h"
 
 namespace hetero {
 namespace {
@@ -21,13 +22,12 @@ double spec_double(const std::string& key, const std::string& value) {
 }
 
 std::uint64_t spec_uint(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
+  const std::optional<std::uint64_t> v = parse_uint(value);
+  if (!v) {
     throw std::invalid_argument("parse_fault_spec: bad value for \"" + key +
                                 "\": " + value);
   }
-  return static_cast<std::uint64_t>(v);
+  return *v;
 }
 
 }  // namespace

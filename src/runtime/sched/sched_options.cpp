@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/config.h"
+
 namespace hetero {
 namespace {
 
@@ -25,13 +27,12 @@ double spec_double(const std::string& key, const std::string& value) {
 }
 
 std::size_t spec_uint(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
+  const std::optional<std::uint64_t> v = parse_uint(value);
+  if (!v) {
     throw std::invalid_argument("parse_sched_spec: bad value for \"" + key +
                                 "\": " + value);
   }
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(*v);
 }
 
 }  // namespace

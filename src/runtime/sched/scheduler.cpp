@@ -173,16 +173,6 @@ void EventScheduler::train_pending(Model& model,
 
 SchedulerRunResult EventScheduler::run(
     Model& model, SplitFederatedAlgorithm& algorithm, std::size_t flushes,
-    std::size_t clients_per_round, const std::vector<Dataset>& client_data,
-    Rng& rng, RoundObserver* observer,
-    const std::function<void(std::size_t)>& on_flush) {
-  const VectorDatasetProvider provider(client_data);
-  return run(model, algorithm, flushes, clients_per_round, provider, rng,
-             observer, on_flush);
-}
-
-SchedulerRunResult EventScheduler::run(
-    Model& model, SplitFederatedAlgorithm& algorithm, std::size_t flushes,
     std::size_t clients_per_round, const ClientProvider& provider,
     Rng& rng, RoundObserver* observer,
     const std::function<void(std::size_t)>& on_flush) {

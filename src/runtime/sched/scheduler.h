@@ -34,6 +34,7 @@
 
 #include "fl/algorithm.h"
 #include "fl/client_provider.h"
+#include "fl/observer.h"
 #include "runtime/faults.h"
 #include "runtime/sched/delay_model.h"
 #include "runtime/sched/event_queue.h"
@@ -94,14 +95,6 @@ class EventScheduler {
   SchedulerRunResult run(Model& model, SplitFederatedAlgorithm& algorithm,
                          std::size_t flushes, std::size_t clients_per_round,
                          const ClientProvider& provider, Rng& rng,
-                         RoundObserver* observer,
-                         const std::function<void(std::size_t)>& on_flush);
-
-  /// Legacy entry point over a bare dataset vector; wraps it in a
-  /// VectorDatasetProvider and behaves identically to pre-provider builds.
-  SchedulerRunResult run(Model& model, SplitFederatedAlgorithm& algorithm,
-                         std::size_t flushes, std::size_t clients_per_round,
-                         const std::vector<Dataset>& client_data, Rng& rng,
                          RoundObserver* observer,
                          const std::function<void(std::size_t)>& on_flush);
 

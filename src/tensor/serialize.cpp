@@ -77,14 +77,19 @@ Tensor read_tensor(std::istream& is) {
   }
   const auto rank = read_pod<std::uint32_t>(is);
   if (rank > 8) throw std::runtime_error("read_tensor: rank too large");
+  // The volume saturates one past the element cap instead of wrapping, so
+  // dims like {2^32, 2^32} cannot multiply to 0 and pass for an empty
+  // tensor; a zero dim still makes any shape empty.
+  constexpr std::size_t kMaxElements = 1ull << 31;
   std::vector<std::size_t> shape(rank);
   std::size_t volume = 1;
   for (auto& d : shape) {
     d = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
     if (d > (1ull << 32)) throw std::runtime_error("read_tensor: dim too big");
-    volume *= d;
+    volume = d != 0 && volume > kMaxElements / d ? kMaxElements + 1
+                                                 : volume * d;
   }
-  if (volume > (1ull << 31)) {
+  if (volume > kMaxElements) {
     throw std::runtime_error("read_tensor: tensor too large");
   }
   const auto count = read_pod<std::uint64_t>(is);

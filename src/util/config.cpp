@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 namespace hetero {
 
@@ -26,6 +27,20 @@ double env_double(const std::string& name, double fallback) {
   char* end = nullptr;
   const double v = std::strtod(s->c_str(), &end);
   if (end == s->c_str() || *end != '\0') return fallback;
+  return v;
+}
+
+std::optional<std::uint64_t> parse_uint(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;
+    }
+    v = v * 10 + digit;
+  }
   return v;
 }
 

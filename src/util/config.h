@@ -36,6 +36,12 @@ std::int64_t env_int(const std::string& name, std::int64_t fallback);
 /// Reads a double env var; returns fallback when unset or unparsable.
 double env_double(const std::string& name, double fallback);
 
+/// Strict unsigned decimal for spec values and strict env knobs: one or
+/// more ASCII digits and nothing else — no sign, no spaces, no trailing
+/// text — with a value that fits in 64 bits. Returns an empty optional on
+/// anything else, so each caller words its own error.
+std::optional<std::uint64_t> parse_uint(const std::string& text);
+
 /// Benchmark scale knobs resolved from the environment.
 struct BenchConfig {
   int scale = 0;              ///< 0 = smoke, 1 = paper-shaped.

@@ -12,6 +12,8 @@
 namespace hetero {
 namespace {
 
+using hetero::testing::run_one_round;
+
 TEST(TopK, KeepsLargestMagnitudes) {
   Tensor d({5}, {0.1f, -3.0f, 0.5f, 2.0f, -0.2f});
   SparseUpdate s = top_k_sparsify(d, 2);
@@ -155,8 +157,8 @@ TEST(CompressedFedAvg, FullFractionNoQuantMatchesEqualWeighting) {
   comp.init(*a, 1);
   FedAvg plain(fast_cfg());
   Rng r1(6), r2(6);
-  comp.run_round(*a, {0}, clients, r1);
-  plain.run_round(*b, {0}, clients, r2);
+  run_one_round(*a, comp, {0}, clients, r1);
+  run_one_round(*b, plain, {0}, clients, r2);
   hetero::testing::expect_tensor_near(a->state(), b->state(), 1e-5f);
   EXPECT_EQ(comp.last_compressed_bytes(), comp.last_dense_bytes());
 }
@@ -169,7 +171,7 @@ TEST(CompressedFedAvg, ReportsCompressionRatio) {
   CompressedFedAvg comp(fast_cfg(), opt);
   comp.init(*model, 1);
   Rng rng(9);
-  comp.run_round(*model, {0}, clients, rng);
+  run_one_round(*model, comp, {0}, clients, rng);
   // 5% of coordinates at 8 bytes each vs 4 bytes dense per coordinate:
   // compressed ~ 10% of dense.
   EXPECT_LT(comp.last_compressed_bytes(), comp.last_dense_bytes() / 5);
@@ -178,7 +180,7 @@ TEST(CompressedFedAvg, ReportsCompressionRatio) {
 
 TEST(CompressedFedAvg, LearnsUnderHeavySparsification) {
   auto model = tiny(10);
-  FlPopulation pop = make_pop(11);
+  const MaterializedPopulation pop(make_pop(11));
   CompressionOptions opt;
   opt.top_k_fraction = 0.05f;
   opt.error_feedback = true;
@@ -200,7 +202,7 @@ TEST(CompressedFedAvg, ErrorFeedbackHelpsSparseTraining) {
 
   auto run = [&](const CompressionOptions& opt) {
     auto model = tiny(13);
-    FlPopulation pop = make_pop(14);
+    const MaterializedPopulation pop(make_pop(14));
     CompressedFedAvg algo(fast_cfg(), opt);
     SimulationConfig sim;
     sim.rounds = 25;
@@ -214,7 +216,7 @@ TEST(CompressedFedAvg, ErrorFeedbackHelpsSparseTraining) {
 
 TEST(CompressedFedAvg, QuantizedSparseLearns) {
   auto model = tiny(16);
-  FlPopulation pop = make_pop(17);
+  const MaterializedPopulation pop(make_pop(17));
   CompressionOptions opt;
   opt.top_k_fraction = 0.1f;
   opt.quantize_bits = 8;
@@ -242,7 +244,7 @@ TEST(CompressedFedAvg, RequiresInit) {
   CompressionOptions opt;
   CompressedFedAvg algo(fast_cfg(), opt);
   Rng rng(21);
-  EXPECT_THROW(algo.run_round(*model, {0}, clients, rng),
+  EXPECT_THROW(run_one_round(*model, algo, {0}, clients, rng),
                std::invalid_argument);
 }
 

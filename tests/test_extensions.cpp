@@ -12,6 +12,8 @@
 namespace hetero {
 namespace {
 
+using hetero::testing::run_one_round;
+
 Dataset easy_data(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   Tensor xs({n, 3, 8, 8});
@@ -102,7 +104,7 @@ TEST(FedAvgM, RequiresInit) {
   std::vector<Dataset> clients = {easy_data(8, 13)};
   FedAvgM algo(fast_cfg(), 0.9f);
   Rng rng(14);
-  EXPECT_THROW(algo.run_round(*model, {0}, clients, rng),
+  EXPECT_THROW(run_one_round(*model, algo, {0}, clients, rng),
                std::invalid_argument);
 }
 
@@ -114,8 +116,8 @@ TEST(FedAvgM, ZeroMomentumMatchesFedAvg) {
   FedAvgM fedavgm(fast_cfg(), 0.0f);
   fedavgm.init(*b, 1);
   Rng r1(17), r2(17);
-  fedavg.run_round(*a, {0}, clients, r1);
-  fedavgm.run_round(*b, {0}, clients, r2);
+  run_one_round(*a, fedavg, {0}, clients, r1);
+  run_one_round(*b, fedavgm, {0}, clients, r2);
   hetero::testing::expect_tensor_near(a->state(), b->state(), 1e-5f);
 }
 
@@ -131,8 +133,8 @@ TEST(FedAvgM, MomentumAcceleratesConsistentDirection) {
   fedavgm.init(*heavy, 1);
   for (int round = 0; round < 3; ++round) {
     Rng r1(20 + round), r2(20 + round);
-    fedavg.run_round(*plain, {0}, clients, r1);
-    fedavgm.run_round(*heavy, {0}, clients, r2);
+    run_one_round(*plain, fedavg, {0}, clients, r1);
+    run_one_round(*heavy, fedavgm, {0}, clients, r2);
   }
   const float plain_move = (plain->state() - start).norm();
   const float heavy_move = (heavy->state() - start).norm();
@@ -141,13 +143,14 @@ TEST(FedAvgM, MomentumAcceleratesConsistentDirection) {
 
 TEST(FedAvgM, LearnsSeparableTask) {
   auto model = tiny_model(21);
-  FlPopulation pop;
+  FlPopulation data;
   for (int i = 0; i < 4; ++i) {
-    pop.client_train.push_back(easy_data(16, 22 + i));
-    pop.client_device.push_back(0);
+    data.client_train.push_back(easy_data(16, 22 + i));
+    data.client_device.push_back(0);
   }
-  pop.device_test.push_back(easy_data(32, 30));
-  pop.device_names.push_back("synthetic");
+  data.device_test.push_back(easy_data(32, 30));
+  data.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(data));
   FedAvgM algo(fast_cfg(), 0.5f);
   SimulationConfig sim;
   sim.rounds = 15;
@@ -161,13 +164,14 @@ TEST(FedAvgM, LearnsSeparableTask) {
 
 TEST(ValidationCriterion, RunsAndLearns) {
   auto model = tiny_model(32);
-  FlPopulation pop;
+  FlPopulation data;
   for (int i = 0; i < 4; ++i) {
-    pop.client_train.push_back(easy_data(16, 33 + i));
-    pop.client_device.push_back(0);
+    data.client_train.push_back(easy_data(16, 33 + i));
+    data.client_device.push_back(0);
   }
-  pop.device_test.push_back(easy_data(32, 40));
-  pop.device_names.push_back("synthetic");
+  data.device_test.push_back(easy_data(32, 40));
+  data.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(data));
   HeteroSwitchOptions opt;
   opt.criterion = BiasCriterion::kValidationSplit;
   opt.validation_fraction = 0.25f;
@@ -191,7 +195,7 @@ TEST(ValidationCriterion, TinyDatasetsFallBackToTrainLoss) {
   HeteroSwitch algo(fast_cfg(), opt);
   algo.init(*model, 1);
   Rng rng(44);
-  EXPECT_NO_THROW(algo.run_round(*model, {0}, clients, rng));
+  EXPECT_NO_THROW(run_one_round(*model, algo, {0}, clients, rng));
 }
 
 TEST(ValidationCriterion, SwitchStatsStillTracked) {
@@ -204,7 +208,7 @@ TEST(ValidationCriterion, SwitchStatsStillTracked) {
   Rng rng(47);
   for (int round = 0; round < 6; ++round) {
     Rng round_rng = rng.fork(static_cast<std::uint64_t>(round));
-    algo.run_round(*model, {0}, clients, round_rng);
+    run_one_round(*model, algo, {0}, clients, round_rng);
   }
   EXPECT_EQ(algo.client_updates(), 6u);
   EXPECT_LE(algo.switch2_activations(), algo.switch1_activations());

@@ -65,11 +65,11 @@ LocalTrainConfig fast_cfg() {
   return cfg;
 }
 
-SimulationResult run_sim(FederatedAlgorithm& algo, const FaultOptions& faults,
-                         std::size_t num_threads, std::uint64_t seed,
-                         std::size_t rounds = 5) {
+SimulationResult run_sim(SplitFederatedAlgorithm& algo,
+                         const FaultOptions& faults, std::size_t num_threads,
+                         std::uint64_t seed, std::size_t rounds = 5) {
   auto model = tiny_model(seed);
-  FlPopulation pop = synthetic_population(8, 500);
+  const MaterializedPopulation pop(synthetic_population(8, 500));
   SimulationConfig sim;
   sim.rounds = rounds;
   sim.clients_per_round = 4;
@@ -101,20 +101,6 @@ void expect_same_state(const Tensor& a, const Tensor& b) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
-// Serial-only algorithm: the fault layer requires the split path, so
-// installing a plan and running this must be rejected loudly.
-class SerialOnlyStub : public FederatedAlgorithm {
- public:
-  std::string name() const override { return "SerialOnlyStub"; }
-
- protected:
-  RoundStats do_run_round(Model&, const std::vector<std::size_t>&,
-                          const std::vector<Dataset>&, Rng&,
-                          RoundContext&) override {
-    return RoundStats{};
-  }
-};
-
 // ------------------------------------------------------------- fault spec --
 
 TEST(FaultSpec, ParsesAllKeys) {
@@ -145,6 +131,10 @@ TEST(FaultSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("drop"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("drop=abc"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("retries=1x"), std::invalid_argument);
+  // Integers are digits only: no sign, no leading space.
+  EXPECT_THROW(parse_fault_spec("retries=-1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("min=-1"), std::invalid_argument);
+  EXPECT_THROW(parse_fault_spec("retries= 3"), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- fault plan --
@@ -268,16 +258,16 @@ TEST(FaultInjection, CorruptUpdatesAreQuarantinedAndNeverAggregated) {
   // quarantine all of them, aborting the round with the model untouched.
   auto model = tiny_model(10);
   const Tensor before = model->state();
-  FlPopulation pop = synthetic_population(6, 11);
+  const MaterializedPopulation pop(synthetic_population(6, 11));
   FedAvg algo(fast_cfg());
-  algo.init(*model, pop.client_train.size());
+  algo.init(*model, pop.num_clients());
   ClientExecutor executor(4);
   executor.set_faults(parse_fault_spec("corrupt=1"));
   Rng rng(12);
   RoundRuntime runtime;
   RoundContext ctx;
   const RoundStats stats = executor.run_round(
-      *model, algo, {0, 2, 4}, pop.client_train, rng, &runtime, &ctx);
+      *model, algo, {0, 2, 4}, pop, rng, &runtime, &ctx);
   EXPECT_EQ(runtime.clients_quarantined, 3u);
   EXPECT_TRUE(runtime.aborted);
   EXPECT_EQ(stats.num_clients, 0u);
@@ -289,7 +279,7 @@ TEST(FaultInjection, CorruptUpdatesAreQuarantinedAndNeverAggregated) {
 TEST(FaultInjection, PartiallyCorruptRoundsKeepTheModelFinite) {
   FedAvg algo(fast_cfg());
   auto model = tiny_model(20);
-  FlPopulation pop = synthetic_population(8, 21);
+  const MaterializedPopulation pop(synthetic_population(8, 21));
   SimulationConfig sim;
   sim.rounds = 6;
   sim.clients_per_round = 5;
@@ -309,7 +299,7 @@ TEST(FaultInjection, FullDropoutAbortsEveryRoundAndLeavesModelUntouched) {
   auto model = tiny_model(30);
   const Tensor before = model->state();
   FedAvg algo(fast_cfg());
-  FlPopulation pop = synthetic_population(8, 31);
+  const MaterializedPopulation pop(synthetic_population(8, 31));
   SimulationConfig sim;
   sim.rounds = 4;
   sim.clients_per_round = 4;
@@ -327,15 +317,15 @@ TEST(FaultInjection, MinClientsFloorAbortsPartialRounds) {
   // some clients survive, and the survivors' stats are still summarized.
   auto model = tiny_model(40);
   const Tensor before = model->state();
-  FlPopulation pop = synthetic_population(6, 41);
+  const MaterializedPopulation pop(synthetic_population(6, 41));
   FedAvg algo(fast_cfg());
-  algo.init(*model, pop.client_train.size());
+  algo.init(*model, pop.num_clients());
   ClientExecutor executor(1);
   executor.set_faults(parse_fault_spec("drop=0.5,min=99"));
   Rng rng(42);
   RoundRuntime runtime;
   const RoundStats stats = executor.run_round(*model, algo, {0, 1, 2, 3, 4},
-                                              pop.client_train, rng, &runtime);
+                                              pop, rng, &runtime);
   EXPECT_TRUE(runtime.aborted);
   EXPECT_EQ(stats.extras.at("fault.aborted"), 1.0);
   EXPECT_EQ(stats.num_clients + runtime.clients_dropped, 5u);
@@ -365,15 +355,15 @@ TEST(FaultInjection, TransientFailuresConsumeRetriesDeterministically) {
 
 TEST(FaultInjection, OutcomesReportedPerSelectedClient) {
   auto model = tiny_model(70);
-  FlPopulation pop = synthetic_population(8, 71);
+  const MaterializedPopulation pop(synthetic_population(8, 71));
   FedAvg algo(fast_cfg());
-  algo.init(*model, pop.client_train.size());
+  algo.init(*model, pop.num_clients());
   ClientExecutor executor(2);
   executor.set_faults(parse_fault_spec("drop=0.3,straggle=0.3"));
   Rng rng(72);
   RoundRuntime runtime;
   const std::vector<std::size_t> selected = {5, 1, 7, 3};
-  executor.run_round(*model, algo, selected, pop.client_train, rng, &runtime);
+  executor.run_round(*model, algo, selected, pop, rng, &runtime);
   ASSERT_EQ(runtime.fault_outcomes.size(), selected.size());
   std::size_t dropped = 0, straggled = 0;
   for (std::size_t i = 0; i < selected.size(); ++i) {
@@ -388,14 +378,14 @@ TEST(FaultInjection, OutcomesReportedPerSelectedClient) {
 
 TEST(FaultInjection, ZeroFaultRunKeepsCountersAndExtrasClean) {
   auto model = tiny_model(80);
-  FlPopulation pop = synthetic_population(6, 81);
+  const MaterializedPopulation pop(synthetic_population(6, 81));
   FedAvg algo(fast_cfg());
-  algo.init(*model, pop.client_train.size());
+  algo.init(*model, pop.num_clients());
   ClientExecutor executor(2);  // default FaultOptions: no plan installed
   Rng rng(82);
   RoundRuntime runtime;
   const RoundStats stats = executor.run_round(*model, algo, {0, 1, 2},
-                                              pop.client_train, rng, &runtime);
+                                              pop, rng, &runtime);
   EXPECT_EQ(runtime.clients_dropped, 0u);
   EXPECT_EQ(runtime.clients_quarantined, 0u);
   EXPECT_FALSE(runtime.aborted);
@@ -403,18 +393,6 @@ TEST(FaultInjection, ZeroFaultRunKeepsCountersAndExtrasClean) {
   for (const auto& [key, value] : stats.extras) {
     EXPECT_NE(key.rfind("fault.", 0), 0u) << "unexpected extra " << key;
   }
-}
-
-TEST(FaultInjection, SerialOnlyAlgorithmRejectsFaultInjection) {
-  auto model = tiny_model(90);
-  FlPopulation pop = synthetic_population(4, 91);
-  SerialOnlyStub stub;
-  ClientExecutor executor(2);
-  executor.set_faults(parse_fault_spec("drop=0.5"));
-  Rng rng(92);
-  EXPECT_THROW(
-      executor.run_round(*model, stub, {0, 1}, pop.client_train, rng),
-      std::invalid_argument);
 }
 
 // -------------------------------------------------------- update validation --
@@ -445,21 +423,6 @@ TEST(ValidateUpdate, FlagsNonFiniteFieldsAndTensors) {
   ClientUpdate bad_loss = good;
   bad_loss.train_loss = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(validate_update(bad_loss));
-}
-
-TEST(ValidateUpdate, DropInvalidPreservesOrder) {
-  std::vector<ClientUpdate> updates(4);
-  for (std::size_t i = 0; i < updates.size(); ++i) {
-    updates[i].client_id = i;
-    updates[i].state = Tensor({2});
-    updates[i].weight = 1.0;
-  }
-  updates[1].state[0] = std::numeric_limits<float>::quiet_NaN();
-  updates[3].weight = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(drop_invalid_updates(updates), 2u);
-  ASSERT_EQ(updates.size(), 2u);
-  EXPECT_EQ(updates[0].client_id, 0u);
-  EXPECT_EQ(updates[1].client_id, 2u);
 }
 
 // ------------------------------------------------- bugfix-sweep regressions --

@@ -15,6 +15,8 @@
 namespace hetero {
 namespace {
 
+using hetero::testing::run_one_round;
+
 /// A trivially learnable dataset: class = bright vs dark images.
 Dataset two_class_data(std::size_t n, float lo, float hi, std::uint64_t seed) {
   Rng rng(seed);
@@ -180,7 +182,8 @@ TEST(Population, MarketShareSkewsAssignment) {
   cfg.samples_per_client = 2;
   cfg.test_per_class = 1;
   cfg.capture.tensor_size = 8;
-  FlPopulation pop = build_population(paper_devices(), cfg, scenes, rng);
+  FlPopulation pop = make_population(
+      PopulationSpec::single_label(paper_devices(), cfg, scenes), rng);
   ASSERT_EQ(pop.client_device.size(), 200u);
   std::vector<int> counts(9, 0);
   for (std::size_t d : pop.client_device) ++counts[d];
@@ -199,7 +202,8 @@ TEST(Population, UniformAssignmentIsBalanced) {
   cfg.test_per_class = 1;
   cfg.assignment = DeviceAssignment::kUniform;
   cfg.capture.tensor_size = 8;
-  FlPopulation pop = build_population(paper_devices(), cfg, scenes, rng);
+  FlPopulation pop = make_population(
+      PopulationSpec::single_label(paper_devices(), cfg, scenes), rng);
   std::vector<int> counts(9, 0);
   for (std::size_t d : pop.client_device) ++counts[d];
   for (int c : counts) EXPECT_EQ(c, 2);
@@ -214,7 +218,8 @@ TEST(Population, ExclusionRemovesDeviceFromTraining) {
   cfg.test_per_class = 1;
   cfg.capture.tensor_size = 8;
   cfg.exclude_from_training = {device_index("GalaxyS6")};
-  FlPopulation pop = build_population(paper_devices(), cfg, scenes, rng);
+  FlPopulation pop = make_population(
+      PopulationSpec::single_label(paper_devices(), cfg, scenes), rng);
   for (std::size_t d : pop.client_device) {
     EXPECT_NE(d, device_index("GalaxyS6"));
   }
@@ -231,7 +236,8 @@ TEST(Population, TestSetsPerDevice) {
   cfg.samples_per_client = 2;
   cfg.test_per_class = 2;
   cfg.capture.tensor_size = 8;
-  FlPopulation pop = build_population(paper_devices(), cfg, scenes, rng);
+  FlPopulation pop = make_population(
+      PopulationSpec::single_label(paper_devices(), cfg, scenes), rng);
   ASSERT_EQ(pop.device_test.size(), 9u);
   for (const auto& t : pop.device_test) EXPECT_EQ(t.size(), 24u);
   EXPECT_EQ(pop.device_names[device_index("G4")], "G4");
@@ -276,7 +282,7 @@ TEST(FedAvg, IdenticalClientsKeepConsensus) {
   // differs, so states differ slightly; the average must lie between them.
   model->set_state(start);
   Rng round_rng2(99);
-  algo.run_round(*model, {0, 1}, pop.client_train, round_rng2);
+  run_one_round(*model, algo, {0, 1}, pop.client_train, round_rng2);
   const Tensor agg = model->state();
   // Aggregate must stay close to the single-client result (same data).
   double dist = 0.0;
@@ -288,7 +294,7 @@ TEST(FedAvg, IdenticalClientsKeepConsensus) {
 
 TEST(FedAvg, LearnsSeparableTask) {
   auto model = tiny_model(22);
-  FlPopulation pop = synthetic_population(4, 23);
+  const MaterializedPopulation pop(synthetic_population(4, 23));
   FedAvg algo(fast_cfg());
   SimulationConfig sim;
   sim.rounds = 15;
@@ -313,7 +319,7 @@ TEST(FedAvg, SampleWeightedAggregation) {
   FedAvg algo(fast_cfg());
   const Tensor start = model->state();
   Rng rng(28);
-  algo.run_round(*model, {0, 1}, clients, rng);
+  run_one_round(*model, algo, {0, 1}, clients, rng);
   // No assertion on direction here beyond sanity: state moved.
   EXPECT_GT((model->state() - start).norm(), 0.0f);
 }
@@ -328,12 +334,12 @@ TEST(FedProx, ProximalTermShrinksDrift) {
   const Tensor start = model_free->state();
   FedAvg fedavg(fast_cfg());
   Rng r1(31);
-  fedavg.run_round(*model_free, {0}, clients, r1);
+  run_one_round(*model_free, fedavg, {0}, clients, r1);
   const float drift_free = (model_free->state() - start).norm();
 
   FedProx fedprox(fast_cfg(), /*mu=*/10.0f);
   Rng r2(31);
-  fedprox.run_round(*model_prox, {0}, clients, r2);
+  run_one_round(*model_prox, fedprox, {0}, clients, r2);
   const float drift_prox = (model_prox->state() - start).norm();
   EXPECT_LT(drift_prox, drift_free * 0.7f);
 }
@@ -346,8 +352,8 @@ TEST(FedProx, SmallMuApproximatesFedAvg) {
   FedAvg fedavg(fast_cfg());
   FedProx fedprox(fast_cfg(), 1e-8f);
   Rng r1(34), r2(34);
-  fedavg.run_round(*a, {0}, clients, r1);
-  fedprox.run_round(*b, {0}, clients, r2);
+  run_one_round(*a, fedavg, {0}, clients, r1);
+  run_one_round(*b, fedprox, {0}, clients, r2);
   const Tensor sa = a->state(), sb = b->state();
   double dist = 0.0;
   for (std::size_t i = 0; i < sa.size(); ++i) dist += std::abs(sa[i] - sb[i]);
@@ -363,8 +369,8 @@ TEST(QFedAvg, TinyQApproximatesFedAvgDirection) {
   FedAvg fedavg(fast_cfg());
   QFedAvg qfed(fast_cfg(), 1e-6);
   Rng r1(37), r2(37);
-  fedavg.run_round(*a, {0}, clients, r1);
-  qfed.run_round(*b, {0}, clients, r2);
+  run_one_round(*a, fedavg, {0}, clients, r1);
+  run_one_round(*b, qfed, {0}, clients, r2);
   // Directions must be positively aligned.
   const Tensor da = a->state() - start;
   const Tensor db = b->state() - start;
@@ -375,7 +381,7 @@ TEST(QFedAvg, TinyQApproximatesFedAvgDirection) {
 
 TEST(QFedAvg, LearnsSeparableTask) {
   auto model = tiny_model(38);
-  FlPopulation pop = synthetic_population(4, 39);
+  const MaterializedPopulation pop(synthetic_population(4, 39));
   QFedAvg algo(fast_cfg(), 1e-6);
   SimulationConfig sim;
   sim.rounds = 20;
@@ -391,13 +397,13 @@ TEST(Scaffold, RequiresInit) {
   std::vector<Dataset> clients = {data};
   Scaffold algo(fast_cfg());
   Rng rng(43);
-  EXPECT_THROW(algo.run_round(*model, {0}, clients, rng),
+  EXPECT_THROW(run_one_round(*model, algo, {0}, clients, rng),
                std::invalid_argument);
 }
 
 TEST(Scaffold, LearnsSeparableTask) {
   auto model = tiny_model(44);
-  FlPopulation pop = synthetic_population(4, 45);
+  const MaterializedPopulation pop(synthetic_population(4, 45));
   Scaffold algo(fast_cfg());
   SimulationConfig sim;
   sim.rounds = 20;
@@ -410,7 +416,7 @@ TEST(Scaffold, LearnsSeparableTask) {
 // ------------------------------------------------------------ simulation --
 
 TEST(Simulation, DeterministicGivenSeed) {
-  FlPopulation pop = synthetic_population(4, 47);
+  const MaterializedPopulation pop(synthetic_population(4, 47));
   SimulationConfig sim;
   sim.rounds = 5;
   sim.clients_per_round = 2;
@@ -430,7 +436,7 @@ TEST(Simulation, MetricsAreConsistent) {
   FlPopulation pop = synthetic_population(2, 51);
   pop.device_test.push_back(two_class_data(16, 0.15f, 0.85f, 52));
   pop.device_names.push_back("second");
-  m = evaluate_per_device(*model, pop);
+  m = evaluate_per_device(*model, MaterializedPopulation(std::move(pop)));
   ASSERT_EQ(m.per_device.size(), 2u);
   EXPECT_NEAR(m.average, (m.per_device[0] + m.per_device[1]) / 2.0, 1e-12);
   EXPECT_LE(m.worst_case, m.per_device[0] + 1e-12);
@@ -439,7 +445,7 @@ TEST(Simulation, MetricsAreConsistent) {
 }
 
 TEST(Simulation, CheckpointsCollected) {
-  FlPopulation pop = synthetic_population(3, 53);
+  const MaterializedPopulation pop(synthetic_population(3, 53));
   SimulationConfig sim;
   sim.rounds = 6;
   sim.clients_per_round = 2;
@@ -453,22 +459,8 @@ TEST(Simulation, CheckpointsCollected) {
   EXPECT_EQ(r.checkpoints[1].first, 4u);
 }
 
-TEST(Simulation, OnRoundCallbackFires) {
-  FlPopulation pop = synthetic_population(2, 56);
-  SimulationConfig sim;
-  sim.rounds = 3;
-  sim.clients_per_round = 1;
-  sim.seed = 57;
-  int calls = 0;
-  sim.on_round = [&](std::size_t, double) { ++calls; };
-  auto model = tiny_model(58);
-  FedAvg algo(fast_cfg());
-  run_simulation(*model, algo, pop, sim);
-  EXPECT_EQ(calls, 3);
-}
-
 TEST(Simulation, ValidatesClientCount) {
-  FlPopulation pop = synthetic_population(2, 59);
+  const MaterializedPopulation pop(synthetic_population(2, 59));
   SimulationConfig sim;
   sim.rounds = 1;
   sim.clients_per_round = 5;  // more than the population

@@ -15,6 +15,8 @@
 namespace hetero {
 namespace {
 
+using hetero::testing::run_one_round;
+
 Tensor random_image(std::uint64_t seed, std::size_t c = 3,
                     std::size_t s = 8) {
   Rng rng(seed);
@@ -267,7 +269,7 @@ TEST(HeteroSwitch, NoSwitchInFirstRound) {
   algo.init(*model, 1);
   EXPECT_TRUE(std::isinf(algo.ema_loss()));
   Rng rng(62);
-  algo.run_round(*model, {0}, clients, rng);
+  run_one_round(*model, algo, {0}, clients, rng);
   EXPECT_EQ(algo.switch1_activations(), 0u);  // unseeded EMA: no signal
   EXPECT_EQ(algo.switch2_activations(), 0u);
   EXPECT_FALSE(std::isinf(algo.ema_loss()));  // EMA initialized
@@ -284,7 +286,7 @@ TEST(HeteroSwitch, UnseededEmaOptionRestoresLegacyFirstRound) {
   HeteroSwitch algo(fast_cfg(), opts);
   algo.init(*model, 1);
   Rng rng(62);
-  algo.run_round(*model, {0}, clients, rng);
+  run_one_round(*model, algo, {0}, clients, rng);
   EXPECT_EQ(algo.switch1_activations(), 1u);  // L_init < +inf
 }
 
@@ -298,7 +300,7 @@ TEST(HeteroSwitch, SwitchRespondsToLowLoss) {
   Rng rng(65);
   for (int round = 0; round < 8; ++round) {
     Rng round_rng = rng.fork(static_cast<std::uint64_t>(round));
-    algo.run_round(*model, {0}, clients, round_rng);
+    run_one_round(*model, algo, {0}, clients, round_rng);
   }
   EXPECT_EQ(algo.client_updates(), 8u);
   EXPECT_GE(algo.switch1_activations(), 4u);
@@ -315,7 +317,7 @@ TEST(HeteroSwitch, AlwaysIspModeNeverReturnsSwad) {
   Rng rng(68);
   for (int r = 0; r < 3; ++r) {
     Rng round_rng = rng.fork(static_cast<std::uint64_t>(r));
-    algo.run_round(*model, {0}, clients, round_rng);
+    run_one_round(*model, algo, {0}, clients, round_rng);
   }
   EXPECT_EQ(algo.switch1_activations(), 3u);  // transform always on
   EXPECT_EQ(algo.switch2_activations(), 0u);  // SWAD never returned
@@ -331,7 +333,7 @@ TEST(HeteroSwitch, AlwaysIspSwadModeAlwaysReturnsSwad) {
   Rng rng(71);
   for (int r = 0; r < 3; ++r) {
     Rng round_rng = rng.fork(static_cast<std::uint64_t>(r));
-    algo.run_round(*model, {0}, clients, round_rng);
+    run_one_round(*model, algo, {0}, clients, round_rng);
   }
   EXPECT_EQ(algo.switch2_activations(), 3u);
 }
@@ -347,13 +349,14 @@ TEST(HeteroSwitch, ModeNames) {
 
 TEST(HeteroSwitch, LearnsSeparableTask) {
   auto model = tiny_model(72);
-  FlPopulation pop;
+  FlPopulation data;
   for (int i = 0; i < 4; ++i) {
-    pop.client_train.push_back(easy_data(16, 73 + i));
-    pop.client_device.push_back(0);
+    data.client_train.push_back(easy_data(16, 73 + i));
+    data.client_device.push_back(0);
   }
-  pop.device_test.push_back(easy_data(32, 80));
-  pop.device_names.push_back("synthetic");
+  data.device_test.push_back(easy_data(32, 80));
+  data.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(data));
   HeteroSwitch algo(fast_cfg(), HeteroSwitchOptions{});
   SimulationConfig sim;
   sim.rounds = 20;
@@ -370,10 +373,10 @@ TEST(HeteroSwitch, EmaFollowsTrainLoss) {
   algo.init(*model, 1);
   Rng rng(84);
   Rng rng0 = rng.fork(0);
-  RoundStats s0 = algo.run_round(*model, {0}, clients, rng0);
+  RoundStats s0 = run_one_round(*model, algo, {0}, clients, rng0);
   EXPECT_NEAR(algo.ema_loss(), s0.mean_train_loss, 1e-9);
   Rng rng1 = rng.fork(1);
-  RoundStats s1 = algo.run_round(*model, {0}, clients, rng1);
+  RoundStats s1 = run_one_round(*model, algo, {0}, clients, rng1);
   EXPECT_NEAR(algo.ema_loss(), 0.9 * s1.mean_train_loss +
                                    0.1 * s0.mean_train_loss, 1e-9);
 }
@@ -384,7 +387,7 @@ TEST(HeteroSwitch, InitResetsState) {
   HeteroSwitch algo(fast_cfg(), HeteroSwitchOptions{});
   algo.init(*model, 1);
   Rng rng(87);
-  algo.run_round(*model, {0}, clients, rng);
+  run_one_round(*model, algo, {0}, clients, rng);
   EXPECT_GT(algo.client_updates(), 0u);
   algo.init(*model, 1);
   EXPECT_EQ(algo.client_updates(), 0u);
@@ -412,8 +415,8 @@ TEST(HeteroSwitch, SwadReturnDiffersFromPlainWeights) {
   a.init(*plain, 1);
   b.init(*swad, 1);
   Rng r1(90), r2(90);
-  a.run_round(*plain, {0}, clients, r1);
-  b.run_round(*swad, {0}, clients, r2);
+  run_one_round(*plain, a, {0}, clients, r1);
+  run_one_round(*swad, b, {0}, clients, r2);
   const Tensor sa = plain->state();
   const Tensor sb = swad->state();
   double dist = 0.0;

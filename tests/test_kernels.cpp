@@ -377,7 +377,8 @@ SimulationResult run_conv_sim(std::size_t num_threads, KernelKind kind) {
   sim.clients_per_round = 3;
   sim.seed = 31;
   sim.num_threads = num_threads;
-  return run_simulation(*model, algo, pop, sim);
+  return run_simulation(*model, algo, MaterializedPopulation(std::move(pop)),
+                        sim);
 }
 
 TEST(Determinism, ConvTrainingBitIdenticalAcrossThreadCountsPerKind) {

@@ -1,12 +1,9 @@
 // Kernel-wave-2 tests (DESIGN.md §13):
-//   * strict HS_KERNEL / HS_EVAL parsing — unknown modes are rejected with
-//     an error naming the valid ones;
+//   * strict HS_KERNEL parsing — unknown modes are rejected with an error
+//     naming the valid ones;
 //   * fast-kind parity: FMA contraction and f32 nt accumulators drift from
 //     tiled, but the drift is bounded per reduction length across the GEMM
 //     shapes, the conv layer inventory, and whole model-zoo forwards;
-//   * int8 eval: quantized forwards track f32 within quantization noise,
-//     are inert outside an EvalScope and during training, and a briefly
-//     trained model keeps its loss/accuracy under HS_EVAL=int8;
 //   * intra-op parallelism: tiled kernels split across a worker pool stay
 //     bit-identical to the serial run (fixed task grids, disjoint output
 //     ownership), at the raw-kernel level and through the executor's
@@ -14,19 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "fl/algorithm.h"
-#include "fl/eval.h"
 #include "fl/simulation.h"
-#include "fl/trainer.h"
 #include "kernels/kernels.h"
-#include "nn/conv2d.h"
-#include "nn/linear.h"
 #include "nn/model_zoo.h"
-#include "nn/optimizer.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 
@@ -34,7 +25,6 @@ namespace hetero {
 namespace {
 
 using kernels::ConvShape;
-using kernels::EvalMode;
 using kernels::KernelKind;
 
 void fill_random(std::vector<float>& v, Rng& rng, float lo = -1.0f,
@@ -42,14 +32,10 @@ void fill_random(std::vector<float>& v, Rng& rng, float lo = -1.0f,
   for (float& x : v) x = rng.uniform_f(lo, hi);
 }
 
-/// Restores the process kernel kind / eval mode on scope exit.
+/// Restores the process kernel kind on scope exit.
 struct ModeGuard {
   KernelKind saved_kind = kernels::active_kernel();
-  EvalMode saved_eval = kernels::eval_mode();
-  ~ModeGuard() {
-    kernels::set_active_kernel(saved_kind);
-    kernels::set_eval_mode(saved_eval);
-  }
+  ~ModeGuard() { kernels::set_active_kernel(saved_kind); }
 };
 
 /// Per-element drift budget for fast-vs-tiled comparisons: a contracted or
@@ -83,23 +69,6 @@ TEST(EnvParsing, KernelKindAcceptsExactlyTheDocumentedModes) {
     EXPECT_NE(what.find("reference"), std::string::npos);
     EXPECT_NE(what.find("tiled"), std::string::npos);
     EXPECT_NE(what.find("fast"), std::string::npos);
-  }
-}
-
-TEST(EnvParsing, EvalModeAcceptsExactlyTheDocumentedModes) {
-  EXPECT_EQ(kernels::parse_eval_mode("f32"), EvalMode::kF32);
-  EXPECT_EQ(kernels::parse_eval_mode("int8"), EvalMode::kInt8);
-  EXPECT_STREQ(kernels::eval_mode_name(EvalMode::kF32), "f32");
-  EXPECT_STREQ(kernels::eval_mode_name(EvalMode::kInt8), "int8");
-  EXPECT_THROW(kernels::parse_eval_mode("fp16"), std::invalid_argument);
-  EXPECT_THROW(kernels::parse_eval_mode(""), std::invalid_argument);
-  try {
-    kernels::parse_eval_mode("fp16");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("f32"), std::string::npos);
-    EXPECT_NE(what.find("int8"), std::string::npos);
   }
 }
 
@@ -297,199 +266,6 @@ TEST(FastParity, ModelZooForwardLogitsTrackTiled) {
   }
 }
 
-// --------------------------------------------------------------- int8 eval --
-
-TEST(Int8Eval, InertOutsideEvalScopeAndDuringTraining) {
-  ModeGuard guard;
-  kernels::set_active_kernel(KernelKind::kTiled);
-  Rng rng(404);
-  Linear fc(24, 10, rng, true);
-  const Tensor x = Tensor::randn({5, 24}, rng, 1.0f);
-
-  const Tensor base = fc.forward(x, /*train=*/false);
-  kernels::set_eval_mode(EvalMode::kInt8);
-  EXPECT_FALSE(kernels::int8_eval_active());  // mode alone is not enough
-  const Tensor no_scope = fc.forward(x, /*train=*/false);
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    ASSERT_EQ(base[i], no_scope[i]) << "elem " << i;
-  }
-  {
-    const kernels::EvalScope scope;
-    EXPECT_TRUE(kernels::int8_eval_active());
-    // Training forwards stay f32 even inside a scope with the mode on.
-    const Tensor train_fwd = fc.forward(x, /*train=*/true);
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      ASSERT_EQ(base[i], train_fwd[i]) << "elem " << i;
-    }
-    // Inference forwards do reroute: with non-trivial inputs the quantized
-    // result is close to — but not bitwise — the f32 one.
-    const Tensor quant = fc.forward(x, /*train=*/false);
-    bool any_diff = false;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-      ASSERT_NEAR(base[i], quant[i],
-                  0.02f * std::sqrt(24.0f) * std::max(1.0f,
-                                                      std::fabs(base[i])));
-      any_diff = any_diff || base[i] != quant[i];
-    }
-    EXPECT_TRUE(any_diff) << "int8 path did not engage";
-  }
-  EXPECT_FALSE(kernels::int8_eval_active());  // scope exit restores
-}
-
-TEST(Int8Eval, ConvLayerCloseToF32OverInventory) {
-  ModeGuard guard;
-  kernels::set_active_kernel(KernelKind::kTiled);
-  kernels::set_eval_mode(EvalMode::kInt8);
-  Rng rng(405);
-  for (const ConvCase& c : conv_cases()) {
-    Rng wrng(500 + c.k * 10 + c.groups);
-    Conv2d conv(c.in_c, c.out_c, c.k, c.stride, c.pad, c.groups, wrng, true);
-    const Tensor x =
-        Tensor::randn({c.n, c.in_c, 8, 8}, rng, 1.0f);
-    const Tensor f32 = conv.forward(x, /*train=*/false);
-    const kernels::EvalScope scope;
-    const Tensor q = conv.forward(x, /*train=*/false);
-    ASSERT_EQ(f32.size(), q.size());
-    const ConvShape s = make_shape(c, 8);
-    // sqrt-of-reduction scaling plus an absolute floor: for very short
-    // dots (pointwise grouped layers, patch == 2) per-term quantization
-    // noise does not average out.
-    const float tol =
-        0.02f * std::sqrt(static_cast<float>(s.patch())) + 0.02f;
-    for (std::size_t i = 0; i < f32.size(); ++i) {
-      ASSERT_NEAR(f32[i], q[i], tol * std::max(1.0f, std::fabs(f32[i])))
-          << "n=" << c.n << " k=" << c.k << " s=" << c.stride
-          << " p=" << c.pad << " g=" << c.groups << " elem " << i;
-    }
-  }
-}
-
-/// Synthetic separable two-class image set (label encoded in brightness).
-Dataset make_separable(std::size_t n, std::size_t seed) {
-  Rng rng(seed);
-  Tensor xs({n, 3, 8, 8});
-  std::vector<std::size_t> labels(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    labels[j] = j % 2;
-    const float base = labels[j] == 0 ? 0.2f : 0.8f;
-    for (std::size_t p = 0; p < 3 * 64; ++p) {
-      xs[j * 3 * 64 + p] = base + rng.uniform_f(-0.05f, 0.05f);
-    }
-  }
-  return Dataset(std::move(xs), std::move(labels));
-}
-
-TEST(Int8Eval, TrainedModelKeepsLossAndAccuracy) {
-  ModeGuard guard;
-  kernels::set_active_kernel(KernelKind::kTiled);
-  kernels::set_eval_mode(EvalMode::kF32);
-  ModelSpec spec;
-  spec.arch = "squeeze-mini";
-  spec.image_size = 8;
-  spec.num_classes = 2;
-  Rng mrng(88);
-  auto model = make_model(spec, mrng);
-  const Dataset train = make_separable(24, 900);
-  const Dataset test = make_separable(16, 901);
-  LocalTrainConfig cfg;
-  cfg.lr = 0.05f;
-  cfg.epochs = 4;
-  cfg.batch_size = 8;
-  Rng trng(89);
-  local_train(*model, train, cfg, trng);
-
-  const double loss_f32 = evaluate_loss(*model, test, 8);
-  const double acc_f32 = evaluate_accuracy(*model, test, 8);
-  kernels::set_eval_mode(EvalMode::kInt8);
-  const double loss_int8 = evaluate_loss(*model, test, 8);
-  const double acc_int8 = evaluate_accuracy(*model, test, 8);
-
-  EXPECT_TRUE(std::isfinite(loss_int8));
-  // Quantization noise budget: the probe losses HeteroSwitch compares
-  // against its EMA must stay meaningful under HS_EVAL=int8.
-  EXPECT_NEAR(loss_f32, loss_int8, 0.05);
-  // 16-sample test set: allow at most one flipped prediction.
-  EXPECT_NEAR(acc_f32, acc_int8, 1.0 / 16.0 + 1e-9);
-}
-
-/// Restores the int8 weight-code cache knob on scope exit.
-struct CacheGuard {
-  bool saved = kernels::int8_cache_enabled();
-  ~CacheGuard() { kernels::set_int8_cache_enabled(saved); }
-};
-
-TEST(Int8Eval, WeightCodeCacheBitIdenticalAcrossEvalBatches) {
-  ModeGuard guard;
-  CacheGuard cache_guard;
-  kernels::set_active_kernel(KernelKind::kTiled);
-  kernels::set_eval_mode(EvalMode::kInt8);
-  Rng rng(406);
-  Linear fc(24, 10, rng, true);
-  Conv2d conv(4, 8, 3, 1, 1, 1, rng, true);
-  const Tensor x = Tensor::randn({5, 24}, rng, 1.0f);
-  const Tensor xc = Tensor::randn({2, 4, 8, 8}, rng, 1.0f);
-  const kernels::EvalScope scope;
-
-  // First eval forward quantizes and stamps; the second is served from the
-  // cached weight codes. A third pass with the cache disabled re-quantizes
-  // from scratch. All three must be bit-identical: the codes are a pure
-  // function of the weight bytes.
-  kernels::set_int8_cache_enabled(true);
-  const Tensor warm_fc = fc.forward(x, /*train=*/false);
-  const Tensor hit_fc = fc.forward(x, /*train=*/false);
-  const Tensor warm_cv = conv.forward(xc, /*train=*/false);
-  const Tensor hit_cv = conv.forward(xc, /*train=*/false);
-  kernels::set_int8_cache_enabled(false);
-  const Tensor cold_fc = fc.forward(x, /*train=*/false);
-  const Tensor cold_cv = conv.forward(xc, /*train=*/false);
-  ASSERT_EQ(warm_fc.size(), hit_fc.size());
-  for (std::size_t i = 0; i < warm_fc.size(); ++i) {
-    ASSERT_EQ(warm_fc[i], hit_fc[i]) << "linear cache hit diverged, elem " << i;
-    ASSERT_EQ(warm_fc[i], cold_fc[i]) << "linear cache off diverged, elem " << i;
-  }
-  ASSERT_EQ(warm_cv.size(), hit_cv.size());
-  for (std::size_t i = 0; i < warm_cv.size(); ++i) {
-    ASSERT_EQ(warm_cv[i], hit_cv[i]) << "conv cache hit diverged, elem " << i;
-    ASSERT_EQ(warm_cv[i], cold_cv[i]) << "conv cache off diverged, elem " << i;
-  }
-}
-
-TEST(Int8Eval, WeightCodeCacheInvalidatedByParameterMutations) {
-  ModeGuard guard;
-  CacheGuard cache_guard;
-  kernels::set_active_kernel(KernelKind::kTiled);
-  kernels::set_eval_mode(EvalMode::kInt8);
-  kernels::set_int8_cache_enabled(true);
-  Rng rng(407);
-  Linear fc(16, 6, rng, true);
-  const Tensor x = Tensor::randn({3, 16}, rng, 1.0f);
-  const kernels::EvalScope scope;
-
-  const Tensor before = fc.forward(x, /*train=*/false);  // stamps the cache
-
-  // Every parameter-mutating entry point must bump the generation.
-  const std::uint64_t v0 = kernels::weight_version();
-  Sgd opt(fc, SgdOptions{});
-  opt.step();  // zero grads: weights unchanged numerically, still a bump
-  EXPECT_GT(kernels::weight_version(), v0);
-
-  // A real weight change through the sanctioned path must be visible in the
-  // next quantized forward (no stale codes served), and must match a
-  // cache-disabled forward bit-for-bit.
-  fc.weight()[0] += 1.0f;
-  kernels::bump_weight_version();  // weight() writes bypass set_params
-  const Tensor after = fc.forward(x, /*train=*/false);
-  kernels::set_int8_cache_enabled(false);
-  const Tensor after_ref = fc.forward(x, /*train=*/false);
-  ASSERT_EQ(after.size(), after_ref.size());
-  bool any_diff = false;
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    ASSERT_EQ(after[i], after_ref[i]) << "stale codes served, elem " << i;
-    any_diff = any_diff || after[i] != before[i];
-  }
-  EXPECT_TRUE(any_diff) << "weight mutation not visible after invalidation";
-}
-
 // ---------------------------------------------------- intra-op determinism --
 
 TEST(IntraOp, TiledGemmsBitIdenticalUnderWorkerPool) {
@@ -595,6 +371,21 @@ TEST(IntraOp, TiledConvBitIdenticalUnderWorkerPool) {
   }
 }
 
+/// Synthetic separable two-class image set (label encoded in brightness).
+Dataset make_separable(std::size_t n, std::size_t seed) {
+  Rng rng(seed);
+  Tensor xs({n, 3, 8, 8});
+  std::vector<std::size_t> labels(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    labels[j] = j % 2;
+    const float base = labels[j] == 0 ? 0.2f : 0.8f;
+    for (std::size_t p = 0; p < 3 * 64; ++p) {
+      xs[j * 3 * 64 + p] = base + rng.uniform_f(-0.05f, 0.05f);
+    }
+  }
+  return Dataset(std::move(xs), std::move(labels));
+}
+
 SimulationResult run_lone_straggler_sim(std::size_t num_threads) {
   ModeGuard guard;
   kernels::set_active_kernel(KernelKind::kTiled);
@@ -605,13 +396,14 @@ SimulationResult run_lone_straggler_sim(std::size_t num_threads) {
   spec.num_classes = 2;
   auto model = make_model(spec, mrng);
 
-  FlPopulation pop;
+  FlPopulation data;
   for (std::size_t i = 0; i < 4; ++i) {
-    pop.client_train.push_back(make_separable(8, 600 + i));
-    pop.client_device.push_back(0);
+    data.client_train.push_back(make_separable(8, 600 + i));
+    data.client_device.push_back(0);
   }
-  pop.device_test.push_back(make_separable(8, 700));
-  pop.device_names.push_back("synthetic");
+  data.device_test.push_back(make_separable(8, 700));
+  data.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(data));
 
   LocalTrainConfig cfg;
   cfg.lr = 0.05f;

@@ -554,7 +554,7 @@ TEST(Loopback, RefusesConfigsTheWireLayerCannotReproduce) {
   auto model = net_model(35);
   FedAvg algo(net_train_cfg());
   SimulationConfig cfg = loopback_sim_cfg();
-  cfg.on_round = [](std::size_t, double) {};  // legacy callback: monolithic only
+  cfg.faults.dropout_prob = 0.1;  // fault injection: monolithic only
   EXPECT_THROW(net::run_distributed_loopback(*model, algo, pop, cfg, 2),
                std::exception);
 }

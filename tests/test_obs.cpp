@@ -1,5 +1,5 @@
 // Unit tests for the observability library: JSONL escaping/formatting, the
-// flat-object parser, metrics (exact nearest-rank percentiles), and the
+// flat-object parser, the exact nearest-rank percentile histogram, and the
 // Tracer's framing contract (run/seq).
 #include <gtest/gtest.h>
 
@@ -146,40 +146,6 @@ TEST(Histogram, PercentileCacheSurvivesInterleavedObserves) {
   EXPECT_EQ(h.percentile(100), 1.0);
   h.observe(5.0);  // must invalidate the sorted cache
   EXPECT_EQ(h.percentile(100), 5.0);
-}
-
-TEST(MetricsRegistry, AccessorsCreateAndAccumulate) {
-  MetricsRegistry reg;
-  reg.counter("fl.rounds").add(2);
-  reg.counter("fl.rounds").add(3);
-  reg.gauge("fl.loss").set(0.5);
-  reg.histogram("fl.seconds").observe(1.0);
-  EXPECT_EQ(reg.counter("fl.rounds").value(), 5u);
-  EXPECT_EQ(reg.gauge("fl.loss").value(), 0.5);
-  EXPECT_EQ(reg.size(), 3u);
-}
-
-TEST(MetricsRegistry, RejectsKindCollisions) {
-  MetricsRegistry reg;
-  reg.counter("x");
-  EXPECT_THROW(reg.gauge("x"), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("x"), std::invalid_argument);
-}
-
-TEST(MetricsRegistry, WritesJsonlSnapshot) {
-  MetricsRegistry reg;
-  reg.counter("c").add(4);
-  reg.gauge("g").set(1.5);
-  reg.histogram("h").observe(2.0);
-  std::ostringstream out;
-  JsonlWriter w(out);
-  reg.write_jsonl(w);
-  EXPECT_EQ(w.lines_written(), 3u);
-  std::istringstream lines(out.str());
-  std::string line;
-  while (std::getline(lines, line)) {
-    ASSERT_TRUE(parse_flat_json(line).has_value()) << line;
-  }
 }
 
 // ------------------------------------------------------------------- tracer

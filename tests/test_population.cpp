@@ -203,6 +203,9 @@ TEST(VirtualPopulation, PopCacheEnvStrictlyParsed) {
   const Rng root = Rng(19).fork(1);
   const PopulationSpec spec = small_single_label(scenes, 4);
   EXPECT_THROW(VirtualPopulation(spec, root), std::invalid_argument);
+  // 21 digits: past 2^64, so it must be rejected rather than wrap.
+  setenv("HS_POP_CACHE", "184467440737095516160", 1);
+  EXPECT_THROW(VirtualPopulation(spec, root), std::invalid_argument);
   unsetenv("HS_POP_CACHE");
 }
 
@@ -301,7 +304,7 @@ TEST(VirtualPopulation, AllDevicesExcludedThrows) {
 
 // ------------------------------------------------ simulation parity --
 
-SimulationResult run_sim(Model& model, FederatedAlgorithm& algo,
+SimulationResult run_sim(Model& model, SplitFederatedAlgorithm& algo,
                          const ClientProvider& pop, std::size_t rounds,
                          std::size_t threads,
                          const CheckpointOptions& ckpt = {}) {
@@ -354,6 +357,16 @@ TEST(Checkpoint, SpecParsing) {
   EXPECT_THROW(parse_checkpoint_spec(""), std::runtime_error);
   EXPECT_THROW(parse_checkpoint_spec("dir,every=0"), std::runtime_error);
   EXPECT_THROW(parse_checkpoint_spec("dir,bogus=1"), std::runtime_error);
+  EXPECT_THROW(parse_checkpoint_spec("dir,every=-1"), std::runtime_error);
+  EXPECT_THROW(parse_checkpoint_spec("dir,every=5x"), std::runtime_error);
+  EXPECT_THROW(parse_checkpoint_spec("dir,resume=yes"), std::runtime_error);
+  try {
+    parse_checkpoint_spec("dir,every=abc");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("every"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Checkpoint, ResumeIsBitIdentical) {

@@ -14,6 +14,8 @@
 namespace hetero {
 namespace {
 
+using hetero::testing::run_one_round;
+
 Dataset separable(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   Tensor xs({n, 3, 8, 8});
@@ -86,8 +88,8 @@ TEST(DpFedAvg, NoNoiseNoClipMatchesEqualWeightedFedAvg) {
   auto ref = tiny(1);
   FedAvg fedavg(fast_cfg());
   Rng r1(3), r2(3);
-  dp.run_round(*model, {0}, clients, r1);
-  fedavg.run_round(*ref, {0}, clients, r2);
+  run_one_round(*model, dp, {0}, clients, r1);
+  run_one_round(*ref, fedavg, {0}, clients, r2);
   hetero::testing::expect_tensor_near(model->state(), ref->state(), 1e-5f);
   EXPECT_DOUBLE_EQ(dp.last_clip_fraction(), 0.0);
   EXPECT_DOUBLE_EQ(dp.last_noise_stddev(), 0.0);
@@ -103,7 +105,7 @@ TEST(DpFedAvg, TightClipBoundsMovement) {
   DpFedAvg dp(fast_cfg(), opt);
   dp.init(*model, 1);
   Rng rng(6);
-  dp.run_round(*model, {0}, clients, rng);
+  run_one_round(*model, dp, {0}, clients, rng);
   EXPECT_LE((model->state() - start).norm(), 0.0101f);
   EXPECT_DOUBLE_EQ(dp.last_clip_fraction(), 1.0);
 }
@@ -117,19 +119,20 @@ TEST(DpFedAvg, NoiseScaleFollowsFormula) {
   DpFedAvg dp(fast_cfg(), opt);
   dp.init(*model, 2);
   Rng rng(10);
-  dp.run_round(*model, {0, 1}, clients, rng);
+  run_one_round(*model, dp, {0, 1}, clients, rng);
   EXPECT_NEAR(dp.last_noise_stddev(), 0.5 * 2.0 / 2.0, 1e-12);
 }
 
 TEST(DpFedAvg, LearnsWithModeratePrivacy) {
   auto model = tiny(11);
-  FlPopulation pop;
+  FlPopulation data;
   for (int i = 0; i < 4; ++i) {
-    pop.client_train.push_back(separable(16, 20 + i));
-    pop.client_device.push_back(0);
+    data.client_train.push_back(separable(16, 20 + i));
+    data.client_device.push_back(0);
   }
-  pop.device_test.push_back(separable(32, 30));
-  pop.device_names.push_back("synthetic");
+  data.device_test.push_back(separable(32, 30));
+  data.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(data));
   DpOptions opt;
   opt.clip_norm = 5.0f;
   opt.noise_multiplier = 0.01f;
@@ -145,13 +148,14 @@ TEST(DpFedAvg, LearnsWithModeratePrivacy) {
 TEST(DpFedAvg, HeavyNoiseDegradesLearning) {
   auto quiet = tiny(12);
   auto noisy = tiny(12);
-  FlPopulation pop;
+  FlPopulation data;
   for (int i = 0; i < 4; ++i) {
-    pop.client_train.push_back(separable(16, 40 + i));
-    pop.client_device.push_back(0);
+    data.client_train.push_back(separable(16, 40 + i));
+    data.client_device.push_back(0);
   }
-  pop.device_test.push_back(separable(32, 50));
-  pop.device_names.push_back("synthetic");
+  data.device_test.push_back(separable(32, 50));
+  data.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(data));
   SimulationConfig sim;
   sim.rounds = 12;
   sim.clients_per_round = 2;

@@ -166,7 +166,7 @@ TEST_P(AlgorithmSweep, LearnsSeparableTask) {
   cfg.lr = 0.05f;
   cfg.epochs = 1;
   cfg.batch_size = 4;
-  std::unique_ptr<FederatedAlgorithm> algo;
+  std::unique_ptr<SplitFederatedAlgorithm> algo;
   switch (GetParam()) {
     case AlgoKind::kFedAvg: algo = std::make_unique<FedAvg>(cfg); break;
     case AlgoKind::kQFedAvg:
@@ -189,13 +189,14 @@ TEST_P(AlgorithmSweep, LearnsSeparableTask) {
       break;
     }
   }
-  FlPopulation pop;
+  FlPopulation data;
   for (int i = 0; i < 4; ++i) {
-    pop.client_train.push_back(separable_data(16, 100 + i));
-    pop.client_device.push_back(0);
+    data.client_train.push_back(separable_data(16, 100 + i));
+    data.client_device.push_back(0);
   }
-  pop.device_test.push_back(separable_data(32, 200));
-  pop.device_names.push_back("synthetic");
+  data.device_test.push_back(separable_data(32, 200));
+  data.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(data));
 
   Rng rng(7);
   ModelSpec spec;

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fl/algorithm.h"
@@ -80,56 +80,6 @@ void expect_same_metrics(const DeviceMetrics& a, const DeviceMetrics& b) {
   EXPECT_EQ(a.variance, b.variance);
   EXPECT_EQ(a.worst_case, b.worst_case);
 }
-
-// Minimal serial-only algorithm (as_split() == nullptr): sample-weighted
-// FedAvg with its own serial client loop. Every library algorithm is split
-// now, so this stub keeps the executor's serial-fallback path under test.
-class SerialOnlyFedAvg : public FederatedAlgorithm {
- public:
-  explicit SerialOnlyFedAvg(LocalTrainConfig cfg) : cfg_(cfg) {}
-  std::string name() const override { return "SerialOnlyFedAvg"; }
-
- protected:
-  RoundStats do_run_round(Model& model,
-                          const std::vector<std::size_t>& selected,
-                          const std::vector<Dataset>& client_data, Rng& rng,
-                          RoundContext& ctx) override {
-    const Tensor global = model.state();
-    std::vector<ClientUpdate> updates;
-    updates.reserve(selected.size());
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      const std::size_t id = selected[i];
-      const Dataset& data = client_data.at(id);
-      model.set_state(global);
-      Rng client_rng = rng.fork(id);
-      const auto t0 = std::chrono::steady_clock::now();
-      const float loss = local_train(model, data, cfg_, client_rng);
-      ClientUpdate u;
-      u.client_id = id;
-      u.state = model.state();
-      u.weight = static_cast<double>(data.size());
-      u.train_loss = static_cast<double>(loss);
-      u.train_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      ctx.finish_client(u, i);
-      updates.push_back(std::move(u));
-    }
-    RoundStats stats = summarize_updates(updates, model.state_size());
-    std::vector<Tensor> states;
-    std::vector<double> weights;
-    for (ClientUpdate& u : updates) {
-      states.push_back(std::move(u.state));
-      weights.push_back(u.weight);
-    }
-    Tensor avg = weighted_average_states(states, weights);
-    model.set_state(avg);
-    return stats;
-  }
-
- private:
-  LocalTrainConfig cfg_;
-};
 
 // -------------------------------------------------------------- ThreadPool --
 
@@ -245,10 +195,10 @@ TEST(ModelClone, CloneForwardMatchesOriginal) {
 
 // ---------------------------------------------- determinism across threads --
 
-SimulationResult run_sim(FederatedAlgorithm& algo, std::size_t num_threads,
+SimulationResult run_sim(SplitFederatedAlgorithm& algo, std::size_t num_threads,
                          std::uint64_t seed) {
   auto model = tiny_model(seed);
-  FlPopulation pop = synthetic_population(8, 500);
+  const MaterializedPopulation pop(synthetic_population(8, 500));
   SimulationConfig sim;
   sim.rounds = 5;
   sim.clients_per_round = 4;
@@ -298,27 +248,13 @@ TEST(Determinism, ScaffoldBitIdenticalAcrossThreadCounts) {
   expect_same_metrics(r1.final_metrics, r3.final_metrics);
 }
 
-TEST(Determinism, SerialOnlyAlgorithmFallsBackAndStaysDeterministic) {
-  // A serial-only algorithm (as_split() == null) must run unchanged
-  // regardless of the thread budget.
-  SerialOnlyFedAvg s1(fast_cfg());
-  SerialOnlyFedAvg s4(fast_cfg());
-  EXPECT_EQ(s1.as_split(), nullptr);
-  const SimulationResult r1 = run_sim(s1, 1, 66);
-  const SimulationResult r4 = run_sim(s4, 4, 66);
-  for (std::size_t t = 0; t < r1.train_loss_history.size(); ++t) {
-    EXPECT_EQ(r1.train_loss_history[t], r4.train_loss_history[t]);
-  }
-  expect_same_metrics(r1.final_metrics, r4.final_metrics);
-}
-
 TEST(Determinism, DpFedAvgBitIdenticalAcrossThreadCounts) {
   // DP-FedAvg is split now: clients clip in parallel while the server noise
   // stream stays serial, so results must replay for any thread count.
   DpOptions opts;
   DpFedAvg d1(fast_cfg(), opts);
   DpFedAvg d4(fast_cfg(), opts);
-  EXPECT_NE(d1.as_split(), nullptr);
+  static_assert(std::is_base_of_v<SplitFederatedAlgorithm, DpFedAvg>);
   const SimulationResult r1 = run_sim(d1, 1, 66);
   const SimulationResult r4 = run_sim(d4, 4, 66);
   for (std::size_t t = 0; t < r1.train_loss_history.size(); ++t) {
@@ -333,7 +269,7 @@ TEST(Determinism, CompressedFedAvgBitIdenticalAcrossThreadCounts) {
   CompressionOptions opts;
   CompressedFedAvg c1(fast_cfg(), opts);
   CompressedFedAvg c4(fast_cfg(), opts);
-  EXPECT_NE(c1.as_split(), nullptr);
+  static_assert(std::is_base_of_v<SplitFederatedAlgorithm, CompressedFedAvg>);
   const SimulationResult r1 = run_sim(c1, 1, 67);
   const SimulationResult r4 = run_sim(c4, 4, 67);
   for (std::size_t t = 0; t < r1.train_loss_history.size(); ++t) {
@@ -368,28 +304,29 @@ TEST(RuntimeStats, ZeroThreadsResolvesToHardwareConcurrency) {
 
 // ------------------------------------------------- executor direct checks --
 
-TEST(ClientExecutor, MatchesAlgorithmRunRoundExactly) {
-  // One round driven by the executor vs. the algorithm's own serial
-  // run_round, from identical starting points.
-  FlPopulation pop = synthetic_population(6, 900);
+TEST(ClientExecutor, OneThreadMatchesFourThreadsExactly) {
+  // One round on a one-thread executor (inline on the shared model) vs. a
+  // four-thread one (per-worker replicas), from identical starting points.
+  const MaterializedPopulation pop(synthetic_population(6, 900));
   const std::vector<std::size_t> selected = {4, 1, 3};
 
   auto model_a = tiny_model(88);
   FedAvg algo_a(fast_cfg());
   Rng rng_a(5);
+  ClientExecutor serial(1);
   const RoundStats ref =
-      algo_a.run_round(*model_a, selected, pop.client_train, rng_a);
+      serial.run_round(*model_a, algo_a, selected, pop, rng_a);
 
   auto model_b = tiny_model(88);
   FedAvg algo_b(fast_cfg());
   Rng rng_b(5);
   ClientExecutor executor(4);
   RoundRuntime runtime;
-  const RoundStats got = executor.run_round(*model_b, algo_b, selected,
-                                            pop.client_train, rng_b, &runtime);
+  const RoundStats got =
+      executor.run_round(*model_b, algo_b, selected, pop, rng_b, &runtime);
 
   EXPECT_EQ(ref.mean_train_loss, got.mean_train_loss);
-  EXPECT_TRUE(runtime.parallel);
+  EXPECT_EQ(executor.num_threads(), 4u);
   EXPECT_GT(runtime.client_seconds_sum, 0.0);
   const Tensor sa = model_a->state();
   const Tensor sb = model_b->state();
@@ -444,11 +381,11 @@ class RecordingObserver : public RoundObserver {
   std::vector<std::string> log;
 };
 
-SimulationResult run_observed(FederatedAlgorithm& algo, RoundObserver& obs,
+SimulationResult run_observed(SplitFederatedAlgorithm& algo, RoundObserver& obs,
                               std::size_t num_threads, std::uint64_t seed,
                               std::size_t eval_every = 0) {
   auto model = tiny_model(seed);
-  FlPopulation pop = synthetic_population(8, 500);
+  const MaterializedPopulation pop(synthetic_population(8, 500));
   SimulationConfig sim;
   sim.rounds = 5;
   sim.clients_per_round = 4;
@@ -549,67 +486,16 @@ TEST(Observer, EvalFiresAtCheckpointsAndFinal) {
   EXPECT_EQ(r.checkpoints.size(), 2u);
 }
 
-TEST(Observer, SerialFallbackIsFlaggedAndTimed) {
-  // Serial-only algorithms (no split phase) must still report per-client
-  // wall time and raise the serial_fallback flag.
-  SerialOnlyFedAvg stub(fast_cfg());
-  RecordingObserver rec;
-  {
-    auto model = tiny_model(96);
-    FlPopulation pop = synthetic_population(8, 500);
-    SimulationConfig sim;
-    sim.rounds = 2;
-    sim.clients_per_round = 3;
-    sim.seed = 96;
-    sim.num_threads = 4;
-    sim.observer = &rec;
-    const SimulationResult r = run_simulation(*model, stub, pop, sim);
-    EXPECT_TRUE(r.runtime.serial_fallback);
-    EXPECT_GT(r.runtime.client_seconds_sum, 0.0);
-    EXPECT_GT(r.runtime.client_seconds_max, 0.0);
-    EXPECT_LE(r.runtime.client_seconds_max, r.runtime.client_seconds_sum);
+/// Records (round, mean train loss) at every round end.
+class LossObserver : public RoundObserver {
+ public:
+  void on_round_end(std::size_t round, const RoundStats& stats) override {
+    hits.push_back({round, stats.mean_train_loss});
   }
-  // 2 rounds x (begin + 3 clients + end) + final eval.
-  EXPECT_EQ(rec.log.size(), 2u * 5u + 1u);
+  std::vector<std::pair<std::size_t, double>> hits;
+};
 
-  // DP-FedAvg and CompressedFedAvg ride the split path now: the executor
-  // must run them parallel without raising the flag.
-  DpOptions dp_opts;
-  DpFedAvg dp(fast_cfg(), dp_opts);
-  {
-    auto model = tiny_model(97);
-    FlPopulation pop = synthetic_population(6, 500);
-    SimulationConfig sim;
-    sim.rounds = 1;
-    sim.clients_per_round = 3;
-    sim.seed = 97;
-    sim.num_threads = 4;
-    const SimulationResult r = run_simulation(*model, dp, pop, sim);
-    EXPECT_FALSE(r.runtime.serial_fallback);
-    EXPECT_GT(r.runtime.client_seconds_sum, 0.0);
-  }
-  CompressionOptions comp_opts;
-  CompressedFedAvg comp(fast_cfg(), comp_opts);
-  {
-    auto model = tiny_model(97);
-    FlPopulation pop = synthetic_population(6, 500);
-    SimulationConfig sim;
-    sim.rounds = 1;
-    sim.clients_per_round = 3;
-    sim.seed = 97;
-    sim.num_threads = 4;
-    const SimulationResult r = run_simulation(*model, comp, pop, sim);
-    EXPECT_FALSE(r.runtime.serial_fallback);
-    EXPECT_GT(r.runtime.client_seconds_sum, 0.0);
-  }
-
-  // A split algorithm on the parallel path must NOT raise the flag.
-  FedAvg fedavg(fast_cfg());
-  const SimulationResult r = run_sim(fedavg, 2, 98);
-  EXPECT_FALSE(r.runtime.serial_fallback);
-}
-
-TEST(Observer, MulticastFansOutAndCallbackAdapterForwards) {
+TEST(Observer, MulticastFansOutToEveryChild) {
   RecordingObserver a, b;
   MulticastObserver multi;
   multi.add(&a);
@@ -617,16 +503,15 @@ TEST(Observer, MulticastFansOutAndCallbackAdapterForwards) {
   multi.add(&b);
   EXPECT_FALSE(multi.empty());
 
-  std::vector<std::pair<std::size_t, double>> callback_hits;
-  auto legacy = observer_from_callback(
-      [&](std::size_t round, double loss) { callback_hits.push_back({round, loss}); });
-  multi.add(legacy.get());
+  LossObserver losses;
+  multi.add(&losses);
+  const auto& callback_hits = losses.hits;
 
   FedAvg algo(fast_cfg());
   run_observed(algo, multi, 2, 99);
   ASSERT_EQ(a.log.size(), b.log.size());
   for (std::size_t i = 0; i < a.log.size(); ++i) EXPECT_EQ(a.log[i], b.log[i]);
-  // The legacy adapter fires once per round with the round's mean loss.
+  // The loss observer fires once per round with the round's mean loss.
   ASSERT_EQ(callback_hits.size(), 5u);
   for (std::size_t r = 0; r < 5; ++r) {
     EXPECT_EQ(callback_hits[r].first, r);

@@ -77,7 +77,7 @@ SchedRun run_sched(const SchedulerOptions& sched, const FaultOptions& faults,
                    RoundObserver* observer = nullptr) {
   auto model = tiny_model(seed);
   FedAvg algo(fast_cfg());
-  FlPopulation pop = synthetic_population(8, 500);
+  const MaterializedPopulation pop(synthetic_population(8, 500));
   SimulationConfig sim;
   sim.rounds = rounds;
   sim.clients_per_round = clients_per_round;
@@ -151,20 +151,6 @@ struct RecordingObserver : RoundObserver {
   }
 };
 
-// Serial-only algorithm: scheduled modes require the split client/server
-// phases, so routing this through the scheduler must be rejected loudly.
-class SerialOnlyStub : public FederatedAlgorithm {
- public:
-  std::string name() const override { return "SerialOnlyStub"; }
-
- protected:
-  RoundStats do_run_round(Model&, const std::vector<std::size_t>&,
-                          const std::vector<Dataset>&, Rng&,
-                          RoundContext&) override {
-    return RoundStats{};
-  }
-};
-
 // -------------------------------------------------------------- sched spec --
 
 TEST(SchedSpec, EmptySpecIsSync) {
@@ -209,6 +195,7 @@ TEST(SchedSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse_sched_spec("async,bogus=1"), std::invalid_argument);
   EXPECT_THROW(parse_sched_spec("buffer=x"), std::invalid_argument);
   EXPECT_THROW(parse_sched_spec("async,buffer"), std::invalid_argument);
+  EXPECT_THROW(parse_sched_spec("buffered,buffer=-1"), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- event queue --
@@ -375,7 +362,7 @@ TEST(SchedFaults, TotalDurationTimeoutDropsEveryone) {
   auto model = tiny_model(40);
   const Tensor before = model->state();
   FedAvg algo(fast_cfg());
-  FlPopulation pop = synthetic_population(8, 41);
+  const MaterializedPopulation pop(synthetic_population(8, 41));
   SimulationConfig sim;
   sim.rounds = 3;
   sim.clients_per_round = 4;
@@ -452,23 +439,12 @@ TEST(SchedObserver, FlushFramesReconcileVersionsAndVirtualTime) {
 
 // ------------------------------------------------------------ guard rails --
 
-TEST(SchedGuards, ScheduledModesRequireASplitAlgorithm) {
-  auto model = tiny_model(90);
-  SerialOnlyStub stub;
-  FlPopulation pop = synthetic_population(4, 91);
-  SimulationConfig sim;
-  sim.rounds = 2;
-  sim.clients_per_round = 2;
-  sim.sched = parse_sched_spec("async");
-  EXPECT_THROW(run_simulation(*model, stub, pop, sim), std::invalid_argument);
-}
-
 TEST(SchedGuards, ContinuousRefillNeedsHeadroom) {
   // k == N starves the refill sampler (every client is in flight); the
   // scheduler demands wave sampling for that shape.
   auto model = tiny_model(95);
   FedAvg algo(fast_cfg());
-  FlPopulation pop = synthetic_population(4, 96);
+  const MaterializedPopulation pop(synthetic_population(4, 96));
   SimulationConfig sim;
   sim.rounds = 2;
   sim.clients_per_round = 4;

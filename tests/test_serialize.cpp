@@ -1,11 +1,15 @@
 // Serialization (tensors, archives, model checkpoints) and PPM export.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "fl/checkpoint.h"
 #include "image/ppm.h"
 #include "nn/model_zoo.h"
 #include "tensor/serialize.h"
@@ -61,6 +65,22 @@ TEST(Serialize, TruncatedInputRejected) {
   const std::string full = ss.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
   EXPECT_THROW(read_tensor(truncated), std::runtime_error);
+}
+
+TEST(Serialize, WrappedVolumeRejected) {
+  // Two dims of 2^32 multiply to 2^64, which wraps a 64-bit volume to 0: with
+  // count 0 the header would pass for an empty tensor whose shape claims
+  // 2^64 elements.
+  std::stringstream ss;
+  const std::uint32_t version = 1, rank = 2;
+  const std::uint64_t dim = 1ull << 32, count = 0;
+  ss.write("HSTN", 4);
+  ss.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  ss.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
+  ss.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  ss.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  ss.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  EXPECT_THROW(read_tensor(ss), std::runtime_error);
 }
 
 TEST(Serialize, MissingFileThrows) {
@@ -169,6 +189,61 @@ TEST(Ppm, MosaicExport) {
 TEST(Ppm, EmptyImageFails) {
   EXPECT_FALSE(write_ppm(temp_path("x.ppm"), Image()));
   EXPECT_FALSE(write_ppm_mosaic(temp_path("x.ppm"), RawImage()));
+}
+
+// ----------------------------------------------------------- checkpoints --
+
+/// Writes a small valid checkpoint to `path` and returns its bytes.
+std::string write_small_checkpoint(const std::string& path) {
+  SimulationCheckpoint ck;
+  ck.next_round = 3;
+  ck.seed = 7;
+  ck.num_clients = 10;
+  ck.clients_per_round = 2;
+  ck.algorithm = "FedAvg";
+  ck.model_state = Tensor({4});
+  ck.loss_history = {1.5, 1.25};
+  write_checkpoint(path, ck);
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(CheckpointFile, ForgedLossCountRejected) {
+  const std::string path = temp_path("hs_ckpt_forged.bin");
+  std::string bytes = write_small_checkpoint(path);
+  // After the loss_history count come its two values, the empty
+  // virtual-time vector's count and the four empty map counts.
+  const std::size_t at = bytes.size() - (2 * 8 + 8 + 4 * 8) - 8;
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + at, sizeof(count));
+  ASSERT_EQ(count, 2u);
+  // 2^40 doubles would be an 8 TiB reservation, 2^61 more than a vector
+  // can hold; both must fail as a malformed file.
+  for (const std::uint64_t forged : {1ull << 40, 1ull << 61}) {
+    std::memcpy(bytes.data() + at, &forged, sizeof(forged));
+    write_bytes(path, bytes);
+    SimulationCheckpoint out;
+    EXPECT_THROW(read_checkpoint(path, out), std::runtime_error) << forged;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, EveryStrictPrefixRejected) {
+  const std::string path = temp_path("hs_ckpt_prefix.bin");
+  const std::string bytes = write_small_checkpoint(path);
+  SimulationCheckpoint out;
+  ASSERT_TRUE(read_checkpoint(path, out));
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    write_bytes(path, bytes.substr(0, len));
+    EXPECT_THROW(read_checkpoint(path, out), std::runtime_error)
+        << "prefix of " << len << " bytes";
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -174,6 +174,21 @@ TEST(Config, EnvDoubleFallback) {
   unsetenv("HS_TEST_DBL");
 }
 
+TEST(Config, ParseUintAcceptsDigitsOnly) {
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("0042"), 42u);
+  EXPECT_EQ(parse_uint("18446744073709551615"), 18446744073709551615ull);
+  EXPECT_FALSE(parse_uint(""));
+  EXPECT_FALSE(parse_uint("-1"));
+  EXPECT_FALSE(parse_uint("+1"));
+  EXPECT_FALSE(parse_uint(" 3"));
+  EXPECT_FALSE(parse_uint("3 "));
+  EXPECT_FALSE(parse_uint("5x"));
+  EXPECT_FALSE(parse_uint("abc"));
+  EXPECT_FALSE(parse_uint("18446744073709551616"));   // 2^64
+  EXPECT_FALSE(parse_uint("184467440737095516160"));  // 21 digits
+}
+
 TEST(Config, BenchConfigPickRounds) {
   BenchConfig cfg;
   cfg.scale = 0;

@@ -1,16 +1,67 @@
-// Shared test helpers: numerical gradient checking for layers and small
-// tensor-comparison utilities.
+// Shared test helpers: numerical gradient checking for layers, small
+// tensor-comparison utilities, and a single-round helper over a bare
+// dataset vector.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "data/dataset.h"
+#include "fl/algorithm.h"
+#include "fl/client_provider.h"
 #include "nn/layer.h"
+#include "runtime/client_executor.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
 namespace hetero::testing {
+
+/// Serves a bare dataset vector through the provider interface: every
+/// client is device 0 and there are no test sets.
+class VectorDatasetProvider final : public ClientProvider {
+ public:
+  explicit VectorDatasetProvider(const std::vector<Dataset>& data)
+      : data_(data) {}
+
+  std::size_t num_clients() const override { return data_.size(); }
+  std::size_t device_of(std::size_t) const override { return 0; }
+  double work_of(std::size_t client) const override {
+    return static_cast<double>(data_.at(client).size());
+  }
+  const Dataset& client_dataset(std::size_t client,
+                                ClientSlot&) const override {
+    return data_.at(client);
+  }
+  const std::vector<Dataset>& device_test() const override { return none_; }
+  const std::vector<std::string>& device_names() const override {
+    return names_;
+  }
+  const std::vector<double>& device_speed_scale() const override {
+    return scale_;
+  }
+
+ private:
+  const std::vector<Dataset>& data_;
+  std::vector<Dataset> none_;
+  std::vector<std::string> names_;
+  std::vector<double> scale_;
+};
+
+/// One communication round on a one-thread ClientExecutor: local_update
+/// for every selected client (streams forked from `rng` by client id), the
+/// quarantine of non-finite updates, then the aggregate.
+inline RoundStats run_one_round(Model& model,
+                                SplitFederatedAlgorithm& algorithm,
+                                const std::vector<std::size_t>& selected,
+                                const std::vector<Dataset>& client_data,
+                                Rng& rng) {
+  ClientExecutor executor(1);
+  const VectorDatasetProvider provider(client_data);
+  return executor.run_round(model, algorithm, selected, provider, rng);
+}
 
 /// Element-wise tensor comparison with absolute tolerance.
 inline void expect_tensor_near(const Tensor& a, const Tensor& b,

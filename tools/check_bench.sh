@@ -6,13 +6,6 @@
 # whose own exit code enforces the HS_ISP=fast >= 3x paired-median contract
 # on the full raw->RGB pipeline (bench/micro_isp.cpp).
 #
-# Known non-gating regression: the fast+int8 combination lands ~0.78x of
-# tiled in the committed BENCH_round_e2e.json. int8 eval is a semantics
-# path (quantized inference), not a throughput path, and at this model size
-# the quantize/dequantize overhead outweighs the narrower arithmetic — so
-# int8 is deliberately absent from HS_E2E_MODES below and nothing gates on
-# it. Revisit if int8 becomes a throughput claim.
-#
 # Usage: tools/check_bench.sh [tolerance-fraction]
 #   tools/check_bench.sh          # 10% tolerance
 #   tools/check_bench.sh 0.25     # sloppier box: allow 25%
@@ -20,8 +13,8 @@
 # Environment:
 #   BUILD_DIR   build tree holding bench/micro_round_e2e (default: build)
 #   HS_E2E_MODES  modes to re-measure (default: tiled,fast — the two that
-#                 matter for the fast>=1.3x contract; reference is slow and
-#                 int8 is a semantics path, so neither gates by default)
+#                 matter for the fast>=1.3x contract; reference is slow, so
+#                 it does not gate by default)
 #
 # The bench writes BENCH_round_e2e.json into its working directory, so we
 # run it from a scratch dir and leave the committed baseline untouched.

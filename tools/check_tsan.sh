@@ -22,10 +22,10 @@
 # loops (the clones compile out under TSan; the fast row-major loops and
 # their scratch arenas are what gets checked). The
 # fast-kernel tests add the intra-op worker fan-out (detail::intra_for under
-# a ScopedIntraOp grant) and the HS_KERNEL=fast / HS_EVAL=int8 dispatch to
-# the raced surface. The net tests run loopback daemon rounds with the root
-# epoll loop and worker/edge nodes on separate threads exchanging frames
-# over real sockets, plus the int8 weight-version generation counter.
+# a ScopedIntraOp grant) and the HS_KERNEL=fast dispatch to the raced
+# surface. The net tests run loopback daemon rounds with the root epoll
+# loop and worker/edge nodes on separate threads exchanging frames over
+# real sockets.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -45,6 +45,7 @@
 #include "nn/model_zoo.h"
 #include "runtime/faults.h"
 #include "scene/scene_gen.h"
+#include "util/config.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -258,11 +259,11 @@ int cmd_train(const Args& args) {
 struct FlStack {
   std::unique_ptr<SceneGenerator> scenes;
   std::unique_ptr<ClientProvider> population;
-  std::unique_ptr<FederatedAlgorithm> algorithm;
+  std::unique_ptr<SplitFederatedAlgorithm> algorithm;
   std::unique_ptr<Model> model;
 };
 
-std::unique_ptr<FederatedAlgorithm> build_algorithm(const Args& args) {
+std::unique_ptr<SplitFederatedAlgorithm> build_algorithm(const Args& args) {
   const std::string method = args.get("method", "heteroswitch");
   LocalTrainConfig local;
   local.lr = 0.1f;
@@ -367,12 +368,11 @@ NetEnv parse_net_env() {
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
     if (key == "maxframe") {
-      char* end = nullptr;
-      const unsigned long long bytes = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || bytes == 0) {
+      const std::optional<std::uint64_t> bytes = parse_uint(value);
+      if (!bytes || *bytes == 0) {
         throw std::runtime_error("HS_NET: bad maxframe '" + value + "'");
       }
-      out.max_payload = static_cast<std::size_t>(bytes);
+      out.max_payload = static_cast<std::size_t>(*bytes);
     } else if (key == "trace") {
       if (value != "0" && value != "1") {
         throw std::runtime_error("HS_NET: trace must be 0 or 1, got '" +
@@ -401,7 +401,7 @@ bool split_host_port(const std::string& s, std::string& host,
 }
 
 /// The final-metrics table shared by `fl` and `serve`.
-void print_fl_result(const FederatedAlgorithm& algo, std::size_t rounds,
+void print_fl_result(const SplitFederatedAlgorithm& algo, std::size_t rounds,
                      const ClientProvider& pop, const SimulationResult& r) {
   std::printf("\n%s after %zu rounds:\n", algo.name().c_str(), rounds);
   Table table({"Device", "Accuracy"});
