@@ -58,7 +58,7 @@ FlPopulation synthetic_population(std::size_t clients,
 
 struct Scenario {
   std::string name;
-  std::string sched_spec;  // parse_sched_spec input; empty = sync loop
+  std::string sched_spec;  // parse_sched_spec input; empty = sync rounds
   std::string fault_spec;  // parse_fault_spec input
 };
 

@@ -1,4 +1,4 @@
-// Microbenchmark: FL round throughput of the parallel client executor.
+// Microbenchmark: FL round throughput of the parallel client fan-out.
 //
 // Runs the same FedAvg workload (K=20 clients per round on synthetic
 // separable data) at 1, 2, 4 and all-hardware threads and reports

@@ -2,7 +2,7 @@
 // a synthetic squeeze-mini population, once per kernel mode —
 //   reference, tiled and fast (HS_KERNEL) —
 // reporting clients/s and rounds/s per mode. Also re-runs the tiled mode
-// with a larger thread count than selected clients (the executor's
+// with a larger thread count than selected clients (the scheduler's
 // intra-op lone-straggler/spare-worker grant) and checks the loss history
 // is bit-identical to the serial run, per the §13 determinism contract.
 //
@@ -215,7 +215,7 @@ int main() {
   }
 
   // Intra-op determinism: tiled with more threads than selected clients
-  // routes through the executor's ScopedIntraOp grant; the loss history
+  // routes through the scheduler's ScopedIntraOp grant; the loss history
   // must match the serial run bit for bit (DESIGN.md §13).
   const ModeResult serial = run_mode(kernels::KernelKind::kTiled, 1);
   const ModeResult pooled =

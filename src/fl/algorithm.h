@@ -2,10 +2,10 @@
 //
 // A SplitFederatedAlgorithm owns both sides of one method: a pure
 // per-client update rule (local_update) and a serial server aggregation
-// (aggregate). The round engines — ClientExecutor for sync rounds,
-// EventScheduler for async/buffered flushes, the net nodes for distributed
-// runs — call local_update once per selected client and aggregate once per
-// round or flush; the algorithm mutates the shared global Model only in
+// (aggregate). The round engines — the EventScheduler for in-process sync
+// rounds and async/buffered flushes, the net nodes for distributed runs —
+// call local_update once per selected client and aggregate once per round
+// or flush; the algorithm mutates the shared global Model only in
 // aggregate.
 // Per-worker model replicas are reused for every simulated client by
 // swapping flat states (memory stays O(workers) in the number of clients).
@@ -49,7 +49,7 @@ struct RoundStats {
   /// Estimated server->client traffic: one full state per selected client.
   std::uint64_t bytes_down = 0;
   /// Wall time of the whole round (fan-out + aggregate); filled by the
-  /// executor, NOT deterministic.
+  /// round engine, NOT deterministic.
   double round_seconds = 0.0;
   /// Virtual time of the round: the simulated makespan (slowest client's
   /// injected delay + backoff + modeled compute) for sync rounds, or the
@@ -106,7 +106,7 @@ std::uint64_t update_payload_bytes(const ClientUpdate& update);
 /// Partial-aggregation guard (DESIGN.md §10): true when every numeric field
 /// and tensor coordinate of the update is finite and the weight is
 /// non-negative. Aggregates must never see an update that fails this —
-/// the round engines (executor, scheduler, net nodes) quarantine it first.
+/// the round engines (scheduler, net nodes) quarantine it first.
 bool validate_update(const ClientUpdate& update);
 
 /// Fills the generic RoundStats fields from a round's client updates:

@@ -1,10 +1,11 @@
-// Round-level checkpoint / resume for the synchronous simulation loop
-// (DESIGN.md §12).
+// Round-level checkpoint / resume for runs whose flush window is exactly one
+// wave, sync rounds included (DESIGN.md §12).
 //
-// A checkpoint freezes everything the sync loop needs to continue a run
+// A checkpoint freezes everything the round engine needs to continue a run
 // bit-for-bit: the round cursor, the model state, the sampling Rng's full
-// engine state, the loss/virtual-time histories, the fault counters, and
-// the algorithm's cross-round state via SplitFederatedAlgorithm::save_state.
+// engine state, the loss/virtual-time histories, the fault and dispatch
+// counters, and the algorithm's cross-round state via
+// SplitFederatedAlgorithm::save_state.
 // Doubles are stored as raw 8-byte little-endian words so the round-trip is
 // bit-exact; tensors reuse the "HSTN" serializer from tensor/serialize.h.
 //
@@ -23,7 +24,7 @@
 
 namespace hetero {
 
-/// Where / how often the sync loop checkpoints. Parsed from the HS_CHECKPOINT
+/// Where / how often a run checkpoints. Parsed from the HS_CHECKPOINT
 /// environment spec "DIR[,every=N][,resume=0|1]" by parse_checkpoint_spec.
 struct CheckpointOptions {
   std::string dir;        ///< empty disables checkpointing entirely
@@ -40,7 +41,7 @@ CheckpointOptions parse_checkpoint_spec(const std::string& spec);
 /// The canonical checkpoint file inside opts.dir.
 std::string checkpoint_path(const CheckpointOptions& opts);
 
-/// Everything needed to resume a sync run at `next_round` with output
+/// Everything needed to resume a run at `next_round` with output
 /// bit-identical to the uninterrupted run. seed / num_clients /
 /// clients_per_round / algorithm are recorded so resume can refuse a
 /// checkpoint written by a differently-configured run.

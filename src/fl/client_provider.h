@@ -1,5 +1,5 @@
-// ClientProvider: the lazy population interface behind run_simulation,
-// ClientExecutor, and the event scheduler (DESIGN.md §12).
+// ClientProvider: the lazy population interface behind run_simulation and
+// the event scheduler (DESIGN.md §12).
 //
 // A provider answers "who is client i and what data does it hold" without
 // prescribing HOW the answer is produced. MaterializedPopulation serves a
@@ -29,7 +29,7 @@ namespace hetero {
 /// the next materialization recycles (release_buffers moves them back out
 /// of `data` first). Providers that serve resident datasets ignore the slot
 /// entirely. A slot must not be shared between concurrent materializations;
-/// the executor and scheduler keep one per worker.
+/// the scheduler keeps one per worker.
 struct ClientSlot {
   Dataset data;
   Tensor xs;
@@ -41,7 +41,7 @@ struct ClientSlot {
 /// ClientProvider::population_counters). Invariant for providers that
 /// report them: every client_dataset call is exactly one materialization
 /// and resolves as exactly one cache hit or one miss, so
-/// hits + misses == materializations at every instant — the executor
+/// hits + misses == materializations at every instant — the scheduler
 /// stamps per-round deltas as pop.* round extras and tools/trace_check.cpp
 /// re-validates the identity per round.
 struct PopulationCounters {
@@ -57,7 +57,7 @@ struct PopulationCounters {
 ///
 /// Thread-safety contract: every const member must be pure with respect to
 /// shared state — client_dataset may only write through the caller's slot —
-/// because the executor and scheduler call these concurrently from worker
+/// because the scheduler calls these concurrently from worker
 /// threads (DESIGN.md §7 extends to materialization).
 class ClientProvider {
  public:
@@ -99,7 +99,7 @@ class ClientProvider {
 
   /// Fills `out` with cumulative materialization counters and returns true
   /// when this provider tracks them (lazy populations); eager providers
-  /// keep the default false and the executor stamps no pop.* extras.
+  /// keep the default false and the scheduler stamps no pop.* extras.
   virtual bool population_counters(PopulationCounters& /*out*/) const {
     return false;
   }

@@ -54,7 +54,7 @@ struct CompressionOptions {
   bool error_feedback = true;
 };
 
-/// Split form (honours HS_THREADS through the ClientExecutor): the pure
+/// Split form (honours HS_THREADS through the event scheduler): the pure
 /// client phase trains, folds in this client's error-feedback residual
 /// (read-only — a client appears at most once per round, and residual
 /// writes happen only in the serial aggregate, the SCAFFOLD pattern for

@@ -1,18 +1,21 @@
 // RoundObserver: the simulation's telemetry API (DESIGN.md §8).
 //
 // One observer sees every phase of a federated run:
-//   on_round_begin(round, selected)   before any client trains
-//   on_client_end(round, observation) once per client, in `selected` order
+//   on_round_begin(round, selected)   when a one-wave window (sync) is
+//                                     sampled, before any client trains;
+//                                     other windows at the flush (§11)
+//   on_client_end(round, observation) once per client, in window order
 //   on_round_end(round, stats)        after the server aggregate
 //   on_eval(round, metrics)           at eval checkpoints and the final eval
 //
 // Delivery contract: all events fire on the simulation's caller thread.
-// The parallel executor buffers per-worker client results and flushes them
-// in `selected` order, so the event stream — like the simulation results
-// themselves — is deterministic for any thread count (the determinism
-// contract of §7). Only ClientObservation::train_seconds and
-// RoundStats::round_seconds are wall-clock and therefore nondeterministic;
-// TracingObserver can omit them to produce byte-identical traces.
+// The event scheduler buffers per-worker client results and delivers them
+// at the flush in window order (selection order for sync rounds), so the
+// event stream — like the simulation results themselves — is
+// deterministic for any thread count (the determinism contract of §7).
+// Only ClientObservation::train_seconds and RoundStats::round_seconds are
+// wall-clock and therefore nondeterministic; TracingObserver can omit them
+// to produce byte-identical traces.
 //
 // This header is include-light on purpose (the runtime layer includes
 // it): heavyweight types are forward-declared and the concrete observers
@@ -37,7 +40,7 @@ class Tracer;
 /// want from a ClientUpdate except the tensor payloads.
 struct ClientObservation {
   std::size_t client_id = 0;
-  std::size_t order = 0;        ///< position in the round's `selected` list
+  std::size_t order = 0;        ///< position in the flush window
   double weight = 0.0;          ///< aggregation weight (sample count)
   double train_loss = 0.0;
   unsigned flags = 0;           ///< algorithm-specific bits (e.g. switches)
@@ -85,9 +88,9 @@ class RoundObserver {
                        const DeviceMetrics& /*metrics*/) {}
 };
 
-/// Per-round execution context threaded through the ClientExecutor:
-/// carries the observer (may be null) plus the per-client wall-time
-/// accounting behind RuntimeStats::client_seconds_*.
+/// Per-round execution context of the round engines: carries the observer
+/// (may be null) plus the per-client wall-time accounting behind
+/// RuntimeStats::client_seconds_*.
 struct RoundContext {
   std::size_t round = 0;
   RoundObserver* observer = nullptr;  ///< non-owning; null = no telemetry

@@ -25,7 +25,7 @@ struct DpOptions {
 /// scaling factor applied (1 when already within the bound).
 float clip_to_norm(Tensor& update, float clip_norm);
 
-/// Split form (honours HS_THREADS through the ClientExecutor): the pure
+/// Split form (honours HS_THREADS through the event scheduler): the pure
 /// client phase trains and L2-clips the state delta — ClientUpdate::state
 /// carries the CLIPPED DELTA, not the post-training state, and flags bit 0
 /// records whether clipping fired. The serial aggregate equal-weight

@@ -48,30 +48,31 @@ struct SimulationConfig {
   /// byte-identical to a run without the fault layer. Populated from
   /// HS_FAULTS by the benches/CLI via parse_fault_spec.
   FaultOptions faults;
-  /// Virtual-clock event scheduling (DESIGN.md §11). The default (sync)
-  /// keeps the original round loop — byte-identical to pre-scheduler
-  /// builds; async/buffered modes route rounds through the EventScheduler.
-  /// `rounds` then counts server flushes.
+  /// Server aggregation discipline (DESIGN.md §11). Every mode runs on the
+  /// EventScheduler; the default (sync) runs waves of K clients that flush
+  /// at K. `rounds` counts server flushes.
   /// Populated from HS_SCHED by the benches/CLI via parse_sched_spec.
   SchedulerOptions sched;
-  /// Round-level checkpoint/resume (DESIGN.md §12; sync loop only —
-  /// scheduled modes reject it). When enabled, the loop writes
-  /// <dir>/checkpoint.bin every `every` completed rounds (plus at the final
-  /// round) and, with resume on, continues a matching run bit-for-bit from
-  /// an existing file: model state, algorithm cross-round state, sampling
-  /// RNG cursor, loss/virtual-time histories, and fault counters all round-
-  /// trip exactly. Wall-clock fields (round_seconds, total_seconds) and
-  /// eval_every checkpoints cover only the rounds this process executed.
-  /// Populated from HS_CHECKPOINT by the benches/CLI via
+  /// Round-level checkpoint/resume (DESIGN.md §12). Needs every flush
+  /// window to be exactly one wave (sync, or buffered wave sampling with
+  /// buffer == K); continuous refill rejects it. When enabled, the run
+  /// writes <dir>/checkpoint.bin every `every` completed rounds (plus at
+  /// the final round) and, with resume on, continues a matching run
+  /// bit-for-bit from an existing file: model state, algorithm cross-round
+  /// state, sampling RNG cursor, loss/virtual-time histories, and fault
+  /// counters all round-trip exactly. Wall-clock fields (round_seconds,
+  /// total_seconds) and eval_every checkpoints cover only the rounds this
+  /// process executed. Populated from HS_CHECKPOINT by the benches/CLI via
   /// parse_checkpoint_spec.
   CheckpointOptions checkpoint;
   /// Two-level edge-aggregation tree (DESIGN.md §14): >0 splits every
-  /// round's survivors into this many contiguous selection blocks, folds
-  /// each into one weighted digest (the PR 4 renormalized partial
-  /// aggregation), and aggregates the digests — exactly the fold the
-  /// distributed edge tier (src/net) runs, so a loopback run with matching
-  /// num_edges is byte-identical to this in-process path. 0 keeps the flat
-  /// fold. Sync loop only; requires supports_partial_aggregation().
+  /// flush window's survivors into this many contiguous blocks of window
+  /// positions, folds each into one weighted digest (the renormalized
+  /// partial aggregation of DESIGN.md §10), and aggregates the digests —
+  /// exactly the fold the distributed edge tier (src/net) runs, so a
+  /// loopback run with matching num_edges is byte-identical to a sync run
+  /// here. 0 keeps the flat fold. Works in every mode; requires
+  /// supports_partial_aggregation().
   std::size_t edge_groups = 0;
 };
 
@@ -80,13 +81,14 @@ struct SimulationConfig {
 /// time; virtual_* fields are deterministic simulated time (injected
 /// delays, backoffs, modeled compute).
 struct RuntimeStats {
-  std::size_t threads = 1;     ///< resolved executor thread count
-  double total_seconds = 0.0;  ///< wall time across all rounds
-  std::vector<double> round_seconds;  ///< per-round wall time
-  /// Total virtual time: summed round makespans (sync) or the final
-  /// virtual-clock reading (scheduled modes). 0 when no virtual time passed.
+  std::size_t threads = 1;     ///< resolved worker thread count
+  double total_seconds = 0.0;  ///< sum of round_seconds
+  std::vector<double> round_seconds;  ///< per-round (flush) wall time
+  /// The final virtual-clock reading; for one-wave windows (sync) the
+  /// summed round makespans. 0 when no virtual time passed.
   double virtual_seconds = 0.0;
-  /// Per-round virtual makespan (sync) / per-flush clock span (scheduled).
+  /// Per-round virtual makespan (one-wave windows) / per-flush clock span
+  /// (continuous refill).
   std::vector<double> round_virtual_seconds;
   /// Summed / worst per-client local-training wall time.
   double client_seconds_sum = 0.0;
@@ -97,7 +99,7 @@ struct RuntimeStats {
   std::size_t clients_straggled = 0;    ///< delayed but aggregated
   std::size_t fault_retries = 0;        ///< transient-failure retries used
   std::size_t rounds_aborted = 0;       ///< rounds below the min_clients floor
-  /// Scheduled-mode accounting (zero under sync).
+  /// Dispatch and staleness accounting (staleness is zero under sync).
   std::size_t clients_dispatched = 0;  ///< total client dispatches
   std::size_t updates_committed = 0;   ///< usable updates aggregated
   std::size_t staleness_max = 0;       ///< worst update staleness seen

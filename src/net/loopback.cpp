@@ -177,8 +177,8 @@ LoopbackResult run_distributed_loopback(Model& model,
     root.on_frame(conn, frame);
   });
 
-  // Worker replicas: independent deep copies, exactly like the parallel
-  // executor's per-worker models. local_update set_states the pulled global
+  // Worker replicas: independent deep copies, exactly like the event
+  // scheduler's per-worker models. local_update set_states the pulled global
   // before training, so the replica's prior weights never leak in.
   std::vector<std::unique_ptr<Model>> worker_models;
   std::vector<std::unique_ptr<WorkerNode>> workers;

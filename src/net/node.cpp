@@ -243,7 +243,7 @@ void RootServer::finish_round_flat() {
   RoundContext ctx;
   ctx.round = round_;
   ctx.observer = cfg_.observer;
-  // Zero-fault disposition pass, mirroring ClientExecutor::run_split:
+  // Zero-fault disposition pass, mirroring the event scheduler's flush:
   // validate each update, emit one client_end per position in `selected`
   // order, then aggregate the survivors.
   std::size_t quarantined = 0;
@@ -723,7 +723,7 @@ void EdgeNode::finish_block() {
     ClientUpdate& u = block_updates_[j];
     const bool ok = validate_update(u);
     WireUpdateMeta meta;
-    // Mirrors the executor's disposition: a clean update reports through
+    // Mirrors the scheduler's disposition: a clean update reports through
     // make_observation (client_id from the update), a quarantined one
     // through the selection list.
     meta.client_id = ok ? u.client_id : round_cfg_.client_ids[j];

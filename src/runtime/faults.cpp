@@ -92,16 +92,12 @@ void poison_update(ClientUpdate& update, const FaultDecision& d) {
   target[static_cast<std::size_t>(d.corrupt_pos % target.size())] = bad;
 }
 
-double backoff_seconds(const FaultOptions& options, std::size_t retry) {
-  const int exponent = static_cast<int>(retry < 60 ? retry : 60);
-  return std::ldexp(options.retry_backoff_s, exponent);
-}
-
 double total_backoff_seconds(const FaultOptions& options,
                              std::size_t retries) {
   double total = 0.0;
   for (std::size_t r = 0; r < retries; ++r) {
-    total += backoff_seconds(options, r);
+    const int exponent = static_cast<int>(r < 60 ? r : 60);
+    total += std::ldexp(options.retry_backoff_s, exponent);
   }
   return total;
 }
@@ -150,16 +146,10 @@ FaultDecision FaultPlan::decide(std::size_t round, std::size_t client) const {
   }
   if (u_straggle < options_.straggler_prob) {
     // Device-tier scaling stretches the delay with the client's hardware
-    // class; with no scale table installed this multiplies by exactly 1
-    // and the decision is bit-identical to the unscaled plan. The lazy
-    // callback form takes precedence so virtual populations never need an
-    // O(N) scale table.
+    // class; with no scale function installed this multiplies by exactly 1
+    // and the decision is bit-identical to the unscaled plan.
     const double scale =
-        options_.delay_scale_fn
-            ? options_.delay_scale_fn(client)
-            : (client < options_.client_delay_scale.size()
-                   ? options_.client_delay_scale[client]
-                   : 1.0);
+        options_.delay_scale_fn ? options_.delay_scale_fn(client) : 1.0;
     d.delay_s = u_delay * 2.0 * options_.straggler_delay_s * scale;
   }
   d.corrupt = u_corrupt < options_.corrupt_prob;

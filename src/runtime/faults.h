@@ -11,17 +11,17 @@
 // seconds: they are compared against timeout_s and reported in telemetry,
 // but never slept on, so timeouts are decided deterministically too.
 //
-// The plan only decides WHAT happens; the ClientExecutor applies it
-// (dropping clients, retrying transient failures with backoff, poisoning
-// updates with non-finite values) and every aggregate path handles the
-// fallout via partial aggregation (DESIGN.md §10).
+// The plan only decides WHAT happens; the event scheduler applies it under
+// one fault rule in every mode (dropping clients, timing out slow ones,
+// retrying transient failures with backoff, poisoning updates with
+// non-finite values) and every aggregate path handles the fallout via
+// partial aggregation (DESIGN.md §10).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "util/rng.h"
 
@@ -29,7 +29,7 @@ namespace hetero {
 
 /// Knobs of the fault layer. All probabilities are per (round, client).
 /// Default-constructed options inject nothing (enabled() == false), which
-/// the executor treats as "fault layer off": the zero-fault execution path
+/// the scheduler treats as "fault layer off": the zero-fault execution path
 /// is byte-identical to a build without this layer.
 struct FaultOptions {
   /// Client vanishes for the round before training (device offline).
@@ -44,8 +44,9 @@ struct FaultOptions {
   /// uniformly from [0, 2 * straggler_delay_s) (mean straggler_delay_s).
   double straggler_prob = 0.0;
   double straggler_delay_s = 1.0;
-  /// Per-client round deadline in virtual seconds; a straggler whose delay
-  /// exceeds it is dropped as timed out. 0 disables the deadline.
+  /// Per-client round deadline in virtual seconds; a client whose modeled
+  /// compute plus straggler delay exceeds it is dropped as timed out (retry
+  /// backoff does not count). 0 disables the deadline.
   double timeout_s = 0.0;
   /// Corrupt update: one coordinate of the returned tensor payload is
   /// poisoned with NaN/+Inf/-Inf after local training. validate_update()
@@ -58,19 +59,15 @@ struct FaultOptions {
   /// seed so fault scenarios can be re-rolled without perturbing training.
   std::uint64_t seed = 0xFA17u;
   /// Derive per-client delay scales from device-profile speed tiers
-  /// ("tiers=1" in the spec): run_simulation fills client_delay_scale from
-  /// FlPopulation::device_speed_scale so straggler delays stretch with the
+  /// ("tiers=1" in the spec): the scheduler sets delay_scale_fn to
+  /// ClientProvider::speed_scale_of so straggler delays stretch with the
   /// client's hardware class instead of one global knob.
   bool device_tier_delays = false;
-  /// Per-client multiplier on injected straggler delays (and the virtual
-  /// compute jitter base). Empty = homogeneous 1.0. Indexed by client id;
-  /// clients beyond the vector scale by 1.0.
-  std::vector<double> client_delay_scale;
-  /// Lazy alternative to client_delay_scale for virtual populations, where
-  /// an O(N) table would defeat the point of never materializing N clients:
-  /// when set, FaultPlan::decide consults this instead of the vector. MUST
-  /// be pure and thread-safe (decide() runs concurrently from workers);
-  /// ClientProvider::speed_scale_of satisfies both.
+  /// Per-client multiplier on injected straggler delays; unset =
+  /// homogeneous 1.0. A function rather than a table so million-client
+  /// populations never build an O(N) vector. MUST be pure and thread-safe
+  /// (decide() may run concurrently); ClientProvider::speed_scale_of
+  /// satisfies both.
   std::function<double(std::size_t)> delay_scale_fn;
 
   /// True when any injection probability is positive. min_clients and
@@ -119,33 +116,21 @@ struct ClientUpdate;
 
 /// Applies a corrupt-update decision: poisons one coordinate of the
 /// update's tensor payload (state when present, else aux, else the weight)
-/// with a non-finite value so validate_update rejects it. Shared by the
-/// round executor and the event scheduler.
+/// with a non-finite value so validate_update rejects it.
 void poison_update(ClientUpdate& update, const FaultDecision& d);
 
-/// Virtual backoff before 0-based retry r: retry_backoff_s * 2^r (capped
-/// exponent so absurd retry budgets cannot overflow to inf).
-double backoff_seconds(const FaultOptions& options, std::size_t retry);
-
-/// Summed virtual backoff over the first `retries` retries.
+/// Summed virtual backoff over the first `retries` retries; retry r
+/// (0-based) waits retry_backoff_s * 2^r, with the exponent capped so
+/// absurd retry budgets cannot overflow to inf.
 double total_backoff_seconds(const FaultOptions& options, std::size_t retries);
-
-/// Per-client execution outcome reported through RoundRuntime.
-struct FaultOutcome {
-  std::size_t client_id = 0;
-  FaultKind kind = FaultKind::kOk;
-  std::size_t retries = 0;  ///< retries actually consumed
-  double delay_s = 0.0;     ///< injected straggler delay (virtual seconds)
-  double backoff_s = 0.0;   ///< summed retry backoff (virtual seconds)
-};
 
 /// Deterministic fault schedule over (round, client) coordinates.
 ///
 /// decide() is const and thread-safe: it forks a child stream off an
-/// immutable base Rng, so the executor may call it concurrently from any
-/// worker. The draw order inside decide() is FIXED regardless of which
-/// fault types are enabled — turning one knob never re-randomizes the
-/// decisions of another, which keeps fault ablations comparable.
+/// immutable base Rng, so it may be called concurrently from any worker.
+/// The draw order inside decide() is FIXED regardless of which fault types
+/// are enabled — turning one knob never re-randomizes the decisions of
+/// another, which keeps fault ablations comparable.
 class FaultPlan {
  public:
   explicit FaultPlan(const FaultOptions& options);

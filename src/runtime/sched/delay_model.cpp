@@ -35,13 +35,10 @@ std::vector<double> device_speed_scales(
 
 double DelayModel::compute_seconds(std::size_t client, double jitter_u) const {
   if (base_compute_s <= 0.0) return 0.0;
-  double scale, work;
+  double scale = 1.0, work = 1.0;
   if (provider != nullptr) {
     scale = provider->speed_scale_of(client);
     work = provider->work_of(client);
-  } else {
-    scale = client < client_scale.size() ? client_scale[client] : 1.0;
-    work = client < client_work.size() ? client_work[client] : 1.0;
   }
   const double jitter = std::max(0.0, 1.0 + jitter_frac * jitter_u);
   return base_compute_s * work * scale * jitter;

@@ -6,7 +6,7 @@
 // decide which hardware distributions actually reach the server. This
 // model turns (device tier, vendor, local dataset size) into deterministic
 // virtual compute seconds for the event scheduler, and the same per-client
-// scales feed FaultOptions::client_delay_scale so HS_FAULTS stragglers and
+// scales feed FaultOptions::delay_scale_fn so HS_FAULTS stragglers and
 // the scheduler share one seeded delay source (the FaultPlan stream).
 #pragma once
 
@@ -38,14 +38,9 @@ std::vector<double> device_speed_scales(
 struct DelayModel {
   double base_compute_s = 0.0;  ///< seconds per work unit (sample)
   double jitter_frac = 0.0;     ///< relative jitter amplitude in [0, 1)
-  /// Per-client slowdown (device_speed_scale indexed through
-  /// client_device); empty = homogeneous 1.0.
-  std::vector<double> client_scale;
-  /// Per-client work units (local dataset sizes); empty = 1.0.
-  std::vector<double> client_work;
-  /// Lazy alternative to the two vectors above for virtual populations:
-  /// when set, scale and work come from speed_scale_of / work_of instead of
-  /// O(N) tables. Non-owning; must outlive the scheduler run.
+  /// The one source of per-client speed (speed_scale_of) and work
+  /// (work_of); null = homogeneous scale and work 1. Non-owning; must
+  /// outlive the scheduler run.
   const ClientProvider* provider = nullptr;
 
   double compute_seconds(std::size_t client, double jitter_u) const;

@@ -22,7 +22,7 @@ namespace hetero {
 struct SchedEvent {
   double time = 0.0;          ///< virtual seconds
   std::uint64_t seq = 0;      ///< scheduling order; breaks timestamp ties
-  std::size_t dispatch = 0;   ///< index into the scheduler's dispatch log
+  std::size_t dispatch = 0;   ///< the scheduler's dispatch record index
 };
 
 /// Total order: earliest virtual time first, earliest scheduled first

@@ -1,17 +1,16 @@
 // Configuration of the virtual-clock event scheduler (DESIGN.md §11).
 //
 // Three server aggregation disciplines share one discrete-event core:
-//   kSync     — today's synchronous FedAvg loop. The scheduler is bypassed
-//               entirely (run_simulation keeps its original round loop), so
-//               sync results and traces stay byte-identical to pre-scheduler
-//               builds.
+//   kSync     — synchronous FedAvg rounds: waves of k clients that flush at
+//               k, folded in selection order (the default).
 //   kAsync    — FedAsync-style: the server folds every arriving update as
 //               soon as it commits (buffer == 1), scaled by a staleness
 //               decay on the model-version delta.
 //   kBuffered — FedBuff-style: arrivals accumulate and the server flushes
 //               every `buffer` terminal client outcomes. buffer == k with
-//               wave sampling and zero delays degenerates to sync FedAvg
-//               (asserted in tests/test_sched.cpp).
+//               wave sampling has exactly sync's window shape, and with
+//               no delays it reproduces sync FedAvg bit for bit (asserted
+//               in tests/test_sched.cpp).
 //
 // This header is include-light on purpose: fl/simulation.h embeds
 // SchedulerOptions in SimulationConfig.
@@ -30,8 +29,7 @@ enum class SchedMode {
 
 const char* sched_mode_name(SchedMode mode);
 
-/// Knobs of the event scheduler. Defaults select sync mode, which leaves
-/// every existing execution path untouched.
+/// Knobs of the event scheduler. Defaults select sync mode.
 struct SchedulerOptions {
   SchedMode mode = SchedMode::kSync;
   /// Buffered mode: flush after this many terminal client outcomes
@@ -48,11 +46,12 @@ struct SchedulerOptions {
   /// its arrival. f(0) == 1 exactly, so fresh updates keep their FedAvg
   /// weight. 0 disables staleness weighting.
   double staleness_exponent = 0.5;
-  /// Sampling discipline. false (default): continuous refill — every
-  /// terminal outcome immediately dispatches a replacement client, keeping
-  /// k clients in flight (requires k < N). true: wave sampling — k clients
-  /// are drawn together at the start and after every flush, mirroring the
-  /// sync loop's per-round selection draws exactly.
+  /// Sampling discipline of the scheduled modes (sync always samples
+  /// waves). false (default): continuous refill — every terminal outcome
+  /// immediately dispatches a replacement client, keeping k clients in
+  /// flight (requires k < N). true: wave sampling — k clients are drawn
+  /// together at the start and after every flush, with sync's per-round
+  /// selection draws exactly.
   bool wave_sampling = false;
   /// Virtual compute seconds per local training sample, before the
   /// per-client device-tier speed scale and jitter. 0 (default) models
@@ -61,10 +60,18 @@ struct SchedulerOptions {
   double base_compute_s = 0.0;
 
   bool scheduled() const { return mode != SchedMode::kSync; }
+  /// True when clients are drawn in waves of k.
+  bool waves() const { return wave_sampling || mode == SchedMode::kSync; }
   /// Flush threshold after resolving defaults against the round size k.
   std::size_t resolve_buffer(std::size_t clients_per_round) const {
     if (mode == SchedMode::kAsync) return 1;
+    if (mode == SchedMode::kSync) return clients_per_round;
     return buffer > 0 ? buffer : clients_per_round;
+  }
+  /// True when every flush window is exactly one wave: the synchronous
+  /// round shape, with a flush boundary where no client is in flight.
+  bool one_wave(std::size_t clients_per_round) const {
+    return waves() && resolve_buffer(clients_per_round) == clients_per_round;
   }
 };
 

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <exception>
 
+#include "kernels/kernels.h"
+
 namespace hetero {
 namespace {
 
@@ -18,34 +20,51 @@ bool trainable_kind(FaultKind kind) {
   return kind == FaultKind::kOk || kind == FaultKind::kStraggler;
 }
 
+/// The run's fault options, with device-tier straggler scaling read lazily
+/// from the provider (never an O(N) table, so million-client providers
+/// work unchanged).
+FaultOptions plan_options(const SimulationConfig& cfg,
+                          const ClientProvider& provider) {
+  FaultOptions faults = cfg.faults;
+  if (faults.device_tier_delays) {
+    faults.delay_scale_fn = [&provider](std::size_t client) {
+      return provider.speed_scale_of(client);
+    };
+  }
+  return faults;
+}
+
 }  // namespace
 
 /// One dispatched client: everything the scheduler fixed at dispatch time
 /// (timeline, RNG stream, base snapshot, fault verdict) plus the training
 /// product filled in later by exactly one worker. The event timeline is a
 /// pure function of the dispatch-time fields, so training can race over
-/// wall time without perturbing commit order.
+/// wall time without perturbing the fold order.
 struct EventScheduler::Dispatch {
   std::size_t client_id = 0;
-  std::size_t coord = 0;  ///< fault/RNG coordinate (wave index or dispatch seq)
   std::uint64_t version = 0;            ///< server version at dispatch
   std::shared_ptr<const Tensor> base;   ///< state snapshot trained against
   Rng client_rng;                       ///< training stream, fixed at dispatch
   double start_vt = 0.0;
   double end_vt = 0.0;                  ///< terminal-event virtual timestamp
+  double duration = 0.0;                ///< virtual seconds the verdict costs
   FaultKind kind = FaultKind::kOk;      ///< verdict (pre-quarantine)
   FaultDecision decision;
   std::size_t retries = 0;
-  double backoff_s = 0.0;
-  double compute_s = 0.0;
   bool trained = false;
   bool train_failed = false;  ///< organic local_update exception
   ClientUpdate update;
 };
 
-EventScheduler::EventScheduler(std::size_t num_threads,
-                               const SchedulerOptions& options)
-    : options_(options) {
+EventScheduler::EventScheduler(const SimulationConfig& cfg,
+                               const ClientProvider& provider)
+    : cfg_(cfg),
+      provider_(provider),
+      fault_options_(plan_options(cfg, provider)),
+      plan_(fault_options_),
+      one_wave_(cfg.sched.one_wave(cfg.clients_per_round)) {
+  std::size_t num_threads = cfg.num_threads;
   if (num_threads == 0) {
     num_threads = std::thread::hardware_concurrency();
     if (num_threads == 0) num_threads = 1;
@@ -57,86 +76,85 @@ EventScheduler::EventScheduler(std::size_t num_threads,
   }
   // Materialization arenas persist across training batches and flushes so
   // lazy providers recycle buffers instead of reallocating per client.
-  slots_.resize(num_threads_ > 1 ? num_threads_ : 1);
+  slots_.resize(num_threads_);
+  delay_model_.base_compute_s = cfg.sched.base_compute_s;
+  delay_model_.jitter_frac = 0.1;
+  delay_model_.provider = &provider;
 }
 
 EventScheduler::~EventScheduler() = default;
 
-void EventScheduler::set_faults(const FaultOptions& options) {
-  fault_options_ = options;
-  // Unlike the round executor the plan always exists: even a fault-free
-  // scheduled run draws its compute jitter from the same seeded stream.
-  plan_ = std::make_unique<FaultPlan>(options);
-}
-
-void EventScheduler::set_delay_model(DelayModel model) {
-  delay_model_ = std::move(model);
-}
-
-void EventScheduler::dispatch_client(std::size_t client, std::size_t coord,
-                                     Rng client_rng, double now) {
-  Dispatch d;
+std::size_t EventScheduler::dispatch_client(std::size_t client,
+                                            std::size_t coord, Rng client_rng,
+                                            double now) {
+  std::size_t ix = dispatches_.size();
+  if (free_.empty()) {
+    dispatches_.emplace_back();
+  } else {
+    ix = free_.back();
+    free_.pop_back();
+  }
+  Dispatch& d = dispatches_[ix];
   d.client_id = client;
-  d.coord = coord;
   d.version = version_;
   d.base = base_;
   d.client_rng = client_rng;
   d.start_vt = now;
-  d.decision = plan_->decide(coord, client);
-  d.compute_s = delay_model_.compute_seconds(client, d.decision.compute_jitter);
-  double end = now;
-  if (d.decision.drop) {
+  d.decision = plan_.decide(coord, client);
+  d.trained = false;
+  d.train_failed = false;
+
+  // The fault rule (DESIGN.md §10), in this order: dropout; timeout when
+  // compute plus straggler delay exceeds the deadline (retry backoff does
+  // not count); failure when the retries run out; else ok or straggler.
+  const FaultDecision& dec = d.decision;
+  const FaultOptions& fo = fault_options_;
+  const double compute =
+      delay_model_.compute_seconds(client, dec.compute_jitter);
+  double backoff = 0.0;
+  d.retries = 0;
+  if (dec.drop) {
     d.kind = FaultKind::kDropout;
-  } else if (d.decision.fail_attempts > fault_options_.max_retries) {
-    d.kind = FaultKind::kFailed;
-    d.retries = fault_options_.max_retries;
-    d.backoff_s = total_backoff_seconds(fault_options_, d.retries);
-    end = now + d.backoff_s;
-  } else {
-    d.kind = d.decision.delay_s > 0.0 ? FaultKind::kStraggler : FaultKind::kOk;
-    d.retries = d.decision.fail_attempts;
-    d.backoff_s = total_backoff_seconds(fault_options_, d.retries);
-    end = now + d.compute_s + d.decision.delay_s + d.backoff_s;
-  }
-  // Server-side deadline on the client's total virtual duration: the
-  // scheduler stops waiting at start + timeout_s. (The sync executor only
-  // measures the injected delay against the deadline — it has no compute
-  // model; with base_compute_s == 0 and no retries the two rules agree.)
-  if (fault_options_.timeout_s > 0.0 && d.kind != FaultKind::kDropout &&
-      end - now > fault_options_.timeout_s) {
+    d.duration = 0.0;
+  } else if (fo.timeout_s > 0.0 && compute + dec.delay_s > fo.timeout_s) {
     d.kind = FaultKind::kTimeout;
-    end = now + fault_options_.timeout_s;
+    d.duration = fo.timeout_s;
+  } else if (dec.fail_attempts > fo.max_retries) {
+    d.kind = FaultKind::kFailed;
+    d.retries = fo.max_retries;
+    d.duration = total_backoff_seconds(fo, d.retries);
+  } else {
+    d.kind = dec.delay_s > 0.0 ? FaultKind::kStraggler : FaultKind::kOk;
+    d.retries = dec.fail_attempts;
+    backoff = total_backoff_seconds(fo, d.retries);
+    d.duration = compute + dec.delay_s + backoff;
   }
-  d.end_vt = end;
-  in_flight_[client] = 1;
-  dispatches_.push_back(std::move(d));
-  queue_.push(end, dispatches_.size() - 1);
+  // One-wave windows advance the clock by whole durations, so it reads the
+  // summed round makespans; other windows keep the clock's own rounding.
+  d.end_vt = one_wave_ || !trainable_kind(d.kind)
+                 ? now + d.duration
+                 : now + compute + dec.delay_s + backoff;
+  if (trainable_kind(d.kind)) untrained_.push_back(ix);
+  in_flight_.insert(client);
+  queue_.push(d.end_vt, ix);
+  return ix;
 }
 
-void EventScheduler::train_pending(Model& model,
-                                   const SplitFederatedAlgorithm& algorithm,
-                                   const ClientProvider& provider) {
-  // Lazy batch training: gather every in-flight dispatch that will need an
-  // update and has not trained yet. Training inputs (base snapshot, RNG
-  // stream, dataset recipe) were all fixed at dispatch, so the batch
-  // composition — which depends only on event order — cannot affect any
-  // result.
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < dispatches_.size(); ++i) {
-    const Dispatch& d = dispatches_[i];
-    if (!d.trained && trainable_kind(d.kind)) pending.push_back(i);
-  }
-  if (pending.empty()) return;
-
+void EventScheduler::train_pending(const Model& model,
+                                   const SplitFederatedAlgorithm& algorithm) {
+  // Lazy batch training of every trainable dispatch not trained yet.
+  // Training inputs (base snapshot, RNG stream, dataset recipe) were all
+  // fixed at dispatch, so the batch composition — which depends only on
+  // event order — cannot affect any result.
   const bool tolerate = fault_options_.enabled();
   auto train_one = [&](Dispatch& d, Model& m, ClientSlot& slot) {
     Rng crng = d.client_rng;
-    const Dataset& data = provider.client_dataset(d.client_id, slot);
+    const Dataset& data = provider_.client_dataset(d.client_id, slot);
     const Clock::time_point t0 = Clock::now();
     if (tolerate) {
-      // Mirror the round executor: with fault injection on, organic
-      // exceptions from local training are tolerated and surface as a
-      // permanent failure at commit (the timeline is already fixed).
+      // With fault injection on, organic exceptions from local training
+      // are tolerated and surface as a permanent failure at commit (the
+      // timeline is already fixed).
       try {
         d.update = algorithm.local_update(m, *d.base, d.client_id, data, crng);
       } catch (const std::exception&) {
@@ -152,100 +170,138 @@ void EventScheduler::train_pending(Model& model,
     d.trained = true;
   };
 
-  if (pool_) {
-    pool_->parallel_for(pending.size(), [&](std::size_t j) {
+  // Intra-op grant (DESIGN.md §13): with fewer clients than workers, the
+  // clients that do run split large kernels across the idle workers. Kernel
+  // task grids are fixed by problem shape, never by worker count, so the
+  // grant changes who computes each block, never the bits.
+  const auto intra_run = [this](std::size_t tasks,
+                                const std::function<void(std::size_t)>& fn) {
+    pool_->parallel_for(tasks, fn);
+  };
+  const std::size_t n = untrained_.size();
+  if (!pool_ || n == 1) {
+    // The serial path, or a lone client: train on the calling thread's
+    // scratch replica, never the server model (in-flight clients hold
+    // snapshots; an aborted flush must leave it untouched). A lone client
+    // gets the whole pool; without a pool the one-way grant is inert.
+    if (!scratch_) scratch_ = model.clone();
+    const kernels::ScopedIntraOp grant(intra_run, num_threads_);
+    for (std::size_t ix : untrained_) {
+      train_one(dispatches_[ix], *scratch_, slots_[0]);
+    }
+  } else {
+    // Each worker lazily clones its own replica the first time it picks up
+    // a client and keeps its ClientSlot private. Spare workers drain nested
+    // kernel tasks; a nested parallel_for only blocks its issuing worker
+    // and at least one worker holds no client, so the nested queue always
+    // drains, and the grant is not inherited, so nesting stops at depth one.
+    const std::size_t spare = n < num_threads_ ? num_threads_ - n : 0;
+    pool_->parallel_for(n, [&](std::size_t j) {
       const std::size_t w = ThreadPool::worker_index();
       HS_CHECK(w < replicas_.size() && w < slots_.size(),
                "EventScheduler: bad worker index");
       if (!replicas_[w]) replicas_[w] = model.clone();
-      train_one(dispatches_[pending[j]], *replicas_[w], slots_[w]);
+      const kernels::ScopedIntraOp grant(intra_run, spare + 1);
+      train_one(dispatches_[untrained_[j]], *replicas_[w], slots_[w]);
     });
-  } else {
-    // Serial path trains on a dedicated scratch replica, never the server
-    // model: between flushes the server state must stay pristine (in-flight
-    // clients hold snapshots; an aborted flush must leave it untouched).
-    if (!scratch_) scratch_ = model.clone();
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-      train_one(dispatches_[pending[j]], *scratch_, slots_[0]);
-    }
   }
+  untrained_.clear();
 }
 
-SchedulerRunResult EventScheduler::run(
-    Model& model, SplitFederatedAlgorithm& algorithm, std::size_t flushes,
-    std::size_t clients_per_round, const ClientProvider& provider,
-    Rng& rng, RoundObserver* observer,
-    const std::function<void(std::size_t)>& on_flush) {
-  const std::size_t N = provider.num_clients();
-  const std::size_t k = clients_per_round;
-  HS_CHECK(N > 0, "EventScheduler: no clients");
-  HS_CHECK(k > 0 && k <= N, "EventScheduler: bad clients_per_round");
-  HS_CHECK(options_.wave_sampling || k < N,
+void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
+                         Rng& rng, SimulationResult& result,
+                         const std::function<void(std::size_t)>& on_flush) {
+  const std::size_t N = provider_.num_clients();
+  const std::size_t k = cfg_.clients_per_round;
+  const SchedulerOptions& options = cfg_.sched;
+  const bool waves = options.waves();
+  HS_CHECK(waves || k < N,
            "EventScheduler: continuous refill needs k < population "
            "(every in-flight client blocks resampling); use wave sampling");
-  if (!plan_) set_faults(fault_options_);
-  if (options_.base_compute_s > 0.0) {
-    delay_model_.base_compute_s = options_.base_compute_s;
-  }
-  const std::size_t flush_every = options_.resolve_buffer(k);
+  const std::size_t flush_every = options.resolve_buffer(k);
   const std::size_t min_clients =
       fault_options_.min_clients > 0 ? fault_options_.min_clients : 1;
+  RuntimeStats& rt = result.runtime;
+  rt.threads = num_threads_;
 
-  // Reset run state.
+  // Run state. A resumed result continues at its flush count, clock and
+  // version (one flush per wave, one version per committed flush).
+  std::size_t flush_count = result.train_loss_history.size();
+  if (flush_count >= cfg_.rounds) return;
   queue_ = EventQueue{};
   dispatches_.clear();
-  in_flight_.assign(N, 0);
-  base_ = std::make_shared<const Tensor>(model.state());
-  version_ = 0;
-  clock_ = 0.0;
-  flush_count_ = 0;
+  free_.clear();
+  untrained_.clear();
+  in_flight_.clear();
   window_.clear();
+  base_ = std::make_shared<const Tensor>(model.state());
+  version_ = flush_count - rt.rounds_aborted;
+  clock_ = rt.virtual_seconds;
+  result.train_loss_history.reserve(cfg_.rounds);
+  rt.round_seconds.reserve(cfg_.rounds - flush_count);
+  // This process's share; only one-wave runs resume, and their updates
+  // are never stale.
+  double staleness_sum = 0.0;
 
-  // RNG plumbing. Wave sampling consumes the master stream exactly like
-  // the sync loop (one sample_without_replacement + one fork per wave), so
-  // the degenerate configuration reproduces sync's client streams
-  // bit-for-bit. Continuous refill derives per-dispatch streams keyed on
-  // (dispatch_seq, client_id) from a forked base, and resamples
-  // replacements from a dedicated sampler stream on the coordinator
-  // thread, in commit order — deterministic by construction.
+  // Window bookkeeping: wall clock and population counters at its start.
+  Clock::time_point window_start;
+  PopulationCounters pop_mark;
+  const bool has_pop = provider_.population_counters(pop_mark);
+  auto start_window = [&]() {
+    window_start = Clock::now();
+    if (has_pop) provider_.population_counters(pop_mark);
+  };
+
+  // RNG plumbing. Wave sampling consumes the master stream with one
+  // sample_without_replacement + one fork per wave, so client streams are
+  // rng.fork(wave).fork(id), the daemon root's draws too. Continuous refill
+  // derives per-dispatch streams keyed on (dispatch_seq, client_id) from a
+  // forked base, and resamples replacements from a dedicated sampler
+  // stream on the coordinator thread, in commit order.
   Rng stream_base = rng.fork(0x5CED0001ull, 0x5CED0002ull);
   Rng sampler = rng.fork(0x5CED0003ull, 0x5CED0004ull);
   std::size_t next_seq = 0;  // continuous dispatch coordinate
-  std::size_t wave = 0;
+  std::size_t wave = flush_count;
 
   auto sample_wave = [&]() {
     const auto selected = rng.sample_without_replacement(N, k);
     Rng wave_rng = rng.fork(wave);
-    for (std::size_t id : selected) {
-      dispatch_client(id, wave, wave_rng.fork(id), clock_);
+    if (one_wave_) {
+      start_window();
+      if (cfg_.observer) cfg_.observer->on_round_begin(flush_count, selected);
     }
+    for (std::size_t id : selected) {
+      const std::size_t ix = dispatch_client(id, wave, wave_rng.fork(id),
+                                             clock_);
+      if (one_wave_) window_.push_back(ix);
+    }
+    rt.clients_dispatched += k;
     ++wave;
   };
   auto dispatch_replacement = [&]() {
     std::size_t id = static_cast<std::size_t>(sampler.uniform_int(N));
-    while (in_flight_[id]) {
+    while (in_flight_.count(id)) {
       id = static_cast<std::size_t>(sampler.uniform_int(N));
     }
     dispatch_client(id, next_seq, stream_base.fork(next_seq, id), clock_);
+    ++rt.clients_dispatched;
     ++next_seq;
   };
 
-  if (options_.wave_sampling) {
+  start_window();
+  if (waves) {
     sample_wave();
   } else {
     for (std::size_t i = 0; i < k; ++i) dispatch_replacement();
   }
+  double last_flush_clock = clock_;
+  std::size_t window_commits = 0;
 
-  SchedulerRunResult result;
-  result.loss_history.reserve(flushes);
-  const Clock::time_point run_start = Clock::now();
-  Clock::time_point flush_wall_start = run_start;
-  double last_flush_clock = 0.0;
-
-  // Commits one terminal dispatch into the current window, resolving its
-  // final disposition (organic failure, quarantine).
-  auto commit = [&](Dispatch& d) {
-    in_flight_[d.client_id] = 0;
+  // Resolves one terminal dispatch's final disposition (organic failure,
+  // quarantine) and commits it to the current window.
+  auto commit = [&](std::size_t ix) {
+    Dispatch& d = dispatches_[ix];
+    in_flight_.erase(d.client_id);
     if (trainable_kind(d.kind)) {
       if (d.train_failed) {
         d.kind = FaultKind::kFailed;
@@ -254,25 +310,27 @@ SchedulerRunResult EventScheduler::run(
       }
     }
     d.base.reset();  // snapshots stay O(in-flight), not O(run)
-    window_.push_back(&d - dispatches_.data());
+    if (!one_wave_) window_.push_back(ix);
+    ++window_commits;
   };
 
-  // Flushes the current window: staleness-weighted aggregate (or abort),
-  // retroactive round_begin / client_end / round_end emission in commit
-  // order, version bump, accounting.
+  // Flushes the current window: staleness-weighted aggregate or edge fold
+  // (or abort), the window's client_end / round_end events, version bump,
+  // accounting, and recycling of the window's records.
   auto do_flush = [&]() {
-    const std::size_t flush_idx = flush_count_;
     std::size_t dropped = 0, quarantined = 0, straggled = 0, retries = 0;
-    std::vector<std::size_t> usable;
+    double max_duration = 0.0;
+    std::vector<std::size_t> usable;  // window positions
     usable.reserve(window_.size());
-    for (std::size_t ix : window_) {
-      const Dispatch& d = dispatches_[ix];
+    for (std::size_t pos = 0; pos < window_.size(); ++pos) {
+      const Dispatch& d = dispatches_[window_[pos]];
       retries += d.retries;
+      max_duration = std::max(max_duration, d.duration);
       switch (d.kind) {
-        case FaultKind::kOk: usable.push_back(ix); break;
+        case FaultKind::kOk: usable.push_back(pos); break;
         case FaultKind::kStraggler:
           ++straggled;
-          usable.push_back(ix);
+          usable.push_back(pos);
           break;
         case FaultKind::kQuarantined: ++quarantined; break;
         case FaultKind::kDropout:
@@ -288,33 +346,34 @@ SchedulerRunResult EventScheduler::run(
     // window keeps staleness 0 relative to the unchanged model.
     double stale_sum = 0.0;
     std::size_t stale_max = 0;
-    for (std::size_t ix : usable) {
-      Dispatch& d = dispatches_[ix];
+    for (std::size_t pos : usable) {
+      Dispatch& d = dispatches_[window_[pos]];
       const std::size_t s = static_cast<std::size_t>(version_ - d.version);
       stale_sum += static_cast<double>(s);
       stale_max = std::max(stale_max, s);
       if (!aborted) {
         const double f =
-            algorithm.staleness_weight(s, options_.staleness_exponent);
+            algorithm.staleness_weight(s, options.staleness_exponent);
         if (f != 1.0) d.update.weight *= f;
       }
     }
 
-    // Retroactive telemetry: the window's membership is only known now, so
-    // the scheduler emits the whole round_begin / client_end / round_end
-    // frame at flush time, in commit order (trace_check's structural
-    // invariants hold unchanged; `order` is the commit position).
+    // Telemetry. Unless the window is one wave, its membership is only
+    // known now, so its round_begin is emitted retroactively; `order` is
+    // the position in the window (selection order for one wave, commit
+    // order otherwise). The vt / version / staleness provenance is only traced
+    // for scheduled modes.
     RoundContext ctx;
-    ctx.round = flush_idx;
-    ctx.observer = observer;
-    if (observer) {
+    ctx.round = flush_count;
+    ctx.observer = cfg_.observer;
+    if (cfg_.observer && !one_wave_) {
       std::vector<std::size_t> ids;
       ids.reserve(window_.size());
       for (std::size_t ix : window_) ids.push_back(dispatches_[ix].client_id);
-      observer->on_round_begin(flush_idx, ids);
+      cfg_.observer->on_round_begin(flush_count, ids);
     }
     for (std::size_t order = 0; order < window_.size(); ++order) {
-      Dispatch& d = dispatches_[window_[order]];
+      const Dispatch& d = dispatches_[window_[order]];
       ClientObservation obs;
       switch (d.kind) {
         case FaultKind::kOk:
@@ -337,8 +396,8 @@ SchedulerRunResult EventScheduler::run(
           break;
       }
       obs.fault = static_cast<unsigned>(d.kind);
-      obs.virtual_seconds = d.end_vt - d.start_vt;
-      obs.scheduled = true;
+      obs.virtual_seconds = one_wave_ ? d.duration : d.end_vt - d.start_vt;
+      obs.scheduled = options.scheduled();
       obs.virtual_time = d.end_vt;
       obs.version = d.version;
       obs.staleness = static_cast<std::size_t>(version_ - d.version);
@@ -346,43 +405,56 @@ SchedulerRunResult EventScheduler::run(
     }
 
     RoundStats stats;
-    if (!aborted) {
+    {
       std::vector<ClientUpdate> updates;
+      std::vector<std::size_t> positions;
       updates.reserve(usable.size());
-      for (std::size_t ix : usable) {
-        updates.push_back(std::move(dispatches_[ix].update));
+      positions.reserve(usable.size());
+      for (std::size_t pos : usable) {
+        updates.push_back(std::move(dispatches_[window_[pos]].update));
+        positions.push_back(pos);
       }
-      // The aggregate's reference state is the server's CURRENT state (the
-      // FedAsync convention), not any client's dispatch snapshot — stale
-      // clients trained against older versions, which is exactly what the
-      // staleness decay discounts.
-      const Tensor pre = model.state();
-      stats = algorithm.aggregate(model, pre, updates);
-      if (options_.mix_alpha != 1.0) {
-        // Server mixing: x <- (1 - alpha) * x_prev + alpha * x_agg.
-        Tensor mixed = model.state();
-        const float a = static_cast<float>(options_.mix_alpha);
-        for (std::size_t i = 0; i < mixed.size(); ++i) {
-          mixed[i] = (1.0f - a) * pre[i] + a * mixed[i];
+      if (!aborted) {
+        // The aggregate's reference state is the server's CURRENT state
+        // (the FedAsync convention), not any client's dispatch snapshot —
+        // stale clients trained against older versions, which is exactly
+        // what the staleness decay discounts. base_ is that state: the
+        // model only changes here.
+        const std::shared_ptr<const Tensor> pre = base_;
+        stats = cfg_.edge_groups > 0
+                    ? hierarchical_aggregate(model, algorithm, *pre, updates,
+                                             positions, window_.size(),
+                                             cfg_.edge_groups)
+                    : algorithm.aggregate(model, *pre, updates);
+        if (options.mix_alpha != 1.0) {
+          // Server mixing: x <- (1 - alpha) * x_prev + alpha * x_agg.
+          Tensor mixed = model.state();
+          const float a = static_cast<float>(options.mix_alpha);
+          for (std::size_t i = 0; i < mixed.size(); ++i) {
+            mixed[i] = (1.0f - a) * (*pre)[i] + a * mixed[i];
+          }
+          model.set_state(mixed);
         }
-        model.set_state(mixed);
-      }
-      ++version_;
-      base_ = std::make_shared<const Tensor>(model.state());
-      result.updates_committed += usable.size();
-    } else {
-      if (!usable.empty()) {
-        std::vector<ClientUpdate> survivors;
-        survivors.reserve(usable.size());
-        for (std::size_t ix : usable) {
-          survivors.push_back(std::move(dispatches_[ix].update));
+        ++version_;
+        base_ = std::make_shared<const Tensor>(model.state());
+        rt.updates_committed += usable.size();
+      } else {
+        if (!updates.empty()) {
+          stats = summarize_updates(updates, model.state_size());
         }
-        stats = summarize_updates(survivors, model.state_size());
+        ++rt.rounds_aborted;
       }
-      ++result.flushes_aborted;
     }
-    stats.round_seconds = seconds_since(flush_wall_start);
-    stats.virtual_seconds = clock_ - last_flush_clock;
+    // Recycle the window's records, payloads included (quarantined updates
+    // keep their tensors until here), inside the flush's wall time.
+    for (std::size_t ix : window_) {
+      dispatches_[ix].update = ClientUpdate{};
+      free_.push_back(ix);
+    }
+    stats.round_seconds = seconds_since(window_start);
+    stats.virtual_seconds =
+        one_wave_ ? max_duration : clock_ - last_flush_clock;
+    // Downlink happened for every window member before any fault fired.
     stats.bytes_down = static_cast<std::uint64_t>(window_.size()) *
                        static_cast<std::uint64_t>(model.state_size()) *
                        sizeof(float);
@@ -394,56 +466,80 @@ SchedulerRunResult EventScheduler::run(
       stats.extras["fault.retries"] = static_cast<double>(retries);
       stats.extras["fault.aborted"] = aborted ? 1.0 : 0.0;
     }
-    stats.extras["sched.staleness_max"] = static_cast<double>(stale_max);
-    stats.extras["sched.staleness_mean"] =
-        usable.empty() ? 0.0 : stale_sum / static_cast<double>(usable.size());
-    stats.extras["sched.version"] = static_cast<double>(version_);
-    stats.extras["sched.vt"] = clock_;
-    if (observer) observer->on_round_end(flush_idx, stats);
+    if (options.scheduled()) {
+      stats.extras["sched.staleness_max"] = static_cast<double>(stale_max);
+      stats.extras["sched.staleness_mean"] =
+          usable.empty() ? 0.0
+                         : stale_sum / static_cast<double>(usable.size());
+      stats.extras["sched.version"] = static_cast<double>(version_);
+      stats.extras["sched.vt"] = clock_;
+    }
+    if (has_pop) {
+      // This window's materialization deltas, read on the coordinator
+      // thread while no worker materializes.
+      PopulationCounters now;
+      provider_.population_counters(now);
+      const PopulationCounters delta{
+          now.materializations - pop_mark.materializations,
+          now.cache_hits - pop_mark.cache_hits,
+          now.cache_misses - pop_mark.cache_misses,
+          now.gen_seconds - pop_mark.gen_seconds};
+      stats.extras["pop.materializations"] =
+          static_cast<double>(delta.materializations);
+      stats.extras["pop.hits"] = static_cast<double>(delta.cache_hits);
+      stats.extras["pop.misses"] = static_cast<double>(delta.cache_misses);
+      stats.extras["pop.gen_seconds"] = delta.gen_seconds;
+      rt.pop_materializations += delta.materializations;
+      rt.pop_cache_hits += delta.cache_hits;
+      rt.pop_cache_misses += delta.cache_misses;
+      rt.pop_gen_seconds += delta.gen_seconds;
+    }
+    if (cfg_.observer) cfg_.observer->on_round_end(flush_count, stats);
 
-    result.loss_history.push_back(stats.mean_train_loss);
-    result.flush_seconds.push_back(stats.round_seconds);
-    result.flush_virtual_seconds.push_back(stats.virtual_seconds);
-    result.client_seconds_sum += ctx.client_seconds_sum;
-    result.client_seconds_max =
-        std::max(result.client_seconds_max, ctx.client_seconds_max);
-    result.clients_dropped += dropped;
-    result.clients_quarantined += quarantined;
-    result.clients_straggled += straggled;
-    result.fault_retries += retries;
-    result.staleness_sum += stale_sum;
-    result.staleness_max = std::max(result.staleness_max, stale_max);
+    result.train_loss_history.push_back(stats.mean_train_loss);
+    rt.round_seconds.push_back(stats.round_seconds);
+    rt.total_seconds += stats.round_seconds;
+    rt.round_virtual_seconds.push_back(stats.virtual_seconds);
+    rt.client_seconds_sum += ctx.client_seconds_sum;
+    rt.client_seconds_max =
+        std::max(rt.client_seconds_max, ctx.client_seconds_max);
+    rt.clients_dropped += dropped;
+    rt.clients_quarantined += quarantined;
+    rt.clients_straggled += straggled;
+    rt.fault_retries += retries;
+    staleness_sum += stale_sum;
+    rt.staleness_max = std::max(rt.staleness_max, stale_max);
 
     window_.clear();
-    ++flush_count_;
+    window_commits = 0;
+    ++flush_count;
     last_flush_clock = clock_;
-    flush_wall_start = Clock::now();
+    start_window();
   };
 
   // The event loop: pop the next terminal event, lazily train whatever is
-  // pending the first time a trained update is needed, commit in event
-  // order, keep the in-flight set full, flush every `flush_every` commits.
-  while (flush_count_ < flushes) {
+  // pending the first time a trained update is needed, commit, keep the
+  // in-flight set full, flush every `flush_every` commits.
+  while (flush_count < cfg_.rounds) {
     HS_CHECK(!queue_.empty(), "EventScheduler: event queue drained early");
     const SchedEvent ev = queue_.pop();
     clock_ = std::max(clock_, ev.time);
-    Dispatch& d = dispatches_[ev.dispatch];
-    if (trainable_kind(d.kind) && !d.trained) {
-      train_pending(model, algorithm, provider);
-    }
-    commit(d);
-    if (!options_.wave_sampling) dispatch_replacement();
-    if (window_.size() >= flush_every) {
+    const Dispatch& d = dispatches_[ev.dispatch];
+    if (trainable_kind(d.kind) && !d.trained) train_pending(model, algorithm);
+    commit(ev.dispatch);
+    if (!waves) dispatch_replacement();
+    if (window_commits >= flush_every) {
       do_flush();
-      if (on_flush) on_flush(flush_count_);
-      if (options_.wave_sampling && flush_count_ < flushes) sample_wave();
+      if (on_flush) on_flush(flush_count);
+      if (waves && flush_count < cfg_.rounds) sample_wave();
     }
   }
 
-  result.clients_dispatched = dispatches_.size();
-  result.virtual_seconds = clock_;
-  result.total_seconds = seconds_since(run_start);
-  return result;
+  rt.virtual_seconds = clock_;
+  rt.staleness_mean =
+      rt.updates_committed > 0
+          ? staleness_sum / static_cast<double>(rt.updates_committed)
+          : 0.0;
 }
 
 }  // namespace hetero

@@ -1,40 +1,47 @@
-// EventScheduler: a deterministic discrete-event simulator driving async
-// (FedAsync) and buffered-async (FedBuff-style) federated aggregation on a
-// virtual clock (DESIGN.md §11).
+// EventScheduler: the simulator's one round engine. A deterministic
+// discrete-event simulator on a virtual clock (DESIGN.md §11) that runs
+// synchronous rounds, FedAsync-style async and FedBuff-style buffered
+// aggregation through one code path.
 //
-// The scheduler replaces the synchronous round barrier with a timeline:
-// every dispatched client gets a virtual finish time computed AT DISPATCH
-// from the seeded fault/delay plan (straggler delays, retry backoffs,
-// timeouts) plus the device-tier compute model (DelayModel), so the whole
-// event timeline is a pure function of (seed, population, options) —
-// training results never feed back into event times. Events pop from a
-// min-heap in (virtual_time, schedule_seq) order; the server flushes its
-// buffer every B terminal client outcomes, scaling each update's weight by
-// the algorithm's staleness decay f(version_delta) before the ordinary
-// serial aggregate, then bumps the model version.
+// Every dispatched client gets a virtual finish time computed AT DISPATCH
+// from the seeded fault plan (the one fault rule of DESIGN.md §10) plus the
+// device-tier compute model (DelayModel), so the whole event timeline is a
+// pure function of (seed, population, options) — training results never
+// feed back into event times. Events pop from a min-heap in (virtual_time,
+// schedule_seq) order; the server flushes its window every B terminal
+// client outcomes, scaling each update's weight by the algorithm's
+// staleness decay f(version_delta) before the ordinary serial aggregate
+// (or the edge-group fold), then bumps the model version.
 //
-// Determinism contract (the point of the design): worker threads race over
-// wall time to train pending clients, but client training is pure
-// (per-worker replicas, per-dispatch RNG streams keyed on coordinates) and
-// the COMMIT order is the event order, which is virtual-time only. Results,
-// staleness accounting, and traces are bit-identical for any HS_THREADS.
+// Sync mode is waves of k clients that flush at k. Whenever the flush
+// window is exactly one wave (wave sampling with buffer == k, which sync
+// implies) the scheduler keeps the synchronous round shape: round_begin
+// fires when the wave is sampled and starts the round's wall clock, the
+// window folds in selection order, and virtual seconds are the recorded
+// dispatch durations and their maximum. Only then is there a flush
+// boundary with no client in flight, so only then can a run checkpoint.
+// Any other window (continuous refill, or waves flushed at a buffer other
+// than k) is emitted retroactively at flush time, in arrival order.
 //
-// Sync FedAvg is NOT routed through this class: run_simulation keeps its
-// original loop for SchedMode::kSync, which is what keeps sync output
-// byte-identical to pre-scheduler builds. The degenerate scheduler
-// configuration (buffered, wave sampling, buffer == k, no delays) is
-// asserted bit-identical to that loop in tests/test_sched.cpp.
+// Determinism contract (DESIGN.md §7): worker threads race over wall time
+// to train pending clients, but client training is pure (per-worker
+// replicas, per-dispatch RNG streams keyed on coordinates) and the fold
+// order is fixed by selection or by virtual time. Results, staleness
+// accounting, and traces are bit-identical for any HS_THREADS; the
+// one-thread run is the serial reference.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "fl/algorithm.h"
 #include "fl/client_provider.h"
 #include "fl/observer.h"
+#include "fl/simulation.h"
 #include "runtime/faults.h"
 #include "runtime/sched/delay_model.h"
 #include "runtime/sched/event_queue.h"
@@ -43,89 +50,63 @@
 
 namespace hetero {
 
-/// Accounting of one scheduled run, mirroring RuntimeStats' split between
-/// wall and virtual clocks.
-struct SchedulerRunResult {
-  std::vector<double> loss_history;  ///< mean train loss per flush
-  double virtual_seconds = 0.0;      ///< final virtual-clock reading
-  std::vector<double> flush_virtual_seconds;  ///< clock span per flush
-  std::vector<double> flush_seconds;          ///< wall time per flush
-  double total_seconds = 0.0;                 ///< wall time of the run
-  double client_seconds_sum = 0.0;  ///< summed wall local_update time
-  double client_seconds_max = 0.0;
-  std::size_t clients_dispatched = 0;  ///< total dispatches
-  std::size_t updates_committed = 0;   ///< usable updates aggregated
-  std::size_t clients_dropped = 0;     ///< dropout + timeout + failed
-  std::size_t clients_quarantined = 0;
-  std::size_t clients_straggled = 0;
-  std::size_t fault_retries = 0;
-  std::size_t flushes_aborted = 0;  ///< flushes below the min_clients floor
-  std::size_t staleness_max = 0;    ///< worst staleness over the run
-  double staleness_sum = 0.0;       ///< summed over committed updates
-};
-
 class EventScheduler {
  public:
-  /// num_threads follows ClientExecutor: 0 = hardware_concurrency,
-  /// 1 = everything inline on the calling thread.
-  EventScheduler(std::size_t num_threads, const SchedulerOptions& options);
+  /// Takes the thread count (0 = hardware_concurrency, 1 = everything
+  /// inline on the calling thread), scheduler options, fault plan, edge
+  /// groups and observer from `cfg`. Both arguments must outlive the
+  /// scheduler.
+  EventScheduler(const SimulationConfig& cfg, const ClientProvider& provider);
   ~EventScheduler();
 
   EventScheduler(const EventScheduler&) = delete;
   EventScheduler& operator=(const EventScheduler&) = delete;
 
-  std::size_t num_threads() const { return num_threads_; }
-
-  /// Installs the fault layer. Unlike the round executor, a plan always
-  /// exists internally (the scheduler draws its compute jitter from the
-  /// same stream), but injection only happens when options.enabled().
-  void set_faults(const FaultOptions& options);
-  /// Installs the device-tier compute model. DelayModel::base_compute_s is
-  /// overridden by SchedulerOptions::base_compute_s when the latter is set.
-  void set_delay_model(DelayModel model);
-
-  /// Runs `flushes` server flushes (the scheduled analogue of rounds),
-  /// mutating the global model. `rng` is consumed exactly like the sync
-  /// loop consumes it under wave sampling. `observer` (may be null) sees
-  /// round_begin / client_end (commit order) / round_end per flush window;
-  /// `on_flush` (may be empty) fires after flush f with the 1-based flush
-  /// count, for eval checkpoints. Client datasets are materialized through
-  /// per-worker ClientSlot arenas, so lazy providers keep the working set
-  /// O(in-flight), never O(N).
-  SchedulerRunResult run(Model& model, SplitFederatedAlgorithm& algorithm,
-                         std::size_t flushes, std::size_t clients_per_round,
-                         const ClientProvider& provider, Rng& rng,
-                         RoundObserver* observer,
-                         const std::function<void(std::size_t)>& on_flush);
+  /// Runs server flushes until `result` holds cfg.rounds of them, mutating
+  /// the global model and appending to result's loss history and runtime
+  /// accounting. An empty `result` starts a fresh run; one restored from a
+  /// checkpoint continues at its flush count, virtual clock and server
+  /// version. Wave sampling consumes `rng` with one
+  /// sample_without_replacement and one fork per wave. `on_flush` (may be
+  /// empty) fires after each flush with the flush count, outside the
+  /// flush's wall time when the window is one wave. Client datasets are
+  /// materialized through per-worker ClientSlot arenas and dispatch
+  /// records are recycled at each flush, so memory stays O(in-flight).
+  void run(Model& model, SplitFederatedAlgorithm& algorithm, Rng& rng,
+           SimulationResult& result,
+           const std::function<void(std::size_t)>& on_flush);
 
  private:
   struct Dispatch;
 
-  void dispatch_client(std::size_t client, std::size_t coord, Rng client_rng,
-                       double now);
-  void train_pending(Model& model, const SplitFederatedAlgorithm& algorithm,
-                     const ClientProvider& provider);
+  std::size_t dispatch_client(std::size_t client, std::size_t coord,
+                              Rng client_rng, double now);
+  void train_pending(const Model& model,
+                     const SplitFederatedAlgorithm& algorithm);
 
+  const SimulationConfig& cfg_;
+  const ClientProvider& provider_;
   std::size_t num_threads_ = 1;
-  SchedulerOptions options_;
   FaultOptions fault_options_;
-  std::unique_ptr<FaultPlan> plan_;  // never null after set_faults / run
+  FaultPlan plan_;
   DelayModel delay_model_;
+  bool one_wave_ = false;  // every flush window is exactly one wave
 
   std::unique_ptr<ThreadPool> pool_;              // null when num_threads_==1
   std::vector<std::unique_ptr<Model>> replicas_;  // one slot per worker
-  std::unique_ptr<Model> scratch_;                // serial training replica
-  std::vector<ClientSlot> slots_;  // one materialization arena per worker
+  std::unique_ptr<Model> scratch_;  // calling-thread training replica
+  std::vector<ClientSlot> slots_;   // one materialization arena per worker
 
   // Run state (reset by run()).
   EventQueue queue_;
-  std::vector<Dispatch> dispatches_;
-  std::vector<char> in_flight_;       // per population client
-  std::shared_ptr<const Tensor> base_;  // current dispatch snapshot
+  std::vector<Dispatch> dispatches_;   // records, recycled through free_
+  std::vector<std::size_t> free_;      // recycled record indices
+  std::vector<std::size_t> untrained_;  // trainable records not yet trained
+  std::unordered_set<std::size_t> in_flight_;  // client ids
+  std::shared_ptr<const Tensor> base_;  // current server state snapshot
   std::uint64_t version_ = 0;
   double clock_ = 0.0;
-  std::size_t flush_count_ = 0;
-  std::vector<std::size_t> window_;  // committed dispatches, commit order
+  std::vector<std::size_t> window_;  // records of the current flush window
 };
 
 }  // namespace hetero

@@ -1,4 +1,4 @@
-// Fixed-size worker thread pool used by the parallel client executor.
+// Fixed-size worker thread pool behind the event scheduler's client fan-out.
 //
 // Design goals, in order:
 //   * deterministic client work: parallel_for hands out loop indices, and

@@ -1,10 +1,12 @@
 // Fault-injection layer tests (DESIGN.md §10): deterministic fault plans,
-// partial aggregation, quarantine of non-finite updates, the min_clients
-// abort floor, and the bugfix-sweep regressions that rode along with the
-// fault work (Ema empty value, HeteroSwitch round-0 switching, top-k
-// tie-break, validation-split aggregation weight).
+// the one fault rule shared by every mode, partial aggregation, quarantine
+// of non-finite updates, the min_clients abort floor, and the bugfix-sweep
+// regressions that rode along with the fault work (Ema empty value,
+// HeteroSwitch round-0 switching, top-k tie-break, validation-split
+// aggregation weight).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <thread>
@@ -12,11 +14,12 @@
 
 #include "fl/algorithm.h"
 #include "fl/compression.h"
+#include "fl/observer.h"
 #include "fl/simulation.h"
 #include "hetero/heteroswitch.h"
 #include "nn/model_zoo.h"
-#include "runtime/client_executor.h"
 #include "runtime/faults.h"
+#include "runtime/sched/sched_options.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -94,6 +97,45 @@ void expect_same_results(const SimulationResult& a, const SimulationResult& b) {
   EXPECT_EQ(a.runtime.clients_straggled, b.runtime.clients_straggled);
   EXPECT_EQ(a.runtime.fault_retries, b.runtime.fault_retries);
   EXPECT_EQ(a.runtime.rounds_aborted, b.runtime.rounds_aborted);
+}
+
+/// Records one run's rounds: the selection, every client_end observation
+/// and the round_end stats.
+struct RoundRecorder : RoundObserver {
+  struct Round {
+    std::vector<std::size_t> selected;
+    std::vector<ClientObservation> clients;
+    RoundStats stats;
+  };
+  std::vector<Round> rounds;
+
+  void on_round_begin(std::size_t,
+                      const std::vector<std::size_t>& selected) override {
+    rounds.push_back({});
+    rounds.back().selected = selected;
+  }
+  void on_client_end(std::size_t, const ClientObservation& c) override {
+    rounds.back().clients.push_back(c);
+  }
+  void on_round_end(std::size_t, const RoundStats& stats) override {
+    rounds.back().stats = stats;
+  }
+};
+
+/// One sync round of k clients through run_simulation, observed.
+SimulationResult run_one_round(Model& model, SplitFederatedAlgorithm& algo,
+                               const ClientProvider& pop,
+                               const FaultOptions& faults,
+                               std::size_t num_threads, std::size_t k,
+                               std::uint64_t seed, RoundRecorder& rec) {
+  SimulationConfig sim;
+  sim.rounds = 1;
+  sim.clients_per_round = k;
+  sim.seed = seed;
+  sim.num_threads = num_threads;
+  sim.faults = faults;
+  sim.observer = &rec;
+  return run_simulation(model, algo, pop, sim);
 }
 
 void expect_same_state(const Tensor& a, const Tensor& b) {
@@ -260,16 +302,13 @@ TEST(FaultInjection, CorruptUpdatesAreQuarantinedAndNeverAggregated) {
   const Tensor before = model->state();
   const MaterializedPopulation pop(synthetic_population(6, 11));
   FedAvg algo(fast_cfg());
-  algo.init(*model, pop.num_clients());
-  ClientExecutor executor(4);
-  executor.set_faults(parse_fault_spec("corrupt=1"));
-  Rng rng(12);
-  RoundRuntime runtime;
-  RoundContext ctx;
-  const RoundStats stats = executor.run_round(
-      *model, algo, {0, 2, 4}, pop, rng, &runtime, &ctx);
-  EXPECT_EQ(runtime.clients_quarantined, 3u);
-  EXPECT_TRUE(runtime.aborted);
+  RoundRecorder rec;
+  const SimulationResult r = run_one_round(
+      *model, algo, pop, parse_fault_spec("corrupt=1"), 4, 3, 12, rec);
+  ASSERT_EQ(rec.rounds.size(), 1u);
+  const RoundStats& stats = rec.rounds[0].stats;
+  EXPECT_EQ(r.runtime.clients_quarantined, 3u);
+  EXPECT_EQ(r.runtime.rounds_aborted, 1u);
   EXPECT_EQ(stats.num_clients, 0u);
   EXPECT_EQ(stats.extras.at("fault.quarantined"), 3.0);
   EXPECT_EQ(stats.extras.at("fault.aborted"), 1.0);
@@ -319,16 +358,14 @@ TEST(FaultInjection, MinClientsFloorAbortsPartialRounds) {
   const Tensor before = model->state();
   const MaterializedPopulation pop(synthetic_population(6, 41));
   FedAvg algo(fast_cfg());
-  algo.init(*model, pop.num_clients());
-  ClientExecutor executor(1);
-  executor.set_faults(parse_fault_spec("drop=0.5,min=99"));
-  Rng rng(42);
-  RoundRuntime runtime;
-  const RoundStats stats = executor.run_round(*model, algo, {0, 1, 2, 3, 4},
-                                              pop, rng, &runtime);
-  EXPECT_TRUE(runtime.aborted);
+  RoundRecorder rec;
+  const SimulationResult r = run_one_round(
+      *model, algo, pop, parse_fault_spec("drop=0.5,min=99"), 1, 5, 42, rec);
+  ASSERT_EQ(rec.rounds.size(), 1u);
+  const RoundStats& stats = rec.rounds[0].stats;
+  EXPECT_EQ(r.runtime.rounds_aborted, 1u);
   EXPECT_EQ(stats.extras.at("fault.aborted"), 1.0);
-  EXPECT_EQ(stats.num_clients + runtime.clients_dropped, 5u);
+  EXPECT_EQ(stats.num_clients + r.runtime.clients_dropped, 5u);
   expect_same_state(before, model->state());
 }
 
@@ -357,41 +394,112 @@ TEST(FaultInjection, OutcomesReportedPerSelectedClient) {
   auto model = tiny_model(70);
   const MaterializedPopulation pop(synthetic_population(8, 71));
   FedAvg algo(fast_cfg());
-  algo.init(*model, pop.num_clients());
-  ClientExecutor executor(2);
-  executor.set_faults(parse_fault_spec("drop=0.3,straggle=0.3"));
-  Rng rng(72);
-  RoundRuntime runtime;
-  const std::vector<std::size_t> selected = {5, 1, 7, 3};
-  executor.run_round(*model, algo, selected, pop, rng, &runtime);
-  ASSERT_EQ(runtime.fault_outcomes.size(), selected.size());
+  RoundRecorder rec;
+  const SimulationResult r =
+      run_one_round(*model, algo, pop,
+                    parse_fault_spec("drop=0.3,straggle=0.3"), 2, 4, 72, rec);
+  ASSERT_EQ(rec.rounds.size(), 1u);
+  const std::vector<std::size_t>& selected = rec.rounds[0].selected;
+  const std::vector<ClientObservation>& outcomes = rec.rounds[0].clients;
+  ASSERT_EQ(outcomes.size(), selected.size());
   std::size_t dropped = 0, straggled = 0;
   for (std::size_t i = 0; i < selected.size(); ++i) {
-    EXPECT_EQ(runtime.fault_outcomes[i].client_id, selected[i]);
-    const FaultKind kind = runtime.fault_outcomes[i].kind;
+    EXPECT_EQ(outcomes[i].client_id, selected[i]);
+    const auto kind = static_cast<FaultKind>(outcomes[i].fault);
     if (kind == FaultKind::kDropout) ++dropped;
     if (kind == FaultKind::kStraggler) ++straggled;
   }
-  EXPECT_EQ(dropped, runtime.clients_dropped);
-  EXPECT_EQ(straggled, runtime.clients_straggled);
+  EXPECT_EQ(dropped, r.runtime.clients_dropped);
+  EXPECT_EQ(straggled, r.runtime.clients_straggled);
 }
 
 TEST(FaultInjection, ZeroFaultRunKeepsCountersAndExtrasClean) {
   auto model = tiny_model(80);
   const MaterializedPopulation pop(synthetic_population(6, 81));
   FedAvg algo(fast_cfg());
-  algo.init(*model, pop.num_clients());
-  ClientExecutor executor(2);  // default FaultOptions: no plan installed
-  Rng rng(82);
-  RoundRuntime runtime;
-  const RoundStats stats = executor.run_round(*model, algo, {0, 1, 2},
-                                              pop, rng, &runtime);
-  EXPECT_EQ(runtime.clients_dropped, 0u);
-  EXPECT_EQ(runtime.clients_quarantined, 0u);
-  EXPECT_FALSE(runtime.aborted);
-  EXPECT_TRUE(runtime.fault_outcomes.empty());
+  RoundRecorder rec;  // default FaultOptions: nothing injected
+  const SimulationResult r =
+      run_one_round(*model, algo, pop, FaultOptions{}, 2, 3, 82, rec);
+  ASSERT_EQ(rec.rounds.size(), 1u);
+  const RoundStats& stats = rec.rounds[0].stats;
+  EXPECT_EQ(r.runtime.clients_dropped, 0u);
+  EXPECT_EQ(r.runtime.clients_quarantined, 0u);
+  EXPECT_EQ(r.runtime.rounds_aborted, 0u);
+  for (const ClientObservation& c : rec.rounds[0].clients) {
+    EXPECT_EQ(c.fault, 0u) << "client " << c.client_id;
+  }
   for (const auto& [key, value] : stats.extras) {
     EXPECT_NE(key.rfind("fault.", 0), 0u) << "unexpected extra " << key;
+  }
+}
+
+// ------------------------------------------------------------ fault rule --
+
+/// The one fault rule (DESIGN.md §10) for a run without modeled compute:
+/// dropout; timeout when the straggler delay exceeds the deadline (retry
+/// backoff not counted); failure when the retries run out; else ok or
+/// straggler.
+FaultKind rule_kind(const FaultOptions& o, const FaultDecision& d) {
+  if (d.drop) return FaultKind::kDropout;
+  if (o.timeout_s > 0.0 && d.delay_s > o.timeout_s) return FaultKind::kTimeout;
+  if (d.fail_attempts > o.max_retries) return FaultKind::kFailed;
+  return d.delay_s > 0.0 ? FaultKind::kStraggler : FaultKind::kOk;
+}
+
+TEST(FaultRule, SyncAndOneWaveBufferedFollowTheSameRule) {
+  // Every client fails at least once and straggles. With one retry of 0.3s
+  // backoff, delay ~ U[0, 1) and a 0.6s deadline, two corners occur:
+  //  (a) delay <= timeout < delay + backoff: the retry succeeds, because
+  //      backoff does not count against the deadline;
+  //  (b) delay > timeout with the retry used up (backoff 0.3 <= timeout):
+  //      a timeout, because the deadline is checked before the retries.
+  const FaultOptions faults = parse_fault_spec(
+      "fail=1,straggle=1,delay=0.5,retries=1,backoff=0.3,timeout=0.6");
+  const FaultPlan plan(faults);
+  const MaterializedPopulation pop(synthetic_population(8, 90));
+  SchedulerOptions one_wave_buffered = parse_sched_spec("buffered,wave=1");
+  one_wave_buffered.buffer = 4;
+  for (const SchedulerOptions& sched :
+       {SchedulerOptions{}, one_wave_buffered}) {
+    SCOPED_TRACE(sched_mode_name(sched.mode));
+    auto model = tiny_model(91);
+    FedAvg algo(fast_cfg());
+    RoundRecorder rec;
+    SimulationConfig sim;
+    sim.rounds = 8;
+    sim.clients_per_round = 4;
+    sim.seed = 92;
+    sim.num_threads = 2;
+    sim.faults = faults;
+    sim.sched = sched;
+    sim.observer = &rec;
+    run_simulation(*model, algo, pop, sim);
+
+    ASSERT_EQ(rec.rounds.size(), 8u);
+    std::size_t corner_a = 0, corner_b = 0;
+    for (std::size_t round = 0; round < rec.rounds.size(); ++round) {
+      ASSERT_EQ(rec.rounds[round].clients.size(), 4u);
+      for (const ClientObservation& c : rec.rounds[round].clients) {
+        const FaultDecision d = plan.decide(round, c.client_id);
+        EXPECT_EQ(c.fault, static_cast<unsigned>(rule_kind(faults, d)))
+            << "round " << round << " client " << c.client_id;
+        const double backoff =
+            total_backoff_seconds(faults, std::min(d.fail_attempts,
+                                                   faults.max_retries));
+        if (d.fail_attempts <= faults.max_retries &&
+            d.delay_s <= faults.timeout_s &&
+            faults.timeout_s < d.delay_s + backoff) {
+          ++corner_a;
+        }
+        if (d.delay_s > faults.timeout_s &&
+            d.fail_attempts > faults.max_retries &&
+            backoff <= faults.timeout_s) {
+          ++corner_b;
+        }
+      }
+    }
+    EXPECT_GT(corner_a, 0u);
+    EXPECT_GT(corner_b, 0u);
   }
 }
 

@@ -6,7 +6,7 @@
 //     shapes, the conv layer inventory, and whole model-zoo forwards;
 //   * intra-op parallelism: tiled kernels split across a worker pool stay
 //     bit-identical to the serial run (fixed task grids, disjoint output
-//     ownership), at the raw-kernel level and through the executor's
+//     ownership), at the raw-kernel level and through the scheduler's
 //     lone-straggler grant.
 #include <gtest/gtest.h>
 
@@ -412,7 +412,7 @@ SimulationResult run_lone_straggler_sim(std::size_t num_threads) {
   FedAvg algo(cfg);
   SimulationConfig sim;
   sim.rounds = 3;
-  // One client per round: with a pool this takes the executor's inline
+  // One client per round: with a pool this takes the scheduler's inline
   // lone-straggler path, granting the whole pool to the client's kernels.
   sim.clients_per_round = 1;
   sim.seed = 31;
@@ -420,7 +420,7 @@ SimulationResult run_lone_straggler_sim(std::size_t num_threads) {
   return run_simulation(*model, algo, pop, sim);
 }
 
-TEST(IntraOp, ExecutorLoneStragglerBitIdenticalAcrossThreadCounts) {
+TEST(IntraOp, LoneStragglerBitIdenticalAcrossThreadCounts) {
   const SimulationResult serial = run_lone_straggler_sim(1);
   const SimulationResult pooled = run_lone_straggler_sim(4);
   ASSERT_EQ(serial.train_loss_history.size(),

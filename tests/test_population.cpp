@@ -1,12 +1,14 @@
 // ClientProvider redesign tests (DESIGN.md §12): VirtualPopulation vs
 // MaterializedPopulation bit-equality, slot reuse, lazy accessors, flair
 // exclusion, cross-thread determinism of simulations over lazy providers,
-// the sparse without-replacement sampler, and checkpoint/resume.
+// the sparse without-replacement sampler, and checkpoint/resume (sync and
+// one-wave buffered runs).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -432,6 +434,76 @@ TEST(Checkpoint, RejectedUnderScheduledModes) {
   sim.checkpoint.dir = ::testing::TempDir() + "hs_ckpt_sched";
   EXPECT_THROW(run_simulation(*model, algo, pop, sim),
                std::invalid_argument);
+}
+
+/// Records the extras of every round_end.
+struct ExtrasRecorder : RoundObserver {
+  std::vector<std::map<std::string, double>> extras;
+  void on_round_end(std::size_t, const RoundStats& stats) override {
+    extras.push_back(stats.extras);
+  }
+};
+
+TEST(Checkpoint, OneWaveBufferedRunResumesBitIdentically) {
+  // Buffered wave sampling with buffer == k flushes exactly one wave, so a
+  // flush leaves no client in flight and the run checkpoints like sync:
+  // the resumed run continues the scheduler's clock and server version.
+  SceneGenerator scenes(16);
+  const VirtualPopulation pop(small_single_label(scenes, 12),
+                              Rng(81).fork(1));
+  const std::string dir =
+      ::testing::TempDir() + "hs_ckpt_one_wave_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  std::remove((dir + "/checkpoint.bin").c_str());
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+
+  struct Run {
+    SimulationResult result;
+    Tensor state;
+  };
+  auto run = [&pop](std::size_t rounds, const CheckpointOptions& c,
+                    RoundObserver* observer) {
+    auto model = tiny_model(84);
+    FedAvg algo(fast_cfg());
+    SimulationConfig sim;
+    sim.rounds = rounds;
+    sim.clients_per_round = 4;
+    sim.seed = 83;
+    sim.num_threads = 2;
+    sim.sched = parse_sched_spec("buffered,wave=1,compute=0.01");
+    sim.faults = parse_fault_spec("drop=0.2,straggle=0.5,delay=0.3");
+    sim.checkpoint = c;
+    sim.observer = observer;
+    SimulationResult result = run_simulation(*model, algo, pop, sim);
+    return Run{std::move(result), model->state()};
+  };
+
+  ExtrasRecorder ref_rounds, resumed_rounds;
+  const Run ref = run(6, {}, &ref_rounds);
+  run(3, ckpt, nullptr);
+  const Run resumed = run(6, ckpt, &resumed_rounds);
+
+  EXPECT_EQ(ref.result.train_loss_history, resumed.result.train_loss_history);
+  expect_tensor_bits(ref.state, resumed.state);
+  const RuntimeStats& a = ref.result.runtime;
+  const RuntimeStats& b = resumed.result.runtime;
+  EXPECT_GT(a.virtual_seconds, 0.0);
+  EXPECT_EQ(a.virtual_seconds, b.virtual_seconds);
+  EXPECT_EQ(a.round_virtual_seconds, b.round_virtual_seconds);
+  EXPECT_EQ(a.clients_dropped, b.clients_dropped);
+  EXPECT_EQ(a.clients_dispatched, b.clients_dispatched);
+  EXPECT_EQ(a.updates_committed, b.updates_committed);
+  ASSERT_EQ(ref_rounds.extras.size(), 6u);
+  ASSERT_EQ(resumed_rounds.extras.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (const char* key : {"sched.vt", "sched.version"}) {
+      EXPECT_EQ(ref_rounds.extras[3 + i].at(key),
+                resumed_rounds.extras[i].at(key))
+          << key << " after round " << 3 + i;
+    }
+  }
+  std::remove((dir + "/checkpoint.bin").c_str());
 }
 
 // --------------------------------------------------- sparse sampling --

@@ -20,7 +20,6 @@
 #include "nn/model_zoo.h"
 #include "obs/jsonl.h"
 #include "obs/tracer.h"
-#include "runtime/client_executor.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
 
@@ -298,36 +297,37 @@ TEST(RuntimeStats, PopulatedBySimulation) {
 }
 
 TEST(RuntimeStats, ZeroThreadsResolvesToHardwareConcurrency) {
-  ClientExecutor executor(0);
-  EXPECT_GE(executor.num_threads(), 1u);
+  FedAvg algo(fast_cfg());
+  const SimulationResult r = run_sim(algo, 0, 78);
+  EXPECT_GE(r.runtime.threads, 1u);
 }
 
-// ------------------------------------------------- executor direct checks --
+// ------------------------------------------------------ one-round checks --
 
-TEST(ClientExecutor, OneThreadMatchesFourThreadsExactly) {
-  // One round on a one-thread executor (inline on the shared model) vs. a
-  // four-thread one (per-worker replicas), from identical starting points.
+TEST(RoundEngine, OneThreadMatchesFourThreadsExactly) {
+  // One round on one thread (the serial reference) vs. four threads
+  // (per-worker replicas), from identical starting points.
   const MaterializedPopulation pop(synthetic_population(6, 900));
-  const std::vector<std::size_t> selected = {4, 1, 3};
+  auto one_round = [&pop](Model& model, std::size_t threads) {
+    FedAvg algo(fast_cfg());
+    SimulationConfig sim;
+    sim.rounds = 1;
+    sim.clients_per_round = 3;
+    sim.seed = 5;
+    sim.num_threads = threads;
+    return run_simulation(model, algo, pop, sim);
+  };
 
   auto model_a = tiny_model(88);
-  FedAvg algo_a(fast_cfg());
-  Rng rng_a(5);
-  ClientExecutor serial(1);
-  const RoundStats ref =
-      serial.run_round(*model_a, algo_a, selected, pop, rng_a);
-
+  const SimulationResult ref = one_round(*model_a, 1);
   auto model_b = tiny_model(88);
-  FedAvg algo_b(fast_cfg());
-  Rng rng_b(5);
-  ClientExecutor executor(4);
-  RoundRuntime runtime;
-  const RoundStats got =
-      executor.run_round(*model_b, algo_b, selected, pop, rng_b, &runtime);
+  const SimulationResult got = one_round(*model_b, 4);
 
-  EXPECT_EQ(ref.mean_train_loss, got.mean_train_loss);
-  EXPECT_EQ(executor.num_threads(), 4u);
-  EXPECT_GT(runtime.client_seconds_sum, 0.0);
+  ASSERT_EQ(ref.train_loss_history.size(), 1u);
+  ASSERT_EQ(got.train_loss_history.size(), 1u);
+  EXPECT_EQ(ref.train_loss_history[0], got.train_loss_history[0]);
+  EXPECT_EQ(got.runtime.threads, 4u);
+  EXPECT_GT(got.runtime.client_seconds_sum, 0.0);
   const Tensor sa = model_a->state();
   const Tensor sb = model_b->state();
   ASSERT_EQ(sa.size(), sb.size());

@@ -1,11 +1,15 @@
 // Event-scheduler tests (DESIGN.md §11): HS_SCHED spec parsing, the
 // (time, seq)-ordered event queue, device-tier delay modeling, staleness
-// decay, and — the point of the subsystem — determinism: the degenerate
-// buffered configuration is bit-identical to the sync loop, and async /
-// buffered runs are bit-identical for any thread count, faults included.
+// decay, edge groups and memory in every mode, and — the point of the
+// subsystem — determinism: the degenerate buffered configuration is
+// bit-identical to sync, and async / buffered runs are bit-identical for
+// any thread count, faults included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -243,8 +247,16 @@ TEST(DelayModelCompute, ScalesWithWorkScaleAndJitter) {
   m.base_compute_s = 0.01;
   m.jitter_frac = 0.0;
   EXPECT_DOUBLE_EQ(m.compute_seconds(3, 1.0), 0.01);  // defaults: work=scale=1
-  m.client_scale = {1.0, 2.0};
-  m.client_work = {10.0, 20.0};
+  // Two clients of 10 and 20 samples on devices with speed scales 1 and 2:
+  // the provider is the one source of per-client work and speed.
+  FlPopulation two;
+  two.client_train.push_back(two_class_data(10, 1));
+  two.client_train.push_back(two_class_data(20, 2));
+  two.client_device = {0, 1};
+  two.device_names = {"fast", "slow"};
+  two.device_speed_scale = {1.0, 2.0};
+  const MaterializedPopulation pop(std::move(two));
+  m.provider = &pop;
   EXPECT_DOUBLE_EQ(m.compute_seconds(1, 0.0), 0.01 * 20.0 * 2.0);
   m.jitter_frac = 0.1;
   EXPECT_GT(m.compute_seconds(1, 1.0), m.compute_seconds(1, -1.0));
@@ -356,9 +368,9 @@ TEST(SchedFaults, AbortedFlushesSkipTheModelAndLaterFlushesRecover) {
 
 TEST(SchedFaults, TotalDurationTimeoutDropsEveryone) {
   // base_compute_s=1.0 over >=12-sample datasets blows a 1s deadline for
-  // every client: the scheduler's deadline covers the TOTAL virtual
-  // duration (compute + delay + backoff), unlike the sync executor's
-  // delay-only rule. All flushes abort; the model never moves.
+  // every client: the deadline covers modeled compute plus straggler delay
+  // (retry backoff does not count), so compute alone exceeds it. All
+  // flushes abort; the model never moves.
   auto model = tiny_model(40);
   const Tensor before = model->state();
   FedAvg algo(fast_cfg());
@@ -377,13 +389,104 @@ TEST(SchedFaults, TotalDurationTimeoutDropsEveryone) {
   expect_same_state(before, model->state());
 }
 
+// ------------------------------------------------- edge groups, memory --
+
+TEST(SchedEdges, EdgeGroupsFoldInEveryScheduledMode) {
+  for (const char* spec : {"buffered,buffer=3", "async"}) {
+    SCOPED_TRACE(spec);
+    auto edge_run = [spec](std::size_t threads, RecordingObserver* rec) {
+      auto model = tiny_model(61);
+      FedAvg algo(fast_cfg());
+      const MaterializedPopulation pop(synthetic_population(8, 62));
+      SimulationConfig sim;
+      sim.rounds = 6;
+      sim.clients_per_round = 4;
+      sim.seed = 63;
+      sim.num_threads = threads;
+      sim.sched = parse_sched_spec(spec);
+      sim.edge_groups = 2;
+      sim.observer = rec;
+      SimulationResult result = run_simulation(*model, algo, pop, sim);
+      return SchedRun{std::move(result), model->state()};
+    };
+    RecordingObserver rec;
+    const SchedRun r1 = edge_run(1, &rec);
+    const SchedRun r4 = edge_run(4, nullptr);
+    expect_same_sched(r1, r4);
+    for (double loss : r1.result.train_loss_history) {
+      EXPECT_TRUE(std::isfinite(loss));
+    }
+    ASSERT_EQ(rec.flushes.size(), 6u);
+    for (const auto& flush : rec.flushes) {
+      EXPECT_EQ(flush.stats.extras.at("net.edges"), 2.0);
+    }
+  }
+}
+
+/// FedAvg whose every update also carries a 1 MiB aux tensor, so a record
+/// that keeps its payload shows in the resident set.
+class PaddedFedAvg final : public FedAvg {
+ public:
+  explicit PaddedFedAvg(LocalTrainConfig cfg) : FedAvg(cfg) {}
+  ClientUpdate local_update(Model& model, const Tensor& global,
+                            std::size_t client_id, const Dataset& data,
+                            Rng& client_rng) const override {
+    ClientUpdate u =
+        FedAvg::local_update(model, global, client_id, data, client_rng);
+    u.aux = Tensor({(1u << 20) / sizeof(float)});
+    return u;
+  }
+};
+
+/// VmRSS of this process in KiB, read at every round end.
+struct RssObserver : RoundObserver {
+  std::vector<double> kib;
+  void on_round_end(std::size_t, const RoundStats&) override {
+    std::ifstream f("/proc/self/status");
+    std::string line;
+    while (std::getline(f, line)) {
+      if (line.rfind("VmRSS:", 0) == 0) {
+        kib.push_back(std::stod(line.substr(6)));
+        return;
+      }
+    }
+  }
+};
+
+TEST(SchedMemory, QuarantinedPayloadsAreReleasedAtFlush) {
+  // corrupt=1 quarantines every update, so every flush aborts. Each
+  // flush must still release its members' payloads: the resident set stays
+  // O(in-flight), not O(flushes) (64 flushes of 1 MiB updates).
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "ASan quarantines freed memory, so RSS cannot show it";
+#endif
+  auto model = tiny_model(51);
+  PaddedFedAvg algo(fast_cfg());
+  const MaterializedPopulation pop(synthetic_population(8, 52));
+  RssObserver rss;
+  SimulationConfig sim;
+  sim.rounds = 64;
+  sim.clients_per_round = 4;
+  sim.seed = 53;
+  sim.num_threads = 1;
+  sim.faults = parse_fault_spec("corrupt=1");
+  sim.sched = parse_sched_spec("async");
+  sim.observer = &rss;
+  const SimulationResult r = run_simulation(*model, algo, pop, sim);
+  EXPECT_EQ(r.runtime.clients_quarantined, 64u);
+  ASSERT_EQ(rss.kib.size(), 64u);
+  const double peak = *std::max_element(rss.kib.begin(), rss.kib.end());
+  EXPECT_LE(peak - rss.kib.front(), 16.0 * 1024.0)
+      << "first " << rss.kib.front() << " KiB, peak " << peak << " KiB";
+}
+
 // ------------------------------------------------------ wall vs virtual --
 
 TEST(SchedClocks, SyncRunsSeparateWallFromVirtualTime) {
   // Straggler delays are virtual: they must show up in virtual_seconds
   // (deterministically) and never in the loss math. Two identical runs
   // agree on the virtual clock even though wall clocks differ.
-  SchedulerOptions sync;  // default: original loop
+  SchedulerOptions sync;  // default: sync rounds
   const FaultOptions faults = parse_fault_spec("straggle=1,delay=0.25");
   const SchedRun a = run_sched(sync, faults, 2, 77);
   const SchedRun b = run_sched(sync, faults, 2, 77);

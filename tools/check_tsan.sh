@@ -4,9 +4,9 @@
 # Usage: tools/check_tsan.sh [extra ctest args]
 #
 # Uses a dedicated build directory (build-tsan) so the regular build stays
-# untouched. The runtime tests exercise the ThreadPool and the parallel
-# ClientExecutor paths, which is where any data race in the client fan-out
-# would surface; the kernel tests run tiled-kernel training steps across
+# untouched. The runtime tests exercise the ThreadPool and the event
+# scheduler's parallel training batches, which is where any data race in
+# the client fan-out would surface; the kernel tests run tiled-kernel training steps across
 # thread counts on top of them (isa.h compiles the ifunc clones out under
 # TSan, so the baseline code paths are what gets checked). The fault tests
 # add concurrent FaultPlan::decide calls and the fault-aware disposition

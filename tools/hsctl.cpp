@@ -434,8 +434,10 @@ int cmd_fl(const Args& args) {
         "Sched:   async aggregates per arrival with staleness decay "
         "(1+s)^-E;\n"
         "         buffered flushes every B terminal outcomes (0 = K); sync "
-        "is the default\n"
-        "         round loop. --sched also accepts a full spec, e.g. "
+        "(the default)\n"
+        "         runs rounds of K. --alpha and compute= act in every mode. "
+        "--sched also\n"
+        "         accepts a full spec, e.g. "
         "\"buffered,buffer=4,compute=0.01\".\n"
         "Population: virtual generates clients lazily (O(k) memory, scales "
         "to millions);\n"
@@ -443,13 +445,14 @@ int cmd_fl(const Args& args) {
         "either way.\n"
         "Checkpoint: write <DIR>/checkpoint.bin every --ckpt-every rounds "
         "and resume from\n"
-        "         it when present (sync loop only). HS_CHECKPOINT="
-        "\"DIR[,every=N][,resume=0|1]\"\n"
-        "         is the env equivalent when --checkpoint is absent.\n"
+        "         it when present (sync, or buffered with wave=1 and B = K). "
+        "HS_CHECKPOINT=\n"
+        "         \"DIR[,every=N][,resume=0|1]\" is the env equivalent "
+        "when --checkpoint is absent.\n"
         "Edges:   --edges E folds each round through E partial digests (the "
         "two-level\n"
-        "         tree of DESIGN.md §14; sync loop, partial-aggregation "
-        "methods only).\n");
+        "         tree of DESIGN.md §14; any --sched mode, "
+        "partial-aggregation methods only).\n");
     return 0;
   }
   const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 40));

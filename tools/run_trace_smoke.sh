@@ -13,7 +13,7 @@ mkdir -p "$WORKDIR"
 TRACE="$WORKDIR/smoke_trace.jsonl"
 
 # Two rounds keep the smoke fast; the bench sweeps several thread counts,
-# so the trace exercises both the serial and the parallel executor paths.
+# so the trace exercises both the serial and the parallel training paths.
 cd "$WORKDIR"
 HS_TRACE="$TRACE" HS_ROUNDS=2 HS_SCALE=0 "$BENCH" > /dev/null
 

@@ -19,11 +19,13 @@
 //     default 0, so fault-free traces keep clients == k);
 //   * loss_min <= loss <= loss_max on round_end;
 //   * scheduled traces (client_end carries "vt"/"version"/"staleness" from
-//     the virtual-clock event scheduler, DESIGN.md §11) reconcile: commit
-//     virtual times are non-decreasing within a round and never exceed the
-//     round_end's "sched.vt" clock; every client's staleness equals the
-//     pre-flush server version ("sched.version", minus one unless the
-//     flush aborted) minus the version it trained against;
+//     the virtual-clock event scheduler, DESIGN.md §11) reconcile: every
+//     commit virtual time lies between the previous round_end's
+//     "sched.vt" clock and this round_end's (a window lists its clients in
+//     commit order, or in selection order when it is exactly one wave);
+//     every client's staleness equals the pre-flush server version
+//     ("sched.version", minus one unless the flush aborted) minus the
+//     version it trained against;
 //   * net-daemon traces reconcile: round_end's "net.edges" (the
 //     hierarchical edge tier's group count) is at least 1, and the
 //     cumulative "net.bytes_rx/tx" / "net.frames_rx/tx" counters are
@@ -35,6 +37,7 @@
 // Then prints a summary with per-round and per-client latency percentiles
 // (when the trace carries timing fields; HS_TRACE_TIMINGS=0 omits them).
 // Exit code 0 = valid, 1 = violations found, 2 = usage / IO error.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -117,9 +120,11 @@ int main(int argc, char** argv) {
   double round_k = 0.0;
   double clients_seen = 0.0;
   // Scheduler reconciliation state: (staleness, version) per scheduled
-  // client_end of the current round, and the last commit timestamp.
+  // client_end of the current round, the round's latest commit timestamp,
+  // and the previous flush's clock in this run.
   std::vector<std::pair<double, double>> round_staleness;
-  double last_vt = 0.0;
+  double max_vt = 0.0;
+  double last_sched_vt = 0.0;
   bool round_scheduled = false;
   // Net daemon reconciliation state: the previous round_end's cumulative
   // wire counters for this run (they must never decrease).
@@ -163,6 +168,7 @@ int main(int argc, char** argv) {
         check.fail("run_begin without string \"label\"");
       }
       in_round = false;
+      last_sched_vt = 0.0;
       last_net_bytes_rx = last_net_bytes_tx = -1.0;
       last_net_frames_rx = last_net_frames_tx = -1.0;
     } else if (type == "round_begin") {
@@ -208,18 +214,17 @@ int main(int argc, char** argv) {
       if (check.opt_num(obj, "vseconds", &vsecs) && vsecs < 0.0) {
         check.fail("client_end negative vseconds");
       }
-      // Scheduler provenance: the trio travels together, commit times are
-      // non-decreasing in commit order, staleness is checked against the
-      // round_end's version accounting below.
+      // Scheduler provenance: the trio travels together, no commit precedes
+      // the previous flush, staleness is checked against the round_end's
+      // version accounting below.
       double vt = 0.0;
       if (check.opt_num(obj, "vt", &vt)) {
         const double version = check.num(obj, "version");
         const double staleness = check.num(obj, "staleness");
-        if (clients_seen > 1.0 && round_scheduled && vt < last_vt) {
-          check.fail("client_end vt decreased within a round "
-                     "(commit order violated)");
+        if (vt < last_sched_vt) {
+          check.fail("client_end vt precedes the previous flush's sched.vt");
         }
-        last_vt = vt;
+        max_vt = round_scheduled ? std::max(max_vt, vt) : vt;
         round_scheduled = true;
         round_staleness.emplace_back(staleness, version);
       }
@@ -279,9 +284,11 @@ int main(int argc, char** argv) {
           }
         }
         double sched_vt = 0.0;
-        if (check.opt_num(obj, "sched.vt", &sched_vt) && round_scheduled &&
-            last_vt > sched_vt) {
-          check.fail("client_end vt exceeds round_end sched.vt");
+        if (check.opt_num(obj, "sched.vt", &sched_vt)) {
+          if (round_scheduled && max_vt > sched_vt) {
+            check.fail("client_end vt exceeds round_end sched.vt");
+          }
+          last_sched_vt = sched_vt;
         }
       } else if (round_scheduled) {
         check.fail("scheduled client_end events without round_end "
@@ -317,7 +324,7 @@ int main(int argc, char** argv) {
       }
       // Population materialization extras: every materialization resolves
       // as exactly one cache hit or one miss (pop.* appear together, from
-      // one executor stamp), and generation time can only be non-negative.
+      // one scheduler stamp), and generation time can only be non-negative.
       double pop_mat = 0.0;
       if (check.opt_num(obj, "pop.materializations", &pop_mat)) {
         double pop_hits = 0.0, pop_misses = 0.0, pop_gen = 0.0;
