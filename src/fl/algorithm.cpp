@@ -147,10 +147,17 @@ RoundStats hierarchical_aggregate(Model& model, SplitFederatedAlgorithm& split,
     if (group.empty()) continue;
     digests.push_back(split.partial_aggregate(global, group));
   }
+  aggregate_digests(model, split, global, digests, edge_groups, stats);
+  return stats;
+}
+
+void aggregate_digests(Model& model, SplitFederatedAlgorithm& split,
+                       const Tensor& global,
+                       std::vector<ClientUpdate>& digests,
+                       std::size_t edge_groups, RoundStats& stats) {
   const RoundStats agg = split.aggregate(model, global, digests);
   for (const auto& [key, value] : agg.extras) stats.extras[key] = value;
   stats.extras["net.edges"] = static_cast<double>(edge_groups);
-  return stats;
 }
 
 // ------------------------------------------------------------------ FedAvg

@@ -2,11 +2,10 @@
 //
 // A SplitFederatedAlgorithm owns both sides of one method: a pure
 // per-client update rule (local_update) and a serial server aggregation
-// (aggregate). The round engines — the EventScheduler for in-process sync
-// rounds and async/buffered flushes, the net nodes for distributed runs —
-// call local_update once per selected client and aggregate once per round
-// or flush; the algorithm mutates the shared global Model only in
-// aggregate.
+// (aggregate). The one round engine, the EventScheduler, calls
+// local_update once per dispatched client (on its pool, or on the daemon's
+// remote workers) and aggregate once per flush; the algorithm mutates the
+// shared global Model only in aggregate.
 // Per-worker model replicas are reused for every simulated client by
 // swapping flat states (memory stays O(workers) in the number of clients).
 //
@@ -343,5 +342,14 @@ RoundStats hierarchical_aggregate(Model& model, SplitFederatedAlgorithm& split,
                                   const std::vector<std::size_t>& positions,
                                   std::size_t n_selected,
                                   std::size_t edge_groups);
+
+/// The root half of hierarchical_aggregate, shared with the daemon root
+/// whose digests arrive from remote edges: aggregates the digests (edge
+/// order), merges the aggregate's extras into `stats` (the client-level
+/// summary) and adds extras["net.edges"]. Consumes `digests`.
+void aggregate_digests(Model& model, SplitFederatedAlgorithm& split,
+                       const Tensor& global,
+                       std::vector<ClientUpdate>& digests,
+                       std::size_t edge_groups, RoundStats& stats);
 
 }  // namespace hetero

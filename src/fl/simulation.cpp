@@ -62,7 +62,8 @@ DeviceMetrics evaluate_per_device(Model& model, const ClientProvider& pop) {
 SimulationResult run_simulation(Model& model,
                                 SplitFederatedAlgorithm& algorithm,
                                 const ClientProvider& population,
-                                const SimulationConfig& cfg) {
+                                const SimulationConfig& cfg,
+                                RemoteTrainStep* remote) {
   const std::size_t num_clients = population.num_clients();
   HS_CHECK(num_clients > 0, "run_simulation: no clients");
   HS_CHECK(cfg.clients_per_round > 0 && cfg.clients_per_round <= num_clients,
@@ -73,9 +74,26 @@ SimulationResult run_simulation(Model& model,
                cfg.sched.one_wave(cfg.clients_per_round),
            "run_simulation: checkpoint/resume needs every flush window to be "
            "one wave (sync, or buffered wave sampling with buffer == k)");
+  if (remote != nullptr) {
+    HS_CHECK(cfg.sched.waves(),
+             "run_simulation: remote training needs wave sampling (a "
+             "continuous-refill batch would span model versions)");
+    HS_CHECK(algorithm.stateless_client_phase(),
+             "run_simulation: this algorithm's client phase reads "
+             "server-held state and cannot run on remote workers");
+    HS_CHECK(remote->edge_groups() == cfg.edge_groups,
+             "run_simulation: edge_groups must equal the remote edge count");
+    HS_CHECK(cfg.edge_groups == 0 ||
+                 cfg.sched.one_wave(cfg.clients_per_round),
+             "run_simulation: remote edges fold one wave each, so every "
+             "flush window must be one wave");
+    HS_CHECK(cfg.edge_groups == 0 || algorithm.supports_partial_aggregation(),
+             "run_simulation: algorithm does not support edge-tier partial "
+             "aggregation");
+  }
 
   RoundObserver* observer = cfg.observer;
-  EventScheduler sched(cfg, population);
+  EventScheduler sched(cfg, population, remote);
   Rng rng(cfg.seed);
   algorithm.init(model, num_clients);
 

@@ -16,6 +16,8 @@
 
 namespace hetero {
 
+class RemoteTrainStep;  // runtime/sched/remote_step.h
+
 /// Per-device evaluation of the global model plus the paper's summary
 /// metrics: average accuracy (fairness), population variance of accuracy
 /// across device types (fairness), worst-case accuracy (DG).
@@ -70,8 +72,8 @@ struct SimulationConfig {
   /// positions, folds each into one weighted digest (the renormalized
   /// partial aggregation of DESIGN.md §10), and aggregates the digests —
   /// exactly the fold the distributed edge tier (src/net) runs, so a
-  /// loopback run with matching num_edges is byte-identical to a sync run
-  /// here. 0 keeps the flat fold. Works in every mode; requires
+  /// daemon run with that many edges is byte-identical to a run here. 0
+  /// keeps the flat fold. Works in every mode; requires
   /// supports_partial_aggregation().
   std::size_t edge_groups = 0;
 };
@@ -127,9 +129,16 @@ struct SimulationResult {
 /// assignment). A VirtualPopulation runs a
 /// 1M-client federation in O(k) memory per round, and is bit-identical to
 /// the MaterializedPopulation built from the same (spec, root).
+///
+/// With `remote` set (the daemon root, DESIGN.md §14), each wave's clients
+/// train on remote workers instead of the local pool, bit-identically. The
+/// run then needs wave sampling, an algorithm with a stateless client
+/// phase and remote->edge_groups() == cfg.edge_groups; under edges also
+/// one-wave flush windows and partial aggregation.
 SimulationResult run_simulation(Model& model,
                                 SplitFederatedAlgorithm& algorithm,
                                 const ClientProvider& population,
-                                const SimulationConfig& cfg);
+                                const SimulationConfig& cfg,
+                                RemoteTrainStep* remote = nullptr);
 
 }  // namespace hetero

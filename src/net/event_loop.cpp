@@ -87,7 +87,8 @@ void EventLoop::update_interest(std::size_t conn) {
   c.want_write = want_write;
 }
 
-void EventLoop::listen(const std::string& host, std::uint16_t port) {
+std::uint16_t EventLoop::listen(const std::string& host,
+                                std::uint16_t port) {
   if (listen_fd_ >= 0) throw std::runtime_error("EventLoop: already listening");
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket");
@@ -98,7 +99,9 @@ void EventLoop::listen(const std::string& host, std::uint16_t port) {
     ::close(fd);
     throw_errno("bind " + host);
   }
-  if (::listen(fd, 64) < 0) {
+  socklen_t len = sizeof(addr);
+  if (::listen(fd, 64) < 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
     ::close(fd);
     throw_errno("listen");
   }
@@ -111,6 +114,7 @@ void EventLoop::listen(const std::string& host, std::uint16_t port) {
     throw_errno("epoll_ctl(ADD listener)");
   }
   listen_fd_ = fd;
+  return ntohs(addr.sin_port);
 }
 
 std::size_t EventLoop::connect(const std::string& host, std::uint16_t port) {
@@ -142,8 +146,10 @@ void EventLoop::flush_writes(std::size_t conn) {
   if (it == conns_.end()) return;
   Conn& c = it->second;
   while (c.out_off < c.out.size()) {
-    const ssize_t n = ::write(c.fd, c.out.data() + c.out_off,
-                              c.out.size() - c.out_off);
+    // MSG_NOSIGNAL: a peer that died turns into EPIPE and a closed
+    // connection, not a SIGPIPE that kills this process.
+    const ssize_t n = ::send(c.fd, c.out.data() + c.out_off,
+                             c.out.size() - c.out_off, MSG_NOSIGNAL);
     if (n > 0) {
       c.out_off += static_cast<std::size_t>(n);
       continue;

@@ -45,9 +45,10 @@ class EventLoop : public FrameSink {
   /// Run id stamped into every outgoing frame header (default 1).
   void set_run_id(std::uint64_t run) { run_ = run; }
 
-  /// Starts accepting on host:port. Throws std::runtime_error on failure
+  /// Starts accepting on host:port and returns the bound port (the
+  /// kernel's pick when `port` is 0). Throws std::runtime_error on failure
   /// (e.g. sandboxed environments without bind permission).
-  void listen(const std::string& host, std::uint16_t port);
+  std::uint16_t listen(const std::string& host, std::uint16_t port);
 
   /// Connects to host:port (blocking handshake, then nonblocking I/O).
   /// Returns the new conn id; throws std::runtime_error on failure.

@@ -148,31 +148,22 @@ LoopbackResult run_distributed_loopback(Model& model,
                                         const SimulationConfig& cfg,
                                         std::size_t num_workers,
                                         std::size_t num_edges) {
-  HS_CHECK(!cfg.faults.enabled(),
-           "loopback: fault injection is monolithic-only");
-  HS_CHECK(!cfg.sched.scheduled(),
-           "loopback: scheduled modes are monolithic-only");
-  HS_CHECK(!cfg.checkpoint.enabled(),
-           "loopback: checkpointing is monolithic-only");
   HS_CHECK(num_workers > 0, "loopback: need at least one worker");
   HS_CHECK(num_edges == 0 || num_workers >= num_edges,
            "loopback: need at least one worker per edge");
+  HS_CHECK(cfg.edge_groups == 0 || cfg.edge_groups == num_edges,
+           "loopback: edge_groups must be 0 or num_edges");
+  SimulationConfig sim = cfg;
+  sim.edge_groups = num_edges;
 
   LoopbackResult out;
   LoopbackHub hub(out.counters);
 
-  NetSimConfig net_cfg;
-  net_cfg.rounds = cfg.rounds;
-  net_cfg.clients_per_round = cfg.clients_per_round;
-  net_cfg.seed = cfg.seed;
-  net_cfg.eval_every = cfg.eval_every;
-  net_cfg.num_downstream = num_edges > 0 ? num_edges : num_workers;
-  net_cfg.edge_groups = num_edges;
-  net_cfg.observer = cfg.observer;
-  net_cfg.counters = &out.counters;
-
+  // The hub delivers until quiescent, so one pump settles a whole wave.
   const std::size_t root_ep = hub.add_endpoint();
-  RootServer root(model, algorithm, population, net_cfg, hub.sink(root_ep));
+  RootServer root(hub.sink(root_ep), num_edges > 0 ? num_edges : num_workers,
+                  num_edges, cfg.rounds,
+                  [&hub](const std::function<bool()>&) { hub.pump(); });
   hub.set_handler(root_ep, [&root](std::size_t conn, const Frame& frame) {
     root.on_frame(conn, frame);
   });
@@ -243,9 +234,13 @@ LoopbackResult run_distributed_loopback(Model& model,
   for (auto& edge : edges) edge->start();
   for (auto& worker : workers) worker->start();
   hub.pump();
+  check(root.ready() && !root.failed(),
+        "loopback root not ready: " + root.error());
+  out.result = run_simulation(model, algorithm, population, sim, &root);
+  root.finish();
+  hub.pump();
 
   check(!hub.any_parser_failed(), "loopback: frame parser quarantined");
-  check(!root.failed(), "loopback root failed: " + root.error());
   for (const auto& edge : edges) {
     check(!edge->failed(), "loopback edge failed: " + edge->error());
     check(edge->done(), "loopback edge never finished");
@@ -254,9 +249,6 @@ LoopbackResult run_distributed_loopback(Model& model,
     check(!worker->failed(), "loopback worker failed: " + worker->error());
     check(worker->done(), "loopback worker never finished");
   }
-  check(root.done(), "loopback root never finished");
-
-  out.result = root.take_result();
   return out;
 }
 

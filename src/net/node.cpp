@@ -1,6 +1,7 @@
 #include "net/node.h"
 
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
 #include "runtime/faults.h"
@@ -18,72 +19,31 @@ double monotonic_seconds() {
 
 }  // namespace
 
-const char* conn_state_name(ConnState state) {
-  switch (state) {
-    case ConnState::kHandshakeWait: return "handshake_wait";
-    case ConnState::kRoundIdle: return "round_idle";
-    case ConnState::kPulling: return "pulling";
-    case ConnState::kTraining: return "training";
-    case ConnState::kPushing: return "pushing";
-    case ConnState::kDone: return "done";
-    case ConnState::kQuarantined: return "quarantined";
-  }
-  return "unknown";
-}
-
 // ------------------------------------------------------------- RootServer
 
-RootServer::RootServer(Model& model, SplitFederatedAlgorithm& algorithm,
-                       const ClientProvider& population,
-                       const NetSimConfig& cfg, FrameSink& sink)
-    : model_(model),
-      algorithm_(algorithm),
-      population_(population),
-      cfg_(cfg),
-      sink_(sink),
-      rng_(cfg.seed) {
-  HS_CHECK(algorithm_.stateless_client_phase(),
-           "RootServer: this algorithm's client phase reads server-held "
-           "state and cannot run on remote workers");
-  HS_CHECK(cfg_.rounds > 0, "RootServer: rounds must be positive");
-  HS_CHECK(cfg_.num_downstream > 0, "RootServer: no downstream nodes");
-  if (cfg_.edge_groups > 0) {
-    HS_CHECK(cfg_.edge_groups == cfg_.num_downstream,
-             "RootServer: edge_groups must equal the edge-node count");
-    HS_CHECK(algorithm_.supports_partial_aggregation(),
-             "RootServer: algorithm does not support edge-tier partial "
-             "aggregation");
-  }
-  const std::size_t n = population_.num_clients();
-  HS_CHECK(n > 0, "RootServer: no clients");
-  HS_CHECK(cfg_.clients_per_round > 0 && cfg_.clients_per_round <= n,
-           "RootServer: bad clients_per_round");
-  algorithm_.init(model_, n);
-  conn_of_node_.assign(cfg_.num_downstream, -1);
-  node_state_.assign(cfg_.num_downstream, ConnState::kHandshakeWait);
-  result_.runtime.threads = 1;
+RootServer::RootServer(FrameSink& sink, std::size_t num_downstream,
+                       std::size_t edges, std::size_t rounds, Pump pump)
+    : sink_(sink), edges_(edges), rounds_(rounds), pump_(std::move(pump)) {
+  HS_CHECK(num_downstream > 0, "RootServer: no downstream nodes");
+  HS_CHECK(edges == 0 || edges == num_downstream,
+           "RootServer: edges must equal the downstream node count");
+  conn_of_node_.assign(num_downstream, -1);
 }
 
-ConnState RootServer::node_state(std::size_t index) const {
-  return index < node_state_.size() ? node_state_[index]
-                                    : ConnState::kQuarantined;
-}
-
-void RootServer::protocol_error(std::size_t conn,
-                                const std::string& message) {
-  ++frames_rejected_;
+void RootServer::fail(const std::string& message) {
   if (!failed_) {
     failed_ = true;
     error_ = message;
   }
-  const auto it = node_of_conn_.find(conn);
-  if (it != node_of_conn_.end()) {
-    node_state_[it->second] = ConnState::kQuarantined;
-  }
+}
+
+void RootServer::protocol_error(const std::string& message) {
+  ++frames_rejected_;
+  fail(message);
 }
 
 void RootServer::on_frame(std::size_t conn, const Frame& frame) {
-  if (done_ || failed_) return;
+  if (failed_ || finished_) return;
   switch (static_cast<FrameType>(frame.header.type)) {
     case FrameType::kHello:
       handle_hello(conn, frame);
@@ -98,307 +58,178 @@ void RootServer::on_frame(std::size_t conn, const Frame& frame) {
       handle_digest(conn, frame);
       return;
     default:
-      protocol_error(conn, std::string("root: unexpected frame type ") +
-                               frame_type_name(
-                                   static_cast<FrameType>(frame.header.type)));
+      protocol_error(std::string("root: unexpected frame type ") +
+                     frame_type_name(static_cast<FrameType>(frame.header.type)));
   }
+}
+
+void RootServer::on_closed(std::size_t conn) {
+  const auto it = node_of_conn_.find(conn);
+  if (it == node_of_conn_.end() || finished_) return;
+  fail(std::string("root: lost ") + (edges_ > 0 ? "edge " : "worker ") +
+       std::to_string(it->second));
 }
 
 void RootServer::handle_hello(std::size_t conn, const Frame& frame) {
   HelloMsg m;
   if (!decode_hello(frame.payload, m)) {
-    protocol_error(conn, "root: malformed hello");
+    protocol_error("root: malformed hello");
     return;
   }
-  const NodeRole expected =
-      cfg_.edge_groups > 0 ? NodeRole::kEdge : NodeRole::kWorker;
-  if (m.role != expected || m.node_index >= cfg_.num_downstream ||
+  const NodeRole expected = edges_ > 0 ? NodeRole::kEdge : NodeRole::kWorker;
+  if (m.role != expected || m.node_index >= conn_of_node_.size() ||
       conn_of_node_[m.node_index] != -1 || node_of_conn_.count(conn) != 0) {
-    protocol_error(conn, "root: invalid hello");
+    protocol_error("root: invalid hello");
     return;
   }
   conn_of_node_[m.node_index] = static_cast<std::ptrdiff_t>(conn);
   node_of_conn_[conn] = static_cast<std::size_t>(m.node_index);
-  node_state_[m.node_index] = ConnState::kRoundIdle;
+  ++hellos_;
   HelloAckMsg ack;
   ack.node_index = m.node_index;
-  ack.rounds = cfg_.rounds;
+  ack.rounds = rounds_;
   sink_.send(conn, FrameType::kHelloAck, encode_hello_ack(ack));
-  if (++hellos_ == cfg_.num_downstream) start_round(0);
 }
 
-void RootServer::start_round(std::size_t round) {
-  round_ = round;
-  round_start_seconds_ = monotonic_seconds();
-  const std::size_t k = cfg_.clients_per_round;
-  // Exactly the monolithic sync loop's draws: sample on the run RNG, then
-  // a const fork keyed on the round — the fork does not advance rng_.
-  selected_ = rng_.sample_without_replacement(population_.num_clients(), k);
-  round_rng_ = rng_.fork(round).save_state();
-  if (cfg_.observer) cfg_.observer->on_round_begin(round, selected_);
-  global_ = model_.state();
-
-  if (cfg_.edge_groups == 0) {
-    updates_.assign(k, ClientUpdate{});
-    update_received_.assign(k, 0);
-    updates_pending_ = k;
-  } else {
-    digests_.assign(cfg_.edge_groups, DigestMsg{});
-    digest_received_.assign(cfg_.edge_groups, 0);
-    digests_pending_ = cfg_.edge_groups;
-  }
-
-  // One config per downstream node; the position partition is the same
-  // edge_group_of blocks the aggregation uses, so in edge mode each edge
-  // receives exactly the clients whose digests it owns.
-  for (std::size_t d = 0; d < cfg_.num_downstream; ++d) {
-    RoundConfigMsg msg;
-    msg.round = round;
-    msg.round_rng = round_rng_;
-    msg.n_selected = k;
-    msg.edge_groups = cfg_.edge_groups;
-    for (std::size_t pos = 0; pos < k; ++pos) {
-      if (edge_group_of(pos, k, cfg_.num_downstream) != d) continue;
-      msg.client_ids.push_back(selected_[pos]);
-      msg.positions.push_back(pos);
+void RootServer::finish() {
+  finished_ = true;
+  ByeMsg bye;
+  bye.rounds_done = rounds_;
+  for (const std::ptrdiff_t conn : conn_of_node_) {
+    if (conn >= 0) {
+      sink_.send(static_cast<std::size_t>(conn), FrameType::kBye,
+                 encode_bye(bye));
     }
+  }
+}
+
+void RootServer::train(std::size_t wave, std::size_t wave_size,
+                       const Tensor& base,
+                       const std::vector<RemoteClient>& clients,
+                       RemoteWave& out) {
+  if (failed_) throw std::runtime_error(error_);
+  HS_CHECK(ready(), "RootServer: train before every node said Hello");
+  const std::size_t nodes = conn_of_node_.size();
+  wave_ = wave;
+  wave_size_ = wave_size;
+  base_ = &base;
+  clients_ = &clients;
+  out_ = &out;
+  out.updates.assign(clients.size(), ClientUpdate{});
+  out.quarantined.assign(edges_ > 0 ? clients.size() : 0, 0);
+  out.digests.clear();
+  index_of_position_.assign(wave_size, -1);
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    index_of_position_[clients[i].position] = static_cast<std::ptrdiff_t>(i);
+  }
+  received_.assign(edges_ > 0 ? edges_ : clients.size(), 0);
+  digests_.assign(edges_, std::nullopt);
+  pending_ = received_.size();
+
+  // One config per node. Positions go out in the same edge_group_of blocks
+  // the fold uses, so under edges each edge gets exactly the clients whose
+  // digest it owns.
+  std::vector<RoundConfigMsg> configs(nodes);
+  for (RoundConfigMsg& msg : configs) {
+    msg.round = wave;
+    msg.n_selected = wave_size;
+  }
+  for (const RemoteClient& c : clients) {
+    configs[edge_group_of(c.position, wave_size, nodes)].clients.push_back(c);
+  }
+  for (std::size_t d = 0; d < nodes; ++d) {
     sink_.send(static_cast<std::size_t>(conn_of_node_[d]),
-               FrameType::kRoundConfig, encode_round_config(msg));
-    node_state_[d] = ConnState::kPulling;
+               FrameType::kRoundConfig, encode_round_config(configs[d]));
+  }
+  pump_([this] { return pending_ == 0 || failed_; });
+
+  base_ = nullptr;
+  clients_ = nullptr;
+  out_ = nullptr;
+  if (failed_) throw std::runtime_error(error_);
+  if (pending_ > 0) {
+    throw std::runtime_error("root: transport stopped with " +
+                             std::to_string(pending_) +
+                             " replies outstanding");
+  }
+  for (std::optional<ClientUpdate>& digest : digests_) {
+    if (digest) out.digests.push_back(std::move(*digest));
   }
 }
 
 void RootServer::handle_model_pull(std::size_t conn, const Frame& frame) {
   ModelPullMsg m;
-  const auto node = node_of_conn_.find(conn);
-  if (!decode_model_pull(frame.payload, m) || node == node_of_conn_.end() ||
-      m.round != round_) {
-    protocol_error(conn, "root: invalid model pull");
+  if (!decode_model_pull(frame.payload, m) || node_of_conn_.count(conn) == 0 ||
+      base_ == nullptr || m.round != wave_) {
+    protocol_error("root: invalid model pull");
     return;
   }
   ModelStateMsg reply;
-  reply.round = round_;
-  reply.state = global_;
+  reply.round = wave_;
+  reply.state = *base_;
   sink_.send(conn, FrameType::kModelState, encode_model_state(reply));
-  node_state_[node->second] = ConnState::kTraining;
 }
 
 void RootServer::handle_update_push(std::size_t conn, const Frame& frame) {
   UpdatePushMsg m;
   const auto node = node_of_conn_.find(conn);
   if (!decode_update_push(frame.payload, m) || node == node_of_conn_.end() ||
-      cfg_.edge_groups > 0 || m.round != round_ ||
-      m.position >= selected_.size() || update_received_[m.position] != 0) {
-    protocol_error(conn, "root: invalid update push");
+      edges_ > 0 || out_ == nullptr || m.round != wave_ ||
+      m.position >= wave_size_ || index_of_position_[m.position] < 0 ||
+      edge_group_of(m.position, wave_size_, conn_of_node_.size()) !=
+          node->second) {
+    protocol_error("root: invalid update push");
     return;
   }
-  updates_[m.position] = std::move(m.update);
-  update_received_[m.position] = 1;
-  node_state_[node->second] = ConnState::kPushing;
-  if (--updates_pending_ == 0) finish_round_flat();
+  const auto i = static_cast<std::size_t>(index_of_position_[m.position]);
+  if (received_[i] != 0) {
+    protocol_error("root: duplicate update push");
+    return;
+  }
+  out_->updates[i] = std::move(m.update);
+  received_[i] = 1;
+  --pending_;
 }
 
 void RootServer::handle_digest(std::size_t conn, const Frame& frame) {
   DigestMsg m;
   const auto node = node_of_conn_.find(conn);
   if (!decode_digest(frame.payload, m) || node == node_of_conn_.end() ||
-      cfg_.edge_groups == 0 || m.round != round_ ||
-      m.edge_index != node->second || digest_received_[m.edge_index] != 0) {
-    protocol_error(conn, "root: invalid digest");
+      edges_ == 0 || out_ == nullptr || m.round != wave_ ||
+      m.edge_index != node->second || received_[m.edge_index] != 0) {
+    protocol_error("root: invalid digest");
     return;
   }
-  // The metas must be exactly this edge's block: its positions, in order,
-  // once each — and has_digest must match the survivor count.
-  const std::size_t k = selected_.size();
-  std::size_t expected = 0;
-  for (std::size_t pos = 0; pos < k; ++pos) {
-    if (edge_group_of(pos, k, cfg_.edge_groups) == m.edge_index) ++expected;
-  }
+  // The metas must be exactly this edge's clients, in position order, and
+  // has_digest must match the survivor count. Each meta becomes the scalar
+  // stand-in of its client's update.
+  std::size_t j = 0;
   std::size_t survivors = 0;
-  std::uint64_t prev = 0;
-  for (std::size_t j = 0; j < m.metas.size(); ++j) {
-    const WireUpdateMeta& meta = m.metas[j];
-    if (meta.position >= k ||
-        edge_group_of(meta.position, k, cfg_.edge_groups) != m.edge_index ||
-        (j > 0 && meta.position <= prev)) {
-      protocol_error(conn, "root: digest meta positions invalid");
+  for (std::size_t i = 0; i < clients_->size(); ++i) {
+    const std::uint64_t pos = (*clients_)[i].position;
+    if (edge_group_of(pos, wave_size_, edges_) != m.edge_index) continue;
+    if (j == m.metas.size() || m.metas[j].position != pos) {
+      protocol_error("root: digest block mismatch");
       return;
     }
-    prev = meta.position;
+    const WireUpdateMeta& meta = m.metas[j++];
+    ClientUpdate& u = out_->updates[i];
+    u.client_id = meta.client_id;
+    u.weight = meta.weight;
+    u.train_loss = meta.train_loss;
+    u.flags = meta.flags;
+    u.payload_bytes = meta.update_bytes;
+    u.train_seconds = meta.train_seconds;
+    out_->quarantined[i] = meta.quarantined;
     if (!meta.quarantined) ++survivors;
   }
-  if (m.metas.size() != expected ||
-      (survivors > 0) != (m.has_digest != 0)) {
-    protocol_error(conn, "root: digest block mismatch");
+  if (j != m.metas.size() || (survivors > 0) != (m.has_digest != 0)) {
+    protocol_error("root: digest block mismatch");
     return;
   }
-  digests_[m.edge_index] = std::move(m);
-  digest_received_[digests_[m.edge_index].edge_index] = 1;
-  node_state_[node->second] = ConnState::kPushing;
-  if (--digests_pending_ == 0) finish_round_edges();
-}
-
-void RootServer::finish_round_flat() {
-  const std::size_t n = selected_.size();
-  RoundContext ctx;
-  ctx.round = round_;
-  ctx.observer = cfg_.observer;
-  // Zero-fault disposition pass, mirroring the event scheduler's flush:
-  // validate each update, emit one client_end per position in `selected`
-  // order, then aggregate the survivors.
-  std::size_t quarantined = 0;
-  std::vector<ClientUpdate> survivors;
-  std::vector<std::size_t> survivor_pos;
-  survivors.reserve(n);
-  survivor_pos.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ClientUpdate& u = updates_[i];
-    const bool ok = validate_update(u);
-    ClientObservation obs;
-    if (ok) {
-      obs = make_observation(u, i);
-    } else {
-      ++quarantined;
-      obs.client_id = selected_[i];
-      obs.order = i;
-      obs.flags = u.flags;
-      obs.update_bytes = static_cast<std::size_t>(update_payload_bytes(u));
-      obs.train_seconds = u.train_seconds;
-      obs.fault = static_cast<unsigned>(FaultKind::kQuarantined);
-    }
-    ctx.finish_client(obs);
-    if (ok) {
-      survivors.push_back(std::move(u));
-      survivor_pos.push_back(i);
-    }
-  }
-  const bool aborted = survivors.empty();
-  RoundStats stats;
-  if (!aborted) {
-    stats = algorithm_.aggregate(model_, global_, survivors);
-  } else {
-    model_.set_state(global_);
-  }
-  result_.runtime.client_seconds_sum += ctx.client_seconds_sum;
-  if (ctx.client_seconds_max > result_.runtime.client_seconds_max) {
-    result_.runtime.client_seconds_max = ctx.client_seconds_max;
-  }
-  finish_round_common(std::move(stats), quarantined, aborted);
-}
-
-void RootServer::finish_round_edges() {
-  RoundContext ctx;
-  ctx.round = round_;
-  ctx.observer = cfg_.observer;
-  // Per-client events and the flat round summary come from the forwarded
-  // metas (edge blocks are contiguous ascending position ranges, so edge
-  // order == `selected` order); the model update comes from the digests —
-  // the same two-level fold hierarchical_aggregate runs in process.
-  std::size_t quarantined = 0;
-  std::vector<ClientUpdate> stubs;  // scalar stand-ins for summarize_updates
-  stubs.reserve(selected_.size());
-  for (const DigestMsg& digest : digests_) {
-    for (const WireUpdateMeta& meta : digest.metas) {
-      ClientObservation obs;
-      obs.client_id = meta.client_id;
-      obs.order = static_cast<std::size_t>(meta.position);
-      obs.flags = meta.flags;
-      obs.update_bytes = static_cast<std::size_t>(meta.update_bytes);
-      obs.train_seconds = meta.train_seconds;
-      if (meta.quarantined) {
-        ++quarantined;
-        obs.fault = static_cast<unsigned>(FaultKind::kQuarantined);
-      } else {
-        obs.weight = meta.weight;
-        obs.train_loss = meta.train_loss;
-        ClientUpdate stub;
-        stub.client_id = meta.client_id;
-        stub.weight = meta.weight;
-        stub.train_loss = meta.train_loss;
-        stub.payload_bytes = meta.update_bytes;
-        stubs.push_back(std::move(stub));
-      }
-      ctx.finish_client(obs);
-    }
-  }
-  const bool aborted = stubs.empty();
-  RoundStats stats;
-  if (!aborted) {
-    stats = summarize_updates(stubs, model_.state_size());
-    std::vector<ClientUpdate> folds;
-    folds.reserve(digests_.size());
-    for (DigestMsg& digest : digests_) {
-      if (digest.has_digest) folds.push_back(std::move(digest.digest));
-    }
-    const RoundStats agg = algorithm_.aggregate(model_, global_, folds);
-    for (const auto& [key, value] : agg.extras) stats.extras[key] = value;
-    stats.extras["net.edges"] = static_cast<double>(cfg_.edge_groups);
-  } else {
-    model_.set_state(global_);
-  }
-  result_.runtime.client_seconds_sum += ctx.client_seconds_sum;
-  if (ctx.client_seconds_max > result_.runtime.client_seconds_max) {
-    result_.runtime.client_seconds_max = ctx.client_seconds_max;
-  }
-  finish_round_common(std::move(stats), quarantined, aborted);
-}
-
-void RootServer::finish_round_common(RoundStats stats, std::size_t quarantined,
-                                     bool aborted) {
-  const std::size_t n = selected_.size();
-  stats.bytes_down = static_cast<std::uint64_t>(n) *
-                     static_cast<std::uint64_t>(model_.state_size()) *
-                     sizeof(float);
-  if (quarantined > 0 || aborted) {
-    stats.extras["fault.dropped"] = 0.0;
-    stats.extras["fault.quarantined"] = static_cast<double>(quarantined);
-    stats.extras["fault.stragglers"] = 0.0;
-    stats.extras["fault.retries"] = 0.0;
-    stats.extras["fault.aborted"] = aborted ? 1.0 : 0.0;
-  }
-  if (cfg_.trace_extras && cfg_.counters != nullptr) {
-    stats.extras["net.bytes_rx"] =
-        static_cast<double>(cfg_.counters->bytes_rx);
-    stats.extras["net.bytes_tx"] =
-        static_cast<double>(cfg_.counters->bytes_tx);
-    stats.extras["net.frames_rx"] =
-        static_cast<double>(cfg_.counters->frames_rx);
-    stats.extras["net.frames_tx"] =
-        static_cast<double>(cfg_.counters->frames_tx);
-  }
-  stats.round_seconds = monotonic_seconds() - round_start_seconds_;
-  if (cfg_.observer) cfg_.observer->on_round_end(round_, stats);
-  result_.train_loss_history.push_back(stats.mean_train_loss);
-  result_.runtime.round_seconds.push_back(stats.round_seconds);
-  result_.runtime.total_seconds += stats.round_seconds;
-  result_.runtime.round_virtual_seconds.push_back(0.0);
-  result_.runtime.clients_quarantined += quarantined;
-  result_.runtime.rounds_aborted += aborted ? 1 : 0;
-
-  const std::size_t next = round_ + 1;
-  if (cfg_.eval_every > 0 && next % cfg_.eval_every == 0 &&
-      next < cfg_.rounds) {
-    DeviceMetrics checkpoint = evaluate_per_device(model_, population_);
-    if (cfg_.observer) cfg_.observer->on_eval(next, checkpoint);
-    result_.checkpoints.emplace_back(next, std::move(checkpoint));
-  }
-  for (std::size_t d = 0; d < cfg_.num_downstream; ++d) {
-    node_state_[d] = ConnState::kRoundIdle;
-  }
-  if (next < cfg_.rounds) {
-    start_round(next);
-    return;
-  }
-  result_.final_metrics = evaluate_per_device(model_, population_);
-  if (cfg_.observer) cfg_.observer->on_eval(cfg_.rounds, result_.final_metrics);
-  ByeMsg bye;
-  bye.rounds_done = cfg_.rounds;
-  for (std::size_t d = 0; d < cfg_.num_downstream; ++d) {
-    sink_.send(static_cast<std::size_t>(conn_of_node_[d]), FrameType::kBye,
-               encode_bye(bye));
-    node_state_[d] = ConnState::kDone;
-  }
-  done_ = true;
+  if (m.has_digest) digests_[m.edge_index] = std::move(m.digest);
+  received_[m.edge_index] = 1;
+  --pending_;
 }
 
 // ------------------------------------------------------------- WorkerNode
@@ -456,7 +287,7 @@ void WorkerNode::on_frame(std::size_t conn, const Frame& frame) {
         protocol_error("worker: invalid round config");
         return;
       }
-      if (round_cfg_.client_ids.empty()) return;  // nothing this round
+      if (round_cfg_.clients.empty()) return;  // nothing this wave
       ModelPullMsg pull;
       pull.round = round_cfg_.round;
       state_ = ConnState::kPulling;
@@ -473,27 +304,31 @@ void WorkerNode::on_frame(std::size_t conn, const Frame& frame) {
         return;
       }
       state_ = ConnState::kTraining;
-      // The monolithic client loop, verbatim: restore the round RNG the
-      // root shipped, fork per client id, train against the pulled global.
-      Rng round_rng;
-      round_rng.restore_state(round_cfg_.round_rng);
+      // The scheduler's train step, verbatim: each client's stream as
+      // fixed at dispatch, trained against the pulled global, then
+      // poisoned when the fault plan corrupts it.
       std::vector<UpdatePushMsg> pushes;
-      pushes.reserve(round_cfg_.client_ids.size());
-      for (std::size_t j = 0; j < round_cfg_.client_ids.size(); ++j) {
-        const std::size_t id =
-            static_cast<std::size_t>(round_cfg_.client_ids[j]);
-        Rng client_rng = round_rng.fork(id);
+      pushes.reserve(round_cfg_.clients.size());
+      for (const RemoteClient& c : round_cfg_.clients) {
+        const auto id = static_cast<std::size_t>(c.client_id);
+        Rng client_rng;
+        client_rng.restore_state(c.stream);
         const Dataset& data = population_.client_dataset(id, slot_);
         const double t0 = monotonic_seconds();
         UpdatePushMsg push;
         push.round = round_cfg_.round;
-        push.position = round_cfg_.positions[j];
+        push.position = c.position;
         push.update = algorithm_.local_update(model_, m.state, id, data,
                                               client_rng);
         push.update.train_seconds = monotonic_seconds() - t0;
+        if (c.corrupt) {
+          FaultDecision poison;
+          poison.corrupt_kind = c.corrupt_kind;
+          poison.corrupt_pos = c.corrupt_pos;
+          poison_update(push.update, poison);
+        }
         pushes.push_back(std::move(push));
       }
-      state_ = ConnState::kPushing;
       for (const UpdatePushMsg& push : pushes) {
         sink_.send(upstream_conn_, FrameType::kUpdatePush,
                    encode_update_push(push));
@@ -541,6 +376,18 @@ void EdgeNode::start() {
   maybe_hello_upstream();
 }
 
+void EdgeNode::on_closed(std::size_t conn) {
+  if (failed_ || state_ == ConnState::kDone) return;
+  if (conn == upstream_conn_) {
+    protocol_error("edge: upstream closed before Bye");
+    return;
+  }
+  const auto it = worker_of_conn_.find(conn);
+  if (it != worker_of_conn_.end()) {
+    protocol_error("edge: lost worker " + std::to_string(it->second));
+  }
+}
+
 void EdgeNode::maybe_hello_upstream() {
   if (!started_ || hello_sent_ || workers_connected_ < num_workers_) return;
   hello_sent_ = true;
@@ -579,7 +426,7 @@ void EdgeNode::handle_upstream(const Frame& frame) {
         protocol_error("edge: invalid round config");
         return;
       }
-      const std::size_t count = round_cfg_.client_ids.size();
+      const std::size_t count = round_cfg_.clients.size();
       if (count == 0) {
         // Empty block: reply immediately so the root's round can complete.
         DigestMsg msg;
@@ -609,9 +456,9 @@ void EdgeNode::handle_upstream(const Frame& frame) {
       global_ = std::move(m.state);
       state_ = ConnState::kTraining;
       // Fan the block out over this edge's workers: the same block-partition
-      // function, applied to the edge's own list. Workers keep the GLOBAL
+      // function, applied to the edge's own list. Workers keep the wave
       // positions, so updates reassemble by block offset unambiguously.
-      const std::size_t count = round_cfg_.client_ids.size();
+      const std::size_t count = round_cfg_.clients.size();
       for (std::size_t w = 0; w < num_workers_; ++w) {
         if (conn_of_worker_[w] == -1) {
           protocol_error("edge: worker never connected");
@@ -619,13 +466,10 @@ void EdgeNode::handle_upstream(const Frame& frame) {
         }
         RoundConfigMsg sub;
         sub.round = round_cfg_.round;
-        sub.round_rng = round_cfg_.round_rng;
         sub.n_selected = round_cfg_.n_selected;
-        sub.edge_groups = round_cfg_.edge_groups;
         for (std::size_t j = 0; j < count; ++j) {
           if (edge_group_of(j, count, num_workers_) != w) continue;
-          sub.client_ids.push_back(round_cfg_.client_ids[j]);
-          sub.positions.push_back(round_cfg_.positions[j]);
+          sub.clients.push_back(round_cfg_.clients[j]);
         }
         sink_.send(static_cast<std::size_t>(conn_of_worker_[w]),
                    FrameType::kRoundConfig, encode_round_config(sub));
@@ -690,15 +534,15 @@ void EdgeNode::handle_worker(std::size_t conn, const Frame& frame) {
         protocol_error("edge: invalid worker update push");
         return;
       }
-      // Map the global position back to this edge's block offset.
-      std::size_t offset = round_cfg_.positions.size();
-      for (std::size_t j = 0; j < round_cfg_.positions.size(); ++j) {
-        if (round_cfg_.positions[j] == m.position) {
+      // Map the wave position back to this edge's block offset.
+      std::size_t offset = round_cfg_.clients.size();
+      for (std::size_t j = 0; j < round_cfg_.clients.size(); ++j) {
+        if (round_cfg_.clients[j].position == m.position) {
           offset = j;
           break;
         }
       }
-      if (offset == round_cfg_.positions.size() ||
+      if (offset == round_cfg_.clients.size() ||
           block_received_[offset] != 0) {
         protocol_error("edge: update for unassigned position");
         return;
@@ -726,8 +570,8 @@ void EdgeNode::finish_block() {
     // Mirrors the scheduler's disposition: a clean update reports through
     // make_observation (client_id from the update), a quarantined one
     // through the selection list.
-    meta.client_id = ok ? u.client_id : round_cfg_.client_ids[j];
-    meta.position = round_cfg_.positions[j];
+    meta.client_id = ok ? u.client_id : round_cfg_.clients[j].client_id;
+    meta.position = round_cfg_.clients[j].position;
     meta.flags = u.flags;
     meta.quarantined = ok ? 0 : 1;
     meta.update_bytes = update_payload_bytes(u);
@@ -743,7 +587,6 @@ void EdgeNode::finish_block() {
     msg.has_digest = 1;
     msg.digest = algorithm_.partial_aggregate(global_, group);
   }
-  state_ = ConnState::kPushing;
   sink_.send(upstream_conn_, FrameType::kDigest, encode_digest(msg));
   state_ = ConnState::kRoundIdle;
 }

@@ -1,52 +1,48 @@
 // Sans-IO protocol nodes for the distributed FL daemon (DESIGN.md §14).
 //
-// RootServer, WorkerNode, and EdgeNode are pure per-connection state
-// machines: they consume decoded frames (on_frame) and emit frames through
-// a FrameSink. No sockets, no clocks in the protocol logic — the same
-// three classes are driven by the deterministic in-process loopback hub
-// (net/loopback.h, used by the byte-identity tests) and by the epoll event
-// loop (net/event_loop.h, used by `hsctl serve/client/edge`).
+// RootServer, WorkerNode, and EdgeNode consume decoded frames (on_frame)
+// and emit frames through a FrameSink. No sockets, no clocks in the
+// protocol logic — the same three classes are driven by the deterministic
+// in-process loopback hub (net/loopback.h, used by the byte-identity tests)
+// and by the epoll event loop (net/event_loop.h, used by `hsctl
+// serve/client/edge`).
 //
-// Determinism contract: for the same (seed, config, population, algorithm)
-// a distributed run produces model state, loss history, and observer event
-// streams byte-identical to the monolithic run_simulation sync loop —
-// including the two-level edge tree, which reuses the exact
-// hierarchical_aggregate fold (fl/algorithm.h). The root replicates the
-// sync loop's sampling (rng.sample_without_replacement then rng.fork(round))
-// and ships the round RNG state in RoundConfig; workers restore it and fork
-// per-client streams by id, so every float at every node matches the
-// monolithic bit pattern.
-//
-// Faults, schedulers, and checkpointing stay monolithic-only: the wire
-// layer serves the clean sync path (the common production shape) and
-// refuses configs it cannot reproduce exactly.
+// The root is not a round engine: it is run_simulation's remote train step
+// (runtime/sched/remote_step.h). The EventScheduler samples each wave,
+// applies the fault rule, commits, aggregates and evaluates exactly as in
+// process, and hands the wave's trainable clients to the root, which ships
+// each one's training stream and corrupt decision to the node owning its
+// position. Workers reproduce (and poison) every update bit for bit; edges
+// validate and fold their block with the partial_aggregate the in-process
+// hierarchical_aggregate uses. A daemon run — faults, one-wave buffered
+// runs and resume included — is therefore byte-identical to run_simulation
+// for the same (seed, config, population, algorithm).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "fl/algorithm.h"
 #include "fl/client_provider.h"
-#include "fl/simulation.h"
 #include "net/protocol.h"
 #include "net/wire.h"
+#include "runtime/sched/remote_step.h"
 
 namespace hetero::net {
 
-/// Lifecycle of one connection as seen by the node that owns it.
+/// Lifecycle of one connection as seen by the worker or edge that owns it.
 enum class ConnState : std::uint8_t {
   kHandshakeWait,  ///< awaiting Hello / HelloAck
   kRoundIdle,      ///< between rounds
   kPulling,        ///< round config out / model pull in flight
   kTraining,       ///< local updates running
-  kPushing,        ///< updates / digest in flight
   kDone,           ///< Bye exchanged
-  kQuarantined,    ///< protocol violation; connection poisoned
+  kQuarantined,    ///< protocol violation or lost peer; node failed
 };
-
-const char* conn_state_name(ConnState state);
 
 /// Outgoing-frame sink implemented by the transports. send() owns the
 /// run/seq stamping and CRC framing for the connection.
@@ -57,94 +53,77 @@ class FrameSink {
                     const std::vector<std::uint8_t>& payload) = 0;
 };
 
-/// Shape of one distributed run, mirroring the SimulationConfig fields the
-/// wire layer supports (sync loop, no faults/sched/checkpoint).
-struct NetSimConfig {
-  std::size_t rounds = 1;
-  std::size_t clients_per_round = 1;
-  std::uint64_t seed = 42;
-  std::size_t eval_every = 0;
-  /// Direct downstream nodes of the root: workers (flat) or edges.
-  std::size_t num_downstream = 1;
-  /// 0 = flat root<-worker tree; >0 = two-level tree with this many edges
-  /// (must equal num_downstream), aggregated via hierarchical_aggregate's
-  /// exact digest fold.
-  std::size_t edge_groups = 0;
-  RoundObserver* observer = nullptr;
-  /// Emit net.frames_rx / net.bytes_rx round extras from `counters`.
-  /// Default off: traffic totals are deterministic per topology but differ
-  /// from the monolithic trace, which would break byte-equality.
-  bool trace_extras = false;
-  const NetCounters* counters = nullptr;  ///< transport totals (non-owning)
-};
-
-/// The aggregation root: samples clients, drives rounds, owns the global
-/// model and the observer event stream. One instance per run.
-class RootServer {
+/// The aggregation root's wire side: the handshake, one RoundConfig per
+/// downstream node per wave, ModelPull answers, UpdatePush / Digest
+/// validation, and a transport pump it runs until the wave's updates are
+/// in. One instance per run.
+class RootServer : public RemoteTrainStep {
  public:
-  RootServer(Model& model, SplitFederatedAlgorithm& algorithm,
-             const ClientProvider& population, const NetSimConfig& cfg,
-             FrameSink& sink);
+  /// Runs the transport until `until` holds or no progress is possible.
+  using Pump = std::function<void(const std::function<bool()>& until)>;
+
+  /// Serves `num_downstream` workers (edges == 0) or that many edges
+  /// (edges == num_downstream). `rounds` is announced in HelloAck and Bye.
+  RootServer(FrameSink& sink, std::size_t num_downstream, std::size_t edges,
+             std::size_t rounds, Pump pump);
 
   void on_frame(std::size_t conn, const Frame& frame);
+  /// A downstream node's connection closed. Losing a node that said Hello
+  /// fails the root; a connection closing before its Hello or after Bye
+  /// is harmless.
+  void on_closed(std::size_t conn);
 
-  bool done() const { return done_; }
+  /// Every downstream node has said Hello.
+  bool ready() const { return hellos_ == conn_of_node_.size(); }
+  /// Sends Bye to every node; call once, after the run.
+  void finish();
+
   bool failed() const { return failed_; }
   const std::string& error() const { return error_; }
   std::size_t frames_rejected() const { return frames_rejected_; }
-  /// Root's view of downstream node `index`.
-  ConnState node_state(std::size_t index) const;
-  /// Final result; valid once done().
-  SimulationResult take_result() { return std::move(result_); }
+
+  std::size_t edge_groups() const override { return edges_; }
+  void train(std::size_t wave, std::size_t wave_size, const Tensor& base,
+             const std::vector<RemoteClient>& clients,
+             RemoteWave& out) override;
 
  private:
-  void protocol_error(std::size_t conn, const std::string& message);
-  void start_round(std::size_t round);
+  void fail(const std::string& message);
+  void protocol_error(const std::string& message);
   void handle_hello(std::size_t conn, const Frame& frame);
   void handle_model_pull(std::size_t conn, const Frame& frame);
   void handle_update_push(std::size_t conn, const Frame& frame);
   void handle_digest(std::size_t conn, const Frame& frame);
-  void finish_round_flat();
-  void finish_round_edges();
-  void finish_round_common(RoundStats stats, std::size_t quarantined,
-                           bool aborted);
 
-  Model& model_;
-  SplitFederatedAlgorithm& algorithm_;
-  const ClientProvider& population_;
-  NetSimConfig cfg_;
   FrameSink& sink_;
-  Rng rng_;
+  std::size_t edges_;
+  std::size_t rounds_;
+  Pump pump_;
 
   std::vector<std::ptrdiff_t> conn_of_node_;  // -1 until Hello
   std::map<std::size_t, std::size_t> node_of_conn_;
-  std::vector<ConnState> node_state_;
   std::size_t hellos_ = 0;
+  bool finished_ = false;
 
-  std::size_t round_ = 0;
-  std::vector<std::size_t> selected_;
-  RngState round_rng_;
-  Tensor global_;
-  double round_start_seconds_ = 0.0;  // steady_clock reference, wall only
+  // The wave in flight; set only inside train().
+  std::size_t wave_ = 0;
+  std::size_t wave_size_ = 0;
+  const Tensor* base_ = nullptr;
+  const std::vector<RemoteClient>* clients_ = nullptr;
+  RemoteWave* out_ = nullptr;
+  std::vector<std::ptrdiff_t> index_of_position_;  // batch index or -1
+  std::vector<std::uint8_t> received_;  // per client (flat) or per edge
+  std::vector<std::optional<ClientUpdate>> digests_;  // per edge
+  std::size_t pending_ = 0;
 
-  // Flat mode: one slot per selected position.
-  std::vector<ClientUpdate> updates_;
-  std::vector<std::uint8_t> update_received_;
-  std::size_t updates_pending_ = 0;
-  // Edge mode: one digest per edge.
-  std::vector<DigestMsg> digests_;
-  std::vector<std::uint8_t> digest_received_;
-  std::size_t digests_pending_ = 0;
-
-  SimulationResult result_;
-  bool done_ = false;
   bool failed_ = false;
   std::string error_;
   std::size_t frames_rejected_ = 0;
 };
 
-/// A worker: trains its assigned clients against its ClientProvider slice.
-/// Identical protocol whether its upstream is the root or an edge.
+/// A worker: trains its assigned clients against its ClientProvider, each
+/// with the stream and corrupt decision its RoundConfig carries. Identical
+/// protocol whether its upstream is the root or an edge.
 class WorkerNode {
  public:
   WorkerNode(Model& model, const SplitFederatedAlgorithm& algorithm,
@@ -155,7 +134,6 @@ class WorkerNode {
   void start();
   void on_frame(std::size_t conn, const Frame& frame);
 
-  ConnState state() const { return state_; }
   bool done() const { return state_ == ConnState::kDone; }
   bool failed() const { return failed_; }
   const std::string& error() const { return error_; }
@@ -192,13 +170,15 @@ class EdgeNode {
            std::size_t num_workers);
 
   /// Arms the node. The upstream Hello is deferred until every worker has
-  /// connected (the root starts round 0 the moment all its downstream
-  /// nodes have said Hello, so an edge must not announce itself before it
-  /// can actually fan a round out).
+  /// connected (the run starts the moment all the root's downstream nodes
+  /// have said Hello, so an edge must not announce itself before it can
+  /// actually fan a wave out).
   void start();
   void on_frame(std::size_t conn, const Frame& frame);
+  /// Losing the root before Bye, or a worker that said Hello, fails the
+  /// node; a connection closing before its Hello is harmless.
+  void on_closed(std::size_t conn);
 
-  ConnState state() const { return state_; }
   bool done() const { return state_ == ConnState::kDone; }
   bool failed() const { return failed_; }
   const std::string& error() const { return error_; }

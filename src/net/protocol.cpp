@@ -195,12 +195,16 @@ bool decode_hello_ack(const std::vector<std::uint8_t>& payload,
 std::vector<std::uint8_t> encode_round_config(const RoundConfigMsg& m) {
   WireWriter w;
   w.u64(m.round);
-  put_rng(w, m.round_rng);
   w.u64(m.n_selected);
-  w.u64(m.edge_groups);
-  w.u64(m.client_ids.size());
-  for (std::uint64_t id : m.client_ids) w.u64(id);
-  for (std::uint64_t pos : m.positions) w.u64(pos);
+  w.u64(m.clients.size());
+  for (const RemoteClient& c : m.clients) {
+    w.u64(c.client_id);
+    w.u64(c.position);
+    put_rng(w, c.stream);
+    w.u8(c.corrupt ? 1 : 0);
+    w.u8(c.corrupt_kind);
+    w.u64(c.corrupt_pos);
+  }
   return w.take();
 }
 
@@ -208,20 +212,25 @@ bool decode_round_config(const std::vector<std::uint8_t>& payload,
                          RoundConfigMsg& out) {
   WireReader r(payload);
   out.round = r.u64();
-  if (!get_rng(r, out.round_rng)) return false;
   out.n_selected = r.u64();
-  out.edge_groups = r.u64();
   const std::uint64_t count = r.u64();
-  // Divide instead of multiplying so a hostile count can't overflow.
-  if (!r.ok() || count > out.n_selected || count > r.remaining() / 16) {
+  // Divide instead of multiplying so a hostile count can't overflow;
+  // 67 = the encoded size of one client.
+  if (!r.ok() || count > out.n_selected || count > r.remaining() / 67) {
     return false;
   }
-  out.client_ids.resize(count);
-  out.positions.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) out.client_ids[i] = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    out.positions[i] = r.u64();
-    if (out.positions[i] >= out.n_selected) return false;
+  out.clients.resize(count);
+  for (RemoteClient& c : out.clients) {
+    c.client_id = r.u64();
+    c.position = r.u64();
+    if (!get_rng(r, c.stream)) return false;
+    const std::uint8_t corrupt = r.u8();
+    c.corrupt_kind = r.u8();
+    c.corrupt_pos = r.u64();
+    if (c.position >= out.n_selected || corrupt > 1 || c.corrupt_kind > 2) {
+      return false;
+    }
+    c.corrupt = corrupt != 0;
   }
   return done(r);
 }

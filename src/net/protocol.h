@@ -18,6 +18,7 @@
 
 #include "fl/algorithm.h"
 #include "net/wire.h"
+#include "runtime/sched/remote_step.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -38,17 +39,14 @@ struct HelloAckMsg {
   std::uint64_t rounds = 0;  ///< total rounds this run will drive
 };
 
-/// One round's work assignment for a downstream node: the round RNG state
-/// (workers fork per-client streams from it, exactly like the monolithic
-/// loop) plus this node's slice of the `selected` list as parallel
-/// (client_id, position) arrays.
+/// One wave's work assignment for a downstream node: its slice of the
+/// wave's trainable clients, each with the training stream and corrupt
+/// decision the scheduler fixed at dispatch, so workers reproduce (and
+/// poison) every update before an edge validates it.
 struct RoundConfigMsg {
-  std::uint64_t round = 0;
-  RngState round_rng;
-  std::uint64_t n_selected = 0;   ///< full round selection size K
-  std::uint64_t edge_groups = 0;  ///< 0 = flat tree
-  std::vector<std::uint64_t> client_ids;
-  std::vector<std::uint64_t> positions;  ///< indices into `selected`
+  std::uint64_t round = 0;        ///< wave index
+  std::uint64_t n_selected = 0;  ///< full wave size K
+  std::vector<RemoteClient> clients;  ///< ascending wave positions
 };
 
 struct ModelPullMsg {

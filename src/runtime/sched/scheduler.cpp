@@ -52,19 +52,24 @@ struct EventScheduler::Dispatch {
   FaultKind kind = FaultKind::kOk;      ///< verdict (pre-quarantine)
   FaultDecision decision;
   std::size_t retries = 0;
+  std::size_t coord = 0;     ///< fault-plan coordinate (wave under waves)
+  std::size_t position = 0;  ///< index in its wave's selection
   bool trained = false;
   bool train_failed = false;  ///< organic local_update exception
+  bool quarantined = false;   ///< a remote edge's validation verdict
   ClientUpdate update;
 };
 
 EventScheduler::EventScheduler(const SimulationConfig& cfg,
-                               const ClientProvider& provider)
+                               const ClientProvider& provider,
+                               RemoteTrainStep* remote)
     : cfg_(cfg),
       provider_(provider),
+      remote_(remote),
       fault_options_(plan_options(cfg, provider)),
       plan_(fault_options_),
       one_wave_(cfg.sched.one_wave(cfg.clients_per_round)) {
-  std::size_t num_threads = cfg.num_threads;
+  std::size_t num_threads = remote ? 1 : cfg.num_threads;
   if (num_threads == 0) {
     num_threads = std::thread::hardware_concurrency();
     if (num_threads == 0) num_threads = 1;
@@ -101,8 +106,10 @@ std::size_t EventScheduler::dispatch_client(std::size_t client,
   d.client_rng = client_rng;
   d.start_vt = now;
   d.decision = plan_.decide(coord, client);
+  d.coord = coord;
   d.trained = false;
   d.train_failed = false;
+  d.quarantined = false;
 
   // The fault rule (DESIGN.md §10), in this order: dropout; timeout when
   // compute plus straggler delay exceeds the deadline (retry backoff does
@@ -146,6 +153,39 @@ void EventScheduler::train_pending(const Model& model,
   // Training inputs (base snapshot, RNG stream, dataset recipe) were all
   // fixed at dispatch, so the batch composition — which depends only on
   // event order — cannot affect any result.
+  if (remote_) {
+    // Under wave sampling the batch is whole waves in dispatch order (more
+    // than one when windows are smaller than a wave); each goes out alone,
+    // against the one base all its clients were dispatched with.
+    for (std::size_t begin = 0, end = 0; begin < untrained_.size();
+         begin = end) {
+      const Dispatch& first = dispatches_[untrained_[begin]];
+      std::vector<RemoteClient> wave;
+      for (; end < untrained_.size() &&
+             dispatches_[untrained_[end]].coord == first.coord;
+           ++end) {
+        const Dispatch& d = dispatches_[untrained_[end]];
+        wave.push_back({d.client_id, d.position, d.client_rng.save_state(),
+                        d.decision.corrupt,
+                        static_cast<std::uint8_t>(d.decision.corrupt_kind),
+                        d.decision.corrupt_pos});
+      }
+      RemoteWave out;
+      remote_->train(first.coord, cfg_.clients_per_round, *first.base, wave,
+                     out);
+      HS_CHECK(out.updates.size() == wave.size(),
+               "EventScheduler: remote step lost updates");
+      for (std::size_t j = 0; j < wave.size(); ++j) {
+        Dispatch& d = dispatches_[untrained_[begin + j]];
+        d.update = std::move(out.updates[j]);
+        d.quarantined = !out.quarantined.empty() && out.quarantined[j] != 0;
+        d.trained = true;
+      }
+      digests_ = std::move(out.digests);
+    }
+    untrained_.clear();
+    return;
+  }
   const bool tolerate = fault_options_.enabled();
   auto train_one = [&](Dispatch& d, Model& m, ClientSlot& slot) {
     Rng crng = d.client_rng;
@@ -254,7 +294,7 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
 
   // RNG plumbing. Wave sampling consumes the master stream with one
   // sample_without_replacement + one fork per wave, so client streams are
-  // rng.fork(wave).fork(id), the daemon root's draws too. Continuous refill
+  // rng.fork(wave).fork(id). Continuous refill
   // derives per-dispatch streams keyed on (dispatch_seq, client_id) from a
   // forked base, and resamples replacements from a dedicated sampler
   // stream on the coordinator thread, in commit order.
@@ -270,9 +310,11 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
       start_window();
       if (cfg_.observer) cfg_.observer->on_round_begin(flush_count, selected);
     }
-    for (std::size_t id : selected) {
+    for (std::size_t pos = 0; pos < k; ++pos) {
+      const std::size_t id = selected[pos];
       const std::size_t ix = dispatch_client(id, wave, wave_rng.fork(id),
                                              clock_);
+      dispatches_[ix].position = pos;
       if (one_wave_) window_.push_back(ix);
     }
     rt.clients_dispatched += k;
@@ -305,7 +347,7 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
     if (trainable_kind(d.kind)) {
       if (d.train_failed) {
         d.kind = FaultKind::kFailed;
-      } else if (!validate_update(d.update)) {
+      } else if (d.quarantined || !validate_update(d.update)) {
         d.kind = FaultKind::kQuarantined;
       }
     }
@@ -421,11 +463,18 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
         // what the staleness decay discounts. base_ is that state: the
         // model only changes here.
         const std::shared_ptr<const Tensor> pre = base_;
-        stats = cfg_.edge_groups > 0
-                    ? hierarchical_aggregate(model, algorithm, *pre, updates,
-                                             positions, window_.size(),
-                                             cfg_.edge_groups)
-                    : algorithm.aggregate(model, *pre, updates);
+        if (cfg_.edge_groups == 0) {
+          stats = algorithm.aggregate(model, *pre, updates);
+        } else if (remote_) {
+          // Remote edges folded their blocks; `updates` are scalar stubs.
+          stats = summarize_updates(updates, model.state_size());
+          aggregate_digests(model, algorithm, *pre, digests_,
+                            cfg_.edge_groups, stats);
+        } else {
+          stats = hierarchical_aggregate(model, algorithm, *pre, updates,
+                                         positions, window_.size(),
+                                         cfg_.edge_groups);
+        }
         if (options.mix_alpha != 1.0) {
           // Server mixing: x <- (1 - alpha) * x_prev + alpha * x_agg.
           Tensor mixed = model.state();
@@ -451,6 +500,7 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
       dispatches_[ix].update = ClientUpdate{};
       free_.push_back(ix);
     }
+    digests_.clear();
     stats.round_seconds = seconds_since(window_start);
     stats.virtual_seconds =
         one_wave_ ? max_duration : clock_ - last_flush_clock;

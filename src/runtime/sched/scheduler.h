@@ -28,7 +28,9 @@
 // replicas, per-dispatch RNG streams keyed on coordinates) and the fold
 // order is fixed by selection or by virtual time. Results, staleness
 // accounting, and traces are bit-identical for any HS_THREADS; the
-// one-thread run is the serial reference.
+// one-thread run is the serial reference. A remote train step (the
+// daemon root, DESIGN.md §14) replaces the pool and keeps every bit: it
+// gets each client's stream and corrupt decision as fixed at dispatch.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +47,7 @@
 #include "runtime/faults.h"
 #include "runtime/sched/delay_model.h"
 #include "runtime/sched/event_queue.h"
+#include "runtime/sched/remote_step.h"
 #include "runtime/sched/sched_options.h"
 #include "runtime/thread_pool.h"
 
@@ -54,9 +57,12 @@ class EventScheduler {
  public:
   /// Takes the thread count (0 = hardware_concurrency, 1 = everything
   /// inline on the calling thread), scheduler options, fault plan, edge
-  /// groups and observer from `cfg`. Both arguments must outlive the
-  /// scheduler.
-  EventScheduler(const SimulationConfig& cfg, const ClientProvider& provider);
+  /// groups and observer from `cfg`. With `remote` set, each wave's
+  /// trainable clients go to it instead and no pool or replica is built
+  /// (run_simulation checks the config it needs). Every argument must
+  /// outlive the scheduler.
+  EventScheduler(const SimulationConfig& cfg, const ClientProvider& provider,
+                 RemoteTrainStep* remote = nullptr);
   ~EventScheduler();
 
   EventScheduler(const EventScheduler&) = delete;
@@ -86,6 +92,7 @@ class EventScheduler {
 
   const SimulationConfig& cfg_;
   const ClientProvider& provider_;
+  RemoteTrainStep* remote_;
   std::size_t num_threads_ = 1;
   FaultOptions fault_options_;
   FaultPlan plan_;
@@ -107,6 +114,7 @@ class EventScheduler {
   std::uint64_t version_ = 0;
   double clock_ = 0.0;
   std::vector<std::size_t> window_;  // records of the current flush window
+  std::vector<ClientUpdate> digests_;  // remote edges' digests of the window
 };
 
 }  // namespace hetero

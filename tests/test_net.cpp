@@ -3,18 +3,21 @@
 //     bit-flipped frames all fail cleanly (no frame surfaces, no UB; the
 //     ASan/UBSan lane runs exactly this suite);
 //   * payload codec round trips — tensors (dense, sparse, rank-0, -0.0f),
-//     client updates, round configs, digests — are bit-exact, and every
-//     truncation of a valid payload is rejected;
-//   * protocol state machines reject malformed messages (connection
-//     quarantined, root marked failed);
+//     client updates, round configs (per-client streams and corrupt
+//     decisions), digests — are bit-exact, and every truncation of a valid
+//     payload is rejected;
+//   * protocol state machines reject malformed messages and fail on a lost
+//     peer (root train step throws, edge reports failed);
 //   * the in-process loopback transport reproduces run_simulation exactly:
 //     model state, loss history, and the traced observer event stream are
 //     byte-identical for the flat root<-workers topology AND the two-level
-//     root<-edges<-workers tree (vs the monolithic edge_groups fold).
+//     root<-edges<-workers tree (vs the in-process edge_groups fold), with
+//     faults, one-wave buffered runs, alpha, aborts and resume.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -278,32 +281,76 @@ TEST(WireCodec, UpdatePushRoundTripsBitExactly) {
   EXPECT_EQ(out.update.aux.size(), 0u);
 }
 
-TEST(WireCodec, RoundConfigRoundTripsRngStateExactly) {
+/// A wave assignment of three clients: one clean, one corrupt, and one
+/// whose stream holds a cached normal draw.
+net::RoundConfigMsg sample_round_config() {
   net::RoundConfigMsg msg;
   msg.round = 9;
-  msg.round_rng = Rng(123).fork(4).save_state();
   msg.n_selected = 6;
-  msg.edge_groups = 2;
-  msg.client_ids = {10, 30, 50};
-  msg.positions = {0, 2, 4};
+  const Rng wave = Rng(123).fork(4);
+  for (std::uint64_t pos : {0u, 2u, 4u}) {
+    RemoteClient c;
+    c.client_id = 10 + 20 * pos;
+    c.position = pos;
+    c.stream = wave.fork(c.client_id).save_state();
+    msg.clients.push_back(c);
+  }
+  msg.clients[1].corrupt = true;
+  msg.clients[1].corrupt_kind = 2;
+  msg.clients[1].corrupt_pos = 0xDEADBEEF12345678ull;
+  Rng cached = wave.fork(90);
+  cached.normal();
+  msg.clients[2].stream = cached.save_state();
+  return msg;
+}
 
+TEST(WireCodec, RoundConfigRoundTripsRngStateExactly) {
+  const net::RoundConfigMsg msg = sample_round_config();
+  ASSERT_TRUE(msg.clients[2].stream.has_cached_normal);
   const auto payload = net::encode_round_config(msg);
   net::RoundConfigMsg out;
   ASSERT_TRUE(net::decode_round_config(payload, out));
   EXPECT_EQ(out.round, msg.round);
   EXPECT_EQ(out.n_selected, msg.n_selected);
-  EXPECT_EQ(out.edge_groups, msg.edge_groups);
-  EXPECT_EQ(out.client_ids, msg.client_ids);
-  EXPECT_EQ(out.positions, msg.positions);
-  // Restoring the shipped state must reproduce the stream bit-for-bit.
-  Rng a;
-  a.restore_state(msg.round_rng);
-  Rng b;
-  b.restore_state(out.round_rng);
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_EQ(a.fork(7).uniform_int(1u << 30), b.fork(7).uniform_int(1u << 30));
-    ASSERT_EQ(a.uniform_int(1u << 30), b.uniform_int(1u << 30));
+  ASSERT_EQ(out.clients.size(), msg.clients.size());
+  for (std::size_t j = 0; j < msg.clients.size(); ++j) {
+    const RemoteClient& a = msg.clients[j];
+    const RemoteClient& b = out.clients[j];
+    EXPECT_EQ(b.client_id, a.client_id);
+    EXPECT_EQ(b.position, a.position);
+    EXPECT_EQ(b.corrupt, a.corrupt);
+    EXPECT_EQ(b.corrupt_kind, a.corrupt_kind);
+    EXPECT_EQ(b.corrupt_pos, a.corrupt_pos);
+    for (int w = 0; w < 4; ++w) EXPECT_EQ(b.stream.s[w], a.stream.s[w]);
+    EXPECT_EQ(b.stream.has_cached_normal, a.stream.has_cached_normal);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(b.stream.cached_normal),
+              std::bit_cast<std::uint64_t>(a.stream.cached_normal));
+    // Restoring the shipped state must reproduce the stream bit-for-bit.
+    Rng x;
+    x.restore_state(a.stream);
+    Rng y;
+    y.restore_state(b.stream);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(x.normal()),
+              std::bit_cast<std::uint64_t>(y.normal()));
+    for (int i = 0; i < 16; ++i) ASSERT_EQ(x.next_u64(), y.next_u64());
   }
+}
+
+TEST(WireCodec, RoundConfigRejectsOutOfRangeCorruptFields) {
+  // Layout: 24 header bytes, then per client 16 id/position bytes, the
+  // 41-byte stream, the corrupt flag and the corrupt kind.
+  const auto payload = net::encode_round_config(sample_round_config());
+  const std::size_t flag = 24 + 67 + 16 + 41;
+  net::RoundConfigMsg out;
+  ASSERT_TRUE(net::decode_round_config(payload, out));
+  ASSERT_EQ(payload[flag], 1);
+  ASSERT_EQ(payload[flag + 1], 2);
+  auto bad_kind = payload;
+  bad_kind[flag + 1] = 3;  // only NaN, +Inf and -Inf exist
+  EXPECT_FALSE(net::decode_round_config(bad_kind, out));
+  auto bad_flag = payload;
+  bad_flag[flag] = 2;
+  EXPECT_FALSE(net::decode_round_config(bad_flag, out));
 }
 
 TEST(WireCodec, DigestRoundTripsMetas) {
@@ -364,6 +411,14 @@ TEST(WireCodec, EveryTruncationOfAValidPayloadIsRejected) {
   padded.push_back(0);
   net::UpdatePushMsg out;
   EXPECT_FALSE(net::decode_update_push(padded, out));
+
+  // The same for a round config carrying corrupt entries.
+  const auto config = net::encode_round_config(sample_round_config());
+  for (std::size_t cut = 0; cut < config.size(); ++cut) {
+    std::vector<std::uint8_t> prefix(config.begin(), config.begin() + cut);
+    net::RoundConfigMsg cfg_out;
+    EXPECT_FALSE(net::decode_round_config(prefix, cfg_out)) << "cut at " << cut;
+  }
 }
 
 // ----------------------------------------------- protocol state machines --
@@ -403,17 +458,23 @@ LocalTrainConfig net_train_cfg() {
   return cfg;
 }
 
+/// A root whose transport pump does nothing: frames arrive only through
+/// the test's own on_frame calls.
+net::RootServer::Pump idle_pump() {
+  return [](const std::function<bool()>&) {};
+}
+
+Frame hello_frame(net::NodeRole role, std::uint64_t index) {
+  Frame frame;
+  frame.header.type = static_cast<std::uint8_t>(FrameType::kHello);
+  frame.payload = net::encode_hello(net::HelloMsg{role, index});
+  return frame;
+}
+
 TEST(RootServer, MalformedHelloQuarantinesTheConnection) {
-  SceneGenerator scenes(16);
-  const VirtualPopulation pop(net_spec(scenes, 8), Rng(7).fork(1));
-  auto model = net_model(21);
-  FedAvg algo(net_train_cfg());
-  net::NetSimConfig cfg;
-  cfg.rounds = 1;
-  cfg.clients_per_round = 2;
-  cfg.num_downstream = 1;
   RecordingSink sink;
-  net::RootServer root(*model, algo, pop, cfg, sink);
+  net::RootServer root(sink, /*num_downstream=*/1, /*edges=*/0,
+                       /*rounds=*/1, idle_pump());
 
   Frame bad;
   bad.header.type = static_cast<std::uint8_t>(FrameType::kHello);
@@ -421,20 +482,13 @@ TEST(RootServer, MalformedHelloQuarantinesTheConnection) {
   root.on_frame(0, bad);
   EXPECT_TRUE(root.failed());
   EXPECT_EQ(root.frames_rejected(), 1u);
-  EXPECT_FALSE(root.done());
+  EXPECT_FALSE(root.ready());
 }
 
 TEST(RootServer, UpdatePushFromUnknownConnectionFails) {
-  SceneGenerator scenes(16);
-  const VirtualPopulation pop(net_spec(scenes, 8), Rng(7).fork(1));
-  auto model = net_model(22);
-  FedAvg algo(net_train_cfg());
-  net::NetSimConfig cfg;
-  cfg.rounds = 1;
-  cfg.clients_per_round = 2;
-  cfg.num_downstream = 2;
   RecordingSink sink;
-  net::RootServer root(*model, algo, pop, cfg, sink);
+  net::RootServer root(sink, /*num_downstream=*/2, /*edges=*/0,
+                       /*rounds=*/1, idle_pump());
 
   net::UpdatePushMsg msg;
   msg.round = 0;
@@ -445,6 +499,54 @@ TEST(RootServer, UpdatePushFromUnknownConnectionFails) {
   root.on_frame(5, frame);  // never said Hello
   EXPECT_TRUE(root.failed());
   EXPECT_EQ(root.frames_rejected(), 1u);
+}
+
+TEST(RootServer, LostNodeMidWaveFailsTheTrainStep) {
+  RecordingSink sink;
+  net::RootServer* self = nullptr;
+  // The transport reports worker 1's connection closed while the wave's
+  // updates are outstanding.
+  net::RootServer root(sink, /*num_downstream=*/2, /*edges=*/0,
+                       /*rounds=*/1,
+                       [&self](const std::function<bool()>& until) {
+                         self->on_closed(11);
+                         EXPECT_TRUE(until());
+                       });
+  self = &root;
+  // Closing before Hello is harmless.
+  root.on_closed(11);
+  EXPECT_FALSE(root.failed());
+  root.on_frame(10, hello_frame(net::NodeRole::kWorker, 0));
+  root.on_frame(11, hello_frame(net::NodeRole::kWorker, 1));
+  ASSERT_TRUE(root.ready());
+
+  std::vector<RemoteClient> clients(2);
+  clients[0].client_id = 3;
+  clients[1].client_id = 5;
+  clients[1].position = 1;
+  RemoteWave out;
+  try {
+    root.train(/*wave=*/0, /*wave_size=*/2, Tensor({4}), clients, out);
+    ADD_FAILURE() << "train returned with a node lost";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("worker 1"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(root.failed());
+}
+
+TEST(EdgeNode, LostWorkerFailsTheNode) {
+  FedAvg algo(net_train_cfg());
+  RecordingSink sink;
+  net::EdgeNode edge(algo, sink, /*upstream_conn=*/0, /*edge_index=*/0,
+                     /*num_workers=*/2);
+  edge.start();
+  edge.on_closed(4);  // never said Hello: harmless
+  EXPECT_FALSE(edge.failed());
+  edge.on_frame(3, hello_frame(net::NodeRole::kWorker, 1));
+  edge.on_closed(3);
+  EXPECT_TRUE(edge.failed());
+  EXPECT_NE(edge.error().find("worker 1"), std::string::npos) << edge.error();
 }
 
 // ------------------------------------------------ loopback byte identity --
@@ -553,10 +655,188 @@ TEST(Loopback, RefusesConfigsTheWireLayerCannotReproduce) {
   const VirtualPopulation pop(net_spec(scenes, 8), Rng(7).fork(1));
   auto model = net_model(35);
   FedAvg algo(net_train_cfg());
-  SimulationConfig cfg = loopback_sim_cfg();
-  cfg.faults.dropout_prob = 0.1;  // fault injection: monolithic only
-  EXPECT_THROW(net::run_distributed_loopback(*model, algo, pop, cfg, 2),
+  // Continuous refill: a remote batch would span model versions.
+  SimulationConfig async = loopback_sim_cfg();
+  async.sched = parse_sched_spec("async");
+  EXPECT_THROW(net::run_distributed_loopback(*model, algo, pop, async, 2),
                std::exception);
+  // Edges fold one wave each; a window of three clients is not one.
+  SimulationConfig partial = loopback_sim_cfg();
+  partial.sched = parse_sched_spec("buffered,wave=1,buffer=3");
+  EXPECT_THROW(
+      net::run_distributed_loopback(*model, algo, pop, partial, 2, 2),
+      std::exception);
+  // SCAFFOLD's client phase reads server-held control variates.
+  Scaffold scaffold(net_train_cfg());
+  EXPECT_THROW(net::run_distributed_loopback(*model, scaffold, pop,
+                                             loopback_sim_cfg(), 2),
+               std::exception);
+}
+
+/// Runs `base` in process with `edges` edge groups and through the
+/// loopback daemon with `workers` workers under `edges` edges, and checks
+/// that the two agree bit for bit: final state, loss history, per-device
+/// metrics, the timing-free trace and the fault counters. Returns the
+/// in-process run's stats so callers can check the faults fired.
+RuntimeStats expect_daemon_matches(const SimulationConfig& base,
+                                   std::size_t workers, std::size_t edges) {
+  SceneGenerator scenes(16);
+  const VirtualPopulation pop(net_spec(scenes, 10), Rng(7).fork(1));
+
+  TraceCapture mono_trace;
+  SimulationConfig cfg = base;
+  cfg.edge_groups = edges;
+  cfg.observer = &mono_trace.observer;
+  auto mono_model = net_model(37);
+  FedAvg mono_algo(net_train_cfg());
+  const SimulationResult mono =
+      run_simulation(*mono_model, mono_algo, pop, cfg);
+
+  TraceCapture net_trace;
+  cfg.observer = &net_trace.observer;
+  auto net_model_ = net_model(37);
+  FedAvg net_algo(net_train_cfg());
+  const net::LoopbackResult dist = net::run_distributed_loopback(
+      *net_model_, net_algo, pop, cfg, workers, edges);
+
+  expect_tensor_bits(mono_model->state(), net_model_->state());
+  EXPECT_EQ(mono.train_loss_history, dist.result.train_loss_history);
+  EXPECT_EQ(mono.final_metrics.per_device,
+            dist.result.final_metrics.per_device);
+  EXPECT_EQ(mono_trace.text(), net_trace.text());
+  const RuntimeStats& a = mono.runtime;
+  const RuntimeStats& b = dist.result.runtime;
+  EXPECT_EQ(a.clients_dropped, b.clients_dropped);
+  EXPECT_EQ(a.clients_quarantined, b.clients_quarantined);
+  EXPECT_EQ(a.rounds_aborted, b.rounds_aborted);
+  EXPECT_EQ(dist.counters.frames_bad, 0u);
+  return a;
+}
+
+SimulationConfig faulty_cfg(const std::string& faults) {
+  SimulationConfig cfg = loopback_sim_cfg();
+  cfg.rounds = 5;
+  cfg.faults = parse_fault_spec(faults);
+  return cfg;
+}
+
+constexpr const char* kAllFaults =
+    "drop=0.2,fail=0.3,retries=1,straggle=0.3,delay=0.5,timeout=0.8,"
+    "corrupt=0.2";
+
+TEST(Loopback, FaultyFlatRunMatchesRunSimulation) {
+  const RuntimeStats rt = expect_daemon_matches(faulty_cfg(kAllFaults), 3, 0);
+  EXPECT_GT(rt.clients_dropped, 0u);
+  EXPECT_GT(rt.clients_quarantined, 0u);
+  EXPECT_GT(rt.clients_straggled, 0u);
+}
+
+TEST(Loopback, FaultyEdgeTreeMatchesRunSimulation) {
+  const RuntimeStats rt = expect_daemon_matches(faulty_cfg(kAllFaults), 4, 2);
+  EXPECT_GT(rt.clients_dropped, 0u);
+  EXPECT_GT(rt.clients_quarantined, 0u);
+}
+
+/// Counts edge blocks (window positions grouped as the edge tier groups
+/// them) in which no client survived, so the edge sent no digest.
+struct EmptyBlockCounter : RoundObserver {
+  std::size_t k = 0, edges = 0, empty = 0;
+  std::vector<bool> survived;
+  void on_round_begin(std::size_t, const std::vector<std::size_t>&) override {
+    survived.assign(edges, false);
+  }
+  void on_client_end(std::size_t, const ClientObservation& c) override {
+    if (c.fault <= static_cast<unsigned>(FaultKind::kStraggler)) {
+      survived[edge_group_of(c.order, k, edges)] = true;
+    }
+  }
+  void on_round_end(std::size_t, const RoundStats&) override {
+    for (bool s : survived) empty += s ? 0 : 1;
+  }
+};
+
+TEST(Loopback, EdgesWithNoSurvivorMatchRunSimulation) {
+  SimulationConfig cfg = faulty_cfg("corrupt=0.6");
+  expect_daemon_matches(cfg, 3, 3);
+  // The config must actually leave some edge without a digest.
+  SceneGenerator scenes(16);
+  const VirtualPopulation pop(net_spec(scenes, 10), Rng(7).fork(1));
+  EmptyBlockCounter counter;
+  counter.k = cfg.clients_per_round;
+  counter.edges = 3;
+  cfg.edge_groups = 3;
+  cfg.observer = &counter;
+  auto model = net_model(37);
+  FedAvg algo(net_train_cfg());
+  run_simulation(*model, algo, pop, cfg);
+  EXPECT_GT(counter.empty, 0u);
+}
+
+TEST(Loopback, BufferedWaveRunsMatchRunSimulation) {
+  SimulationConfig cfg = loopback_sim_cfg();
+  cfg.sched = parse_sched_spec("buffered,wave=1");
+  expect_daemon_matches(cfg, 2, 0);
+  SimulationConfig faulty = faulty_cfg("corrupt=0.2");
+  faulty.sched = cfg.sched;
+  expect_daemon_matches(faulty, 4, 2);
+}
+
+TEST(Loopback, BufferedWaveWithSmallerBufferMatchesRunSimulation) {
+  SimulationConfig cfg = loopback_sim_cfg();
+  cfg.rounds = 5;
+  cfg.sched = parse_sched_spec("buffered,wave=1,buffer=3");
+  const RuntimeStats rt = expect_daemon_matches(cfg, 2, 0);
+  EXPECT_GT(rt.staleness_max, 0u);
+}
+
+TEST(Loopback, ServerMixingMatchesRunSimulation) {
+  SimulationConfig cfg = loopback_sim_cfg();
+  cfg.sched = parse_sched_spec("buffered,wave=1,alpha=0.5");
+  expect_daemon_matches(cfg, 2, 0);
+}
+
+TEST(Loopback, AbortedRoundsMatchRunSimulation) {
+  const RuntimeStats rt =
+      expect_daemon_matches(faulty_cfg("drop=0.6,min=4"), 2, 0);
+  EXPECT_GT(rt.rounds_aborted, 0u);
+}
+
+TEST(Loopback, DaemonResumesFromItsCheckpointBitIdentically) {
+  SceneGenerator scenes(16);
+  const VirtualPopulation pop(net_spec(scenes, 10), Rng(7).fork(1));
+  const std::string dir =
+      ::testing::TempDir() + "hs_net_resume_" +
+      std::to_string(::testing::UnitTest::GetInstance()->random_seed());
+  std::remove((dir + "/checkpoint.bin").c_str());
+
+  // Reference: six rounds in process over two edge groups.
+  SimulationConfig cfg = loopback_sim_cfg();
+  cfg.rounds = 6;
+  cfg.edge_groups = 2;
+  auto ref_model = net_model(39);
+  FedAvg ref_algo(net_train_cfg());
+  const SimulationResult ref = run_simulation(*ref_model, ref_algo, pop, cfg);
+
+  // A daemon checkpoints three rounds; a fresh daemon resumes to six.
+  cfg.checkpoint.dir = dir;
+  cfg.checkpoint.every = 1;
+  {
+    SimulationConfig first = cfg;
+    first.rounds = 3;
+    auto model = net_model(39);
+    FedAvg algo(net_train_cfg());
+    net::run_distributed_loopback(*model, algo, pop, first, 4, 2);
+  }
+  auto model = net_model(39);
+  FedAvg algo(net_train_cfg());
+  const net::LoopbackResult resumed =
+      net::run_distributed_loopback(*model, algo, pop, cfg, 4, 2);
+
+  expect_tensor_bits(ref_model->state(), model->state());
+  EXPECT_EQ(ref.train_loss_history, resumed.result.train_loss_history);
+  EXPECT_EQ(ref.final_metrics.per_device,
+            resumed.result.final_metrics.per_device);
+  std::remove((dir + "/checkpoint.bin").c_str());
 }
 
 }  // namespace

@@ -23,9 +23,9 @@
 # their scratch arenas are what gets checked). The
 # fast-kernel tests add the intra-op worker fan-out (detail::intra_for under
 # a ScopedIntraOp grant) and the HS_KERNEL=fast dispatch to the raced
-# surface. The net tests run loopback daemon rounds with the root epoll
-# loop and worker/edge nodes on separate threads exchanging frames over
-# real sockets.
+# surface. The net tests run loopback daemon rounds, where the scheduler
+# hands each wave to the root as its remote train step instead of its
+# pool.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -20,14 +20,17 @@
 // method / seed flags: the protocol ships only round assignments and model
 // states, and relies on each node deterministically rebuilding the same
 // population and algorithm. A distributed run is then byte-identical to
-// `hsctl fl` with the same flags (plus --edges for the two-level tree).
-// HS_NET="maxframe=BYTES,trace=0|1" tunes the frame bound / net.* extras.
+// `hsctl fl` with the same flags, because the root runs the same
+// run_simulation with the remote workers as its train step.
+// HS_NET="maxframe=BYTES" tunes the frame bound.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,6 +66,7 @@ class ProgressObserver : public RoundObserver {
     std::printf("  round %zu  loss %.3f  [%.3f, %.3f]  (%.1fs)\n", round,
                 stats.mean_train_loss, stats.min_train_loss,
                 stats.max_train_loss, timer_.elapsed_s());
+    std::fflush(stdout);
   }
 
  private:
@@ -101,18 +105,39 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  long get_int(const std::string& key, long fallback) const {
+  /// Numeric flags are strict: anything but the whole value throws,
+  /// naming the flag.
+  std::uint64_t get_uint(const std::string& key,
+                         std::uint64_t fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtol(it->second.c_str(),
-                                                        nullptr, 10);
+    if (it == values_.end()) return fallback;
+    const std::optional<std::uint64_t> v = parse_uint(it->second);
+    if (!v) bad_value(key, "a non-negative integer");
+    return *v;
+  }
+  std::uint16_t get_port(const std::string& key,
+                         std::uint16_t fallback) const {
+    const std::uint64_t port = get_uint(key, fallback);
+    if (port > 65535) bad_value(key, "a port in 0..65535");
+    return static_cast<std::uint16_t>(port);
   }
   double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(),
-                                                        nullptr);
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0') bad_value(key, "a number");
+    return v;
   }
 
  private:
+  [[noreturn]] void bad_value(const std::string& key,
+                              const std::string& expected) const {
+    throw std::invalid_argument("--" + key + ": expected " + expected +
+                                ", got '" + values_.at(key) + "'");
+  }
+
   std::map<std::string, std::string> values_;
   bool ok_ = true;
   bool help_ = false;
@@ -142,8 +167,8 @@ int cmd_capture(const Args& args) {
     return 0;
   }
   const std::string device_name = args.get("device", "GalaxyS9");
-  const auto cls = static_cast<std::size_t>(args.get_int("class", 0));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const std::size_t cls = args.get_uint("class", 0);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   const std::string prefix = args.get("prefix", "hsctl");
 
   const DeviceProfile& device = device_by_name(device_name);
@@ -177,8 +202,8 @@ int cmd_signature(const Args& args) {
         "Statistics-level heterogeneity distance between all devices.\n");
     return 0;
   }
-  const auto per_class = static_cast<std::size_t>(args.get_int("per-class", 3));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const std::size_t per_class = args.get_uint("per-class", 3);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   SceneGenerator scenes(64);
   CaptureConfig cfg;
   std::vector<Dataset> datasets;
@@ -213,10 +238,9 @@ int cmd_train(const Args& args) {
     return 0;
   }
   const std::string device_name = args.get("device", "GalaxyS9");
-  const auto epochs = static_cast<std::size_t>(args.get_int("epochs", 10));
-  const auto per_class =
-      static_cast<std::size_t>(args.get_int("per-class", 12));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const std::size_t epochs = args.get_uint("epochs", 10);
+  const std::size_t per_class = args.get_uint("per-class", 12);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   const std::string arch = args.get("arch", "mobile-mini");
 
   SceneGenerator scenes(64);
@@ -287,7 +311,7 @@ std::unique_ptr<SplitFederatedAlgorithm> build_algorithm(const Args& args) {
   if (method == "compressed") {
     CompressionOptions comp;
     comp.top_k_fraction = static_cast<float>(args.get_double("topk", 0.1));
-    comp.quantize_bits = static_cast<int>(args.get_int("bits", 0));
+    comp.quantize_bits = static_cast<int>(args.get_uint("bits", 0));
     return std::make_unique<CompressedFedAvg>(local, comp);
   }
   if (method == "dpfedavg") {
@@ -307,8 +331,8 @@ bool build_fl_stack(const Args& args, bool need_population, FlStack& out) {
   if (!out.algorithm) return false;
   if (!need_population) return true;
 
-  const auto n_clients = static_cast<std::size_t>(args.get_int("clients", 30));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const std::size_t n_clients = args.get_uint("clients", 30);
+  const std::uint64_t seed = args.get_uint("seed", 42);
   const std::string population_kind = args.get("population", "materialized");
 
   out.scenes = std::make_unique<SceneGenerator>(64);
@@ -341,17 +365,12 @@ bool build_fl_stack(const Args& args, bool need_population, FlStack& out) {
   return true;
 }
 
-/// HS_NET="maxframe=BYTES,trace=0|1" — strict parse, throws on anything it
-/// does not recognise (the repo's env-knob convention).
-struct NetEnv {
+/// HS_NET="maxframe=BYTES" — strict parse, throws on anything it does not
+/// recognise (the repo's env-knob convention). Returns the frame bound.
+std::size_t parse_net_env() {
   std::size_t max_payload = net::kDefaultMaxPayload;
-  bool trace = false;
-};
-
-NetEnv parse_net_env() {
-  NetEnv out;
   const char* env = std::getenv("HS_NET");
-  if (env == nullptr || *env == '\0') return out;
+  if (env == nullptr || *env == '\0') return max_payload;
   std::string spec(env);
   std::size_t pos = 0;
   while (pos <= spec.size()) {
@@ -372,18 +391,12 @@ NetEnv parse_net_env() {
       if (!bytes || *bytes == 0) {
         throw std::runtime_error("HS_NET: bad maxframe '" + value + "'");
       }
-      out.max_payload = static_cast<std::size_t>(*bytes);
-    } else if (key == "trace") {
-      if (value != "0" && value != "1") {
-        throw std::runtime_error("HS_NET: trace must be 0 or 1, got '" +
-                                 value + "'");
-      }
-      out.trace = value == "1";
+      max_payload = static_cast<std::size_t>(*bytes);
     } else {
       throw std::runtime_error("HS_NET: unknown key '" + key + "'");
     }
   }
-  return out;
+  return max_payload;
 }
 
 bool split_host_port(const std::string& s, std::string& host,
@@ -400,10 +413,55 @@ bool split_host_port(const std::string& s, std::string& host,
   return true;
 }
 
-/// The final-metrics table shared by `fl` and `serve`.
-void print_fl_result(const SplitFederatedAlgorithm& algo, std::size_t rounds,
-                     const ClientProvider& pop, const SimulationResult& r) {
-  std::printf("\n%s after %zu rounds:\n", algo.name().c_str(), rounds);
+/// The SimulationConfig of `hsctl fl` and `hsctl serve`, built from the
+/// same flags (and HS_CHECKPOINT when --checkpoint is absent).
+SimulationConfig fl_sim_config(const Args& args) {
+  SimulationConfig sim;
+  sim.rounds = args.get_uint("rounds", 40);
+  sim.clients_per_round = args.get_uint("per-round", 8);
+  sim.seed = args.get_uint("seed", 42) + 3;
+  sim.edge_groups = args.get_uint("edges", 0);
+  sim.faults = parse_fault_spec(args.get("faults", ""));
+  sim.faults.min_clients =
+      args.get_uint("min-clients", sim.faults.min_clients);
+  sim.sched = parse_sched_spec(args.get("sched", ""));
+  sim.sched.buffer = args.get_uint("buffer", sim.sched.buffer);
+  sim.sched.mix_alpha = args.get_double("alpha", sim.sched.mix_alpha);
+  sim.sched.staleness_exponent =
+      args.get_double("staleness-exp", sim.sched.staleness_exponent);
+  if (args.has("checkpoint")) {
+    sim.checkpoint.dir = args.get("checkpoint", "");
+    sim.checkpoint.every = args.get_uint("ckpt-every", 1);
+  } else if (const char* env = std::getenv("HS_CHECKPOINT")) {
+    sim.checkpoint = parse_checkpoint_spec(env);
+  }
+  return sim;
+}
+
+/// The result block shared by `fl` and `serve`: scheduler and fault totals,
+/// the final-metrics table, and the last round's train loss in full
+/// precision so two runs compare exactly.
+void print_fl_result(const SplitFederatedAlgorithm& algo,
+                     const SimulationConfig& sim, const ClientProvider& pop,
+                     const SimulationResult& r) {
+  const RuntimeStats& rt = r.runtime;
+  if (sim.sched.scheduled()) {
+    std::printf(
+        "sched: %s  buffer %zu  dispatched %zu  committed %zu  "
+        "staleness mean %.2f max %zu  virtual %.3fs  aborted flushes %zu\n",
+        sched_mode_name(sim.sched.mode),
+        sim.sched.resolve_buffer(sim.clients_per_round),
+        rt.clients_dispatched, rt.updates_committed, rt.staleness_mean,
+        rt.staleness_max, rt.virtual_seconds, rt.rounds_aborted);
+  }
+  if (sim.faults.enabled()) {
+    std::printf(
+        "faults: dropped %zu  quarantined %zu  straggled %zu  retries %zu  "
+        "aborted rounds %zu\n",
+        rt.clients_dropped, rt.clients_quarantined, rt.clients_straggled,
+        rt.fault_retries, rt.rounds_aborted);
+  }
+  std::printf("\n%s after %zu rounds:\n", algo.name().c_str(), sim.rounds);
   Table table({"Device", "Accuracy"});
   const std::vector<std::string>& device_names = pop.device_names();
   for (std::size_t d = 0; d < device_names.size(); ++d) {
@@ -413,6 +471,9 @@ void print_fl_result(const SplitFederatedAlgorithm& algo, std::size_t rounds,
   std::printf("average %.2f%%  variance %.2f  worst-case %.2f%%\n",
               r.final_metrics.average * 100, r.final_metrics.variance * 1e4,
               r.final_metrics.worst_case * 100);
+  if (!r.train_loss_history.empty()) {
+    std::printf("final train loss %.17g\n", r.train_loss_history.back());
+  }
 }
 
 int cmd_fl(const Args& args) {
@@ -455,122 +516,76 @@ int cmd_fl(const Args& args) {
         "partial-aggregation methods only).\n");
     return 0;
   }
-  const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 40));
-  const auto k = static_cast<std::size_t>(args.get_int("per-round", 8));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const auto edges = static_cast<std::size_t>(args.get_int("edges", 0));
-  FaultOptions faults = parse_fault_spec(args.get("faults", ""));
-  faults.min_clients = static_cast<std::size_t>(
-      args.get_int("min-clients", static_cast<long>(faults.min_clients)));
-  SchedulerOptions sched = parse_sched_spec(args.get("sched", ""));
-  sched.buffer = static_cast<std::size_t>(
-      args.get_int("buffer", static_cast<long>(sched.buffer)));
-  sched.mix_alpha = args.get_double("alpha", sched.mix_alpha);
-  sched.staleness_exponent =
-      args.get_double("staleness-exp", sched.staleness_exponent);
-
-  CheckpointOptions checkpoint;
-  if (args.has("checkpoint")) {
-    checkpoint.dir = args.get("checkpoint", "");
-    checkpoint.every =
-        static_cast<std::size_t>(args.get_int("ckpt-every", 1));
-  } else if (const char* env = std::getenv("HS_CHECKPOINT")) {
-    checkpoint = parse_checkpoint_spec(env);
-  }
-
+  SimulationConfig sim = fl_sim_config(args);
   FlStack stack;
   if (!build_fl_stack(args, /*need_population=*/true, stack)) return 1;
-
-  SimulationConfig sim;
-  sim.rounds = rounds;
-  sim.clients_per_round = k;
-  sim.seed = seed + 3;
-  sim.faults = faults;
-  sim.sched = sched;
-  sim.checkpoint = checkpoint;
-  sim.edge_groups = edges;
   ProgressObserver progress;
   sim.observer = &progress;
   const SimulationResult r =
       run_simulation(*stack.model, *stack.algorithm, *stack.population, sim);
-
-  if (sched.scheduled()) {
-    std::printf(
-        "sched: %s  buffer %zu  dispatched %zu  committed %zu  "
-        "staleness mean %.2f max %zu  virtual %.3fs  aborted flushes %zu\n",
-        sched_mode_name(sched.mode), sched.resolve_buffer(k),
-        r.runtime.clients_dispatched, r.runtime.updates_committed,
-        r.runtime.staleness_mean, r.runtime.staleness_max,
-        r.runtime.virtual_seconds, r.runtime.rounds_aborted);
-  }
-  if (faults.enabled()) {
-    std::printf(
-        "faults: dropped %zu  quarantined %zu  straggled %zu  retries %zu  "
-        "aborted rounds %zu\n",
-        r.runtime.clients_dropped, r.runtime.clients_quarantined,
-        r.runtime.clients_straggled, r.runtime.fault_retries,
-        r.runtime.rounds_aborted);
-  }
-  print_fl_result(*stack.algorithm, rounds, *stack.population, r);
+  print_fl_result(*stack.algorithm, sim, *stack.population, r);
   return 0;
 }
 
 int cmd_serve(const Args& args) {
   if (args.help()) {
     std::printf(
-        "hsctl serve --port P [--host H] (--workers W | --edges E)\n"
-        "            [fl flags: --method --rounds --clients --per-round "
-        "--seed --eval-every --population]\n"
+        "hsctl serve [--port P] [--host H] (--workers W | --edges E) "
+        "[hsctl fl flags]\n"
         "Aggregation root of a distributed run: accepts W workers (flat) or\n"
-        "E edge aggregators (two-level digest tree), drives --rounds rounds,\n"
-        "and prints the same result table as `hsctl fl`. Every node must be\n"
-        "launched with the same fl flags; the run is byte-identical to the\n"
-        "monolithic `hsctl fl` (with --edges E for the edge tree).\n"
-        "HS_NET=\"maxframe=BYTES,trace=0|1\" tunes the transport.\n");
+        "E edge aggregators (two-level digest tree), then runs the same\n"
+        "simulation as `hsctl fl` with the remote nodes as its train step\n"
+        "and prints the same result block. Every node must be launched with\n"
+        "the same fl flags; the run is byte-identical to `hsctl fl` (with\n"
+        "--edges E for the edge tree). Faults, --alpha, compute= and\n"
+        "--checkpoint work as in `hsctl fl`. Refused: continuous refill\n"
+        "(async, or buffered without wave=1), methods other than fedavg,\n"
+        "fedprox and qfedavg (their client phase reads server state), and\n"
+        "under --edges qfedavg and flush windows other than one wave.\n"
+        "--port 0 picks a free port and prints it. A lost worker or edge\n"
+        "fails the run.\n"
+        "HS_NET=\"maxframe=BYTES\" bounds the frame size.\n");
     return 0;
   }
-  const auto port = static_cast<std::uint16_t>(args.get_int("port", 7433));
+  const std::uint16_t port = args.get_port("port", 7433);
   const std::string host = args.get("host", "127.0.0.1");
-  const auto workers = static_cast<std::size_t>(args.get_int("workers", 0));
-  const auto edges = static_cast<std::size_t>(args.get_int("edges", 0));
+  const std::size_t workers = args.get_uint("workers", 0);
+  SimulationConfig sim = fl_sim_config(args);
+  const std::size_t edges = sim.edge_groups;
   if ((workers == 0) == (edges == 0)) {
     std::fprintf(stderr, "serve: pass exactly one of --workers or --edges\n");
     return 1;
   }
-  const NetEnv env = parse_net_env();
+  const std::size_t max_payload = parse_net_env();
   FlStack stack;
   if (!build_fl_stack(args, /*need_population=*/true, stack)) return 1;
-
-  net::EventLoop loop(env.max_payload);
-  net::NetSimConfig cfg;
-  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 40));
-  cfg.clients_per_round =
-      static_cast<std::size_t>(args.get_int("per-round", 8));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42)) + 3;
-  cfg.eval_every = static_cast<std::size_t>(args.get_int("eval-every", 0));
-  cfg.num_downstream = edges > 0 ? edges : workers;
-  cfg.edge_groups = edges;
   ProgressObserver progress;
-  cfg.observer = &progress;
-  cfg.trace_extras = env.trace;
-  cfg.counters = &loop.counters();
+  sim.observer = &progress;
 
-  net::RootServer root(*stack.model, *stack.algorithm, *stack.population, cfg,
-                       loop);
+  net::EventLoop loop(max_payload);
+  const std::size_t nodes = edges > 0 ? edges : workers;
+  net::RootServer root(loop, nodes, edges, sim.rounds,
+                       [&loop](const std::function<bool()>& until) {
+                         loop.run(until);
+                       });
   loop.set_handler([&root](std::size_t conn, const net::Frame& frame) {
     root.on_frame(conn, frame);
   });
-  loop.listen(host, port);
+  loop.set_closed_handler([&root](std::size_t conn) { root.on_closed(conn); });
+  const std::uint16_t bound = loop.listen(host, port);
   std::printf("serving on %s:%u (%zu %s, %zu rounds)\n", host.c_str(),
-              static_cast<unsigned>(port), cfg.num_downstream,
-              edges > 0 ? "edges" : "workers", cfg.rounds);
-  loop.run([&root] { return root.done() || root.failed(); });
+              static_cast<unsigned>(bound), nodes,
+              edges > 0 ? "edges" : "workers", sim.rounds);
+  std::fflush(stdout);
+  loop.run([&root] { return root.ready() || root.failed(); });
   if (root.failed()) {
-    std::fprintf(stderr, "serve: protocol failure: %s\n",
-                 root.error().c_str());
+    std::fprintf(stderr, "hsctl serve: %s\n", root.error().c_str());
     return 1;
   }
-  const SimulationResult r = root.take_result();
+  const SimulationResult r = run_simulation(
+      *stack.model, *stack.algorithm, *stack.population, sim, &root);
+  root.finish();
+  loop.run([] { return true; });
   const net::NetCounters& net_totals = loop.counters();
   std::printf(
       "net: %llu frames / %llu bytes out, %llu frames / %llu bytes in, "
@@ -580,8 +595,7 @@ int cmd_serve(const Args& args) {
       static_cast<unsigned long long>(net_totals.frames_rx),
       static_cast<unsigned long long>(net_totals.bytes_rx),
       static_cast<unsigned long long>(net_totals.frames_bad));
-  print_fl_result(*stack.algorithm, r.train_loss_history.size(),
-                  *stack.population, r);
+  print_fl_result(*stack.algorithm, sim, *stack.population, r);
   return 0;
 }
 
@@ -600,12 +614,12 @@ int cmd_client(const Args& args) {
     std::fprintf(stderr, "client: --connect HOST:PORT required\n");
     return 1;
   }
-  const auto index = static_cast<std::uint64_t>(args.get_int("index", 0));
-  const NetEnv env = parse_net_env();
+  const std::uint64_t index = args.get_uint("index", 0);
+  const std::size_t max_payload = parse_net_env();
   FlStack stack;
   if (!build_fl_stack(args, /*need_population=*/true, stack)) return 1;
 
-  net::EventLoop loop(env.max_payload);
+  net::EventLoop loop(max_payload);
   const std::size_t conn = loop.connect(host, port);
   net::WorkerNode node(*stack.model, *stack.algorithm, *stack.population,
                        loop, conn, index);
@@ -633,13 +647,14 @@ int cmd_client(const Args& args) {
 int cmd_edge(const Args& args) {
   if (args.help()) {
     std::printf(
-        "hsctl edge --connect HOST:PORT --port P [--host H] --index I "
+        "hsctl edge --connect HOST:PORT [--port P] [--host H] --index I "
         "--workers W [--method ...]\n"
         "Edge aggregator: connects upstream to the root, accepts W workers\n"
-        "on --port, relays round configs / model states, and folds each\n"
-        "round's surviving updates into one renormalized weighted digest\n"
-        "(DESIGN.md §14). Needs the same --method flags as the root; no\n"
-        "population or model.\n");
+        "on --port (0 picks a free port and prints it), relays wave configs\n"
+        "and model states, and folds each wave's surviving updates into one\n"
+        "renormalized weighted digest (DESIGN.md §14). Needs the same\n"
+        "--method flags as the root; no population or model. A lost worker\n"
+        "or root fails the node.\n");
     return 0;
   }
   std::string up_host;
@@ -648,41 +663,35 @@ int cmd_edge(const Args& args) {
     std::fprintf(stderr, "edge: --connect HOST:PORT required\n");
     return 1;
   }
-  const auto port = static_cast<std::uint16_t>(args.get_int("port", 7434));
+  const std::uint16_t port = args.get_port("port", 7434);
   const std::string host = args.get("host", "127.0.0.1");
-  const auto index = static_cast<std::uint64_t>(args.get_int("index", 0));
-  const auto workers = static_cast<std::size_t>(args.get_int("workers", 0));
+  const std::uint64_t index = args.get_uint("index", 0);
+  const std::size_t workers = args.get_uint("workers", 0);
   if (workers == 0) {
     std::fprintf(stderr, "edge: --workers W required\n");
     return 1;
   }
-  const NetEnv env = parse_net_env();
+  const std::size_t max_payload = parse_net_env();
   FlStack stack;
   if (!build_fl_stack(args, /*need_population=*/false, stack)) return 1;
 
-  net::EventLoop loop(env.max_payload);
-  loop.listen(host, port);
+  net::EventLoop loop(max_payload);
+  const std::uint16_t bound = loop.listen(host, port);
   const std::size_t up_conn = loop.connect(up_host, up_port);
   net::EdgeNode node(*stack.algorithm, loop, up_conn, index, workers);
   loop.set_handler([&node](std::size_t c, const net::Frame& frame) {
     node.on_frame(c, frame);
   });
-  bool upstream_closed = false;
-  loop.set_closed_handler([&upstream_closed, up_conn](std::size_t c) {
-    if (c == up_conn) upstream_closed = true;
-  });
+  loop.set_closed_handler([&node](std::size_t c) { node.on_closed(c); });
   node.start();
   std::printf("edge %llu on %s:%u (upstream %s:%u, %zu workers)\n",
               static_cast<unsigned long long>(index), host.c_str(),
-              static_cast<unsigned>(port), up_host.c_str(),
+              static_cast<unsigned>(bound), up_host.c_str(),
               static_cast<unsigned>(up_port), workers);
-  loop.run([&] { return node.done() || node.failed() || upstream_closed; });
+  std::fflush(stdout);
+  loop.run([&] { return node.done() || node.failed(); });
   if (node.failed()) {
-    std::fprintf(stderr, "edge: protocol failure: %s\n", node.error().c_str());
-    return 1;
-  }
-  if (!node.done()) {
-    std::fprintf(stderr, "edge: upstream lost before Bye\n");
+    std::fprintf(stderr, "hsctl edge: %s\n", node.error().c_str());
     return 1;
   }
   std::printf("edge %llu: run complete\n",
