@@ -110,6 +110,16 @@ void RootServer::train(std::size_t wave, std::size_t wave_size,
   if (failed_) throw std::runtime_error(error_);
   HS_CHECK(ready(), "RootServer: train before every node said Hello");
   const std::size_t nodes = conn_of_node_.size();
+  // The wave's pointers live only while train() runs, whichever way it
+  // leaves; a late frame then finds no wave in flight.
+  struct WaveScope {
+    RootServer& root;
+    ~WaveScope() {
+      root.base_ = nullptr;
+      root.clients_ = nullptr;
+      root.out_ = nullptr;
+    }
+  } scope{*this};
   wave_ = wave;
   wave_size_ = wave_size;
   base_ = &base;
@@ -143,9 +153,6 @@ void RootServer::train(std::size_t wave, std::size_t wave_size,
   }
   pump_([this] { return pending_ == 0 || failed_; });
 
-  base_ = nullptr;
-  clients_ = nullptr;
-  out_ = nullptr;
   if (failed_) throw std::runtime_error(error_);
   if (pending_ > 0) {
     throw std::runtime_error("root: transport stopped with " +
@@ -307,8 +314,6 @@ void WorkerNode::on_frame(std::size_t conn, const Frame& frame) {
       // The scheduler's train step, verbatim: each client's stream as
       // fixed at dispatch, trained against the pulled global, then
       // poisoned when the fault plan corrupts it.
-      std::vector<UpdatePushMsg> pushes;
-      pushes.reserve(round_cfg_.clients.size());
       for (const RemoteClient& c : round_cfg_.clients) {
         const auto id = static_cast<std::size_t>(c.client_id);
         Rng client_rng;
@@ -327,9 +332,6 @@ void WorkerNode::on_frame(std::size_t conn, const Frame& frame) {
           poison.corrupt_pos = c.corrupt_pos;
           poison_update(push.update, poison);
         }
-        pushes.push_back(std::move(push));
-      }
-      for (const UpdatePushMsg& push : pushes) {
         sink_.send(upstream_conn_, FrameType::kUpdatePush,
                    encode_update_push(push));
       }

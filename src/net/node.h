@@ -66,6 +66,9 @@ class RootServer : public RemoteTrainStep {
   /// (edges == num_downstream). `rounds` is announced in HelloAck and Bye.
   RootServer(FrameSink& sink, std::size_t num_downstream, std::size_t edges,
              std::size_t rounds, Pump pump);
+  // Transports hold the root's address in their frame handlers.
+  RootServer(const RootServer&) = delete;
+  RootServer& operator=(const RootServer&) = delete;
 
   void on_frame(std::size_t conn, const Frame& frame);
   /// A downstream node's connection closed. Losing a node that said Hello
