@@ -402,14 +402,11 @@ std::size_t parse_net_env() {
 bool split_host_port(const std::string& s, std::string& host,
                      std::uint16_t& port) {
   const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long p = std::strtoul(s.c_str() + colon + 1, &end, 10);
-  if (*end != '\0' || p == 0 || p > 65535) return false;
+  if (colon == std::string::npos || colon == 0) return false;
+  const std::optional<std::uint64_t> p = parse_uint(s.substr(colon + 1));
+  if (!p || *p == 0 || *p > 65535) return false;
   host = s.substr(0, colon);
-  port = static_cast<std::uint16_t>(p);
+  port = static_cast<std::uint16_t>(*p);
   return true;
 }
 
