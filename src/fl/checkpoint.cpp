@@ -4,17 +4,23 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 
 #include "tensor/serialize.h"
 #include "util/config.h"
+#include "util/crc32.h"
 
 namespace hetero {
 namespace {
 
 constexpr char kMagic[4] = {'H', 'S', 'C', 'K'};
-constexpr std::uint32_t kVersion = 1;
+// Version 2 appends a CRC-32 of every preceding byte; version 1 had none.
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + sizeof(std::uint32_t);
+constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
 // Smallest keyed map entry on disk: a u32 key length plus an 8-byte value
 // (a tensor entry is larger still).
 constexpr std::uint64_t kMinEntryBytes = sizeof(std::uint32_t) + 8;
@@ -170,8 +176,7 @@ void write_checkpoint(const std::string& path,
   }
   const std::string tmp = path + ".tmp";
   {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("checkpoint: cannot open " + tmp);
+    std::ostringstream os(std::ios::binary);
     os.write(kMagic, sizeof(kMagic));
     write_u32(os, kVersion);
     write_u64(os, ck.next_round);
@@ -205,7 +210,14 @@ void write_checkpoint(const std::string& path,
       write_string(os, key);
       write_tensor(os, value);
     }
-    if (!os) throw std::runtime_error("checkpoint: write failed on " + tmp);
+    std::string bytes = std::move(os).str();
+    const std::uint32_t crc = crc32(
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
+    bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+    if (!file) throw std::runtime_error("checkpoint: cannot open " + tmp);
+    file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!file) throw std::runtime_error("checkpoint: write failed on " + tmp);
   }
   // Atomic publish: a crash before this line leaves the old checkpoint.
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -214,17 +226,39 @@ void write_checkpoint(const std::string& path,
 }
 
 bool read_checkpoint(const std::string& path, SimulationCheckpoint& out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  char magic[4];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  std::string bytes;
+  {
+    std::ifstream file(path, std::ios::binary);
+    if (!file) return false;
+    bytes.assign(std::istreambuf_iterator<char>(file), {});
+    if (file.bad()) throw std::runtime_error("checkpoint: cannot read " + path);
+  }
+  if (bytes.size() < kHeaderBytes + kCrcBytes) {
+    throw std::runtime_error("checkpoint: truncated file " + path);
+  }
+  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("checkpoint: bad magic in " + path);
   }
-  const std::uint32_t version = read_u32(is);
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
   if (version != kVersion) {
-    throw std::runtime_error("checkpoint: unsupported version in " + path);
+    throw std::runtime_error("checkpoint: unsupported version " +
+                             std::to_string(version) + " in " + path +
+                             " (this build reads version " +
+                             std::to_string(kVersion) + ")");
   }
+  // The CRC covers every byte before it, so a flipped bit anywhere in the
+  // body fails here instead of loading as a different run.
+  const std::size_t body = bytes.size() - kCrcBytes;
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + body, sizeof(stored));
+  if (crc32(reinterpret_cast<const std::uint8_t*>(bytes.data()), body) !=
+      stored) {
+    throw std::runtime_error("checkpoint: CRC mismatch in " + path);
+  }
+  bytes.resize(body);
+  std::istringstream is(std::move(bytes), std::ios::binary);
+  is.seekg(static_cast<std::streamoff>(kHeaderBytes));
   out.next_round = read_u64(is);
   out.seed = read_u64(is);
   out.num_clients = read_u64(is);
@@ -257,6 +291,9 @@ bool read_checkpoint(const std::string& path, SimulationCheckpoint& out) {
   for (std::uint64_t i = 0; i < n_tensors; ++i) {
     std::string key = read_string(is);
     out.algo.tensors[std::move(key)] = read_tensor(is);
+  }
+  if (is.peek() != std::char_traits<char>::eof()) {
+    throw std::runtime_error("checkpoint: trailing bytes in " + path);
   }
   return true;
 }

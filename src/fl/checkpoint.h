@@ -8,6 +8,8 @@
 // SplitFederatedAlgorithm::save_state.
 // Doubles are stored as raw 8-byte little-endian words so the round-trip is
 // bit-exact; tensors reuse the "HSTN" serializer from tensor/serialize.h.
+// The file ("HSCK", version 2) ends in a CRC-32 of every byte before it, so
+// a corrupted file fails to load instead of resuming a different run.
 //
 // The file is written atomically (tmp file + rename) so a crash mid-write
 // leaves the previous checkpoint intact.
@@ -65,7 +67,8 @@ struct SimulationCheckpoint {
 void write_checkpoint(const std::string& path, const SimulationCheckpoint& ck);
 
 /// Returns false if `path` does not exist; throws std::runtime_error on a
-/// malformed or truncated file.
+/// malformed or truncated file, a CRC mismatch, or a version other than 2
+/// (the message names the version found).
 bool read_checkpoint(const std::string& path, SimulationCheckpoint& out);
 
 }  // namespace hetero

@@ -9,32 +9,45 @@
 namespace hetero {
 namespace {
 
-/// Runs the model over the dataset in eval mode and returns stacked logits.
+/// Runs the model over the dataset in eval mode, `batch_size` rows at a
+/// time, and returns stacked logits.
 Tensor forward_all(Model& model, const Dataset& data, std::size_t batch_size) {
   HS_CHECK(!data.empty(), "forward_all: empty dataset");
-  Tensor logits;
-  std::size_t out_dim = 0;
-  std::vector<std::size_t> idx;
+  std::vector<Tensor> parts;
   for (std::size_t start = 0; start < data.size(); start += batch_size) {
-    const std::size_t end = std::min(start + batch_size, data.size());
-    idx.resize(end - start);
-    std::iota(idx.begin(), idx.end(), start);
-    Tensor out = model.forward(data.gather_x(idx), /*train=*/false);
-    if (logits.empty()) {
-      out_dim = out.dim(1);
-      // The batch loop covers [0, data.size()) exactly once, so every row
-      // is written before the tensor is read.
-      logits = Tensor::uninit({data.size(), out_dim});
-    }
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      std::copy(out.data() + i * out_dim, out.data() + (i + 1) * out_dim,
-                logits.data() + idx[i] * out_dim);
-    }
+    parts.push_back(forward_rows(model, data, start,
+                                 std::min(start + batch_size, data.size())));
   }
-  return logits;
+  return stack_rows(parts);
 }
 
 }  // namespace
+
+Tensor forward_rows(Model& model, const Dataset& data, std::size_t begin,
+                    std::size_t end) {
+  HS_CHECK(begin < end && end <= data.size(), "forward_rows: bad row range");
+  std::vector<std::size_t> idx(end - begin);
+  std::iota(idx.begin(), idx.end(), begin);
+  return model.forward(data.gather_x(idx), /*train=*/false);
+}
+
+Tensor stack_rows(std::span<const Tensor> parts) {
+  HS_CHECK(!parts.empty(), "stack_rows: no blocks");
+  const std::size_t cols = parts.front().dim(1);
+  std::size_t rows = 0;
+  for (const Tensor& p : parts) {
+    HS_CHECK(p.rank() == 2 && p.dim(1) == cols,
+             "stack_rows: blocks must be (rows, cols) with equal cols");
+    rows += p.dim(0);
+  }
+  // Every row is copied from exactly one block below.
+  Tensor out = Tensor::uninit({rows, cols});
+  float* dst = out.data();
+  for (const Tensor& p : parts) {
+    dst = std::copy(p.data(), p.data() + p.size(), dst);
+  }
+  return out;
+}
 
 double evaluate_loss(Model& model, const Dataset& data,
                      std::size_t batch_size) {
@@ -125,9 +138,15 @@ double evaluate_average_precision(Model& model, const Dataset& data,
                                   std::size_t batch_size) {
   HS_CHECK(data.is_multi_label(),
            "evaluate_average_precision: needs a multi-label dataset");
-  Tensor logits = forward_all(model, data, batch_size);
-  const std::size_t n = data.size();
-  const std::size_t l = data.multi_targets().dim(1);
+  return macro_average_precision(forward_all(model, data, batch_size),
+                                 data.multi_targets());
+}
+
+double macro_average_precision(const Tensor& logits, const Tensor& targets) {
+  HS_CHECK(logits.rank() == 2 && logits.shape() == targets.shape(),
+           "macro_average_precision: logits/targets shape mismatch");
+  const std::size_t n = logits.dim(0);
+  const std::size_t l = logits.dim(1);
   double sum_ap = 0.0;
   std::size_t counted = 0;
   std::vector<float> scores(n);
@@ -136,7 +155,7 @@ double evaluate_average_precision(Model& model, const Dataset& data,
     bool any = false;
     for (std::size_t i = 0; i < n; ++i) {
       scores[i] = logits.at(i, label);
-      relevant[i] = data.multi_targets().at(i, label) > 0.5f;
+      relevant[i] = targets.at(i, label) > 0.5f;
       any = any || relevant[i];
     }
     if (!any) continue;  // labels absent from the set are skipped (macro AP)

@@ -1,10 +1,22 @@
 // Model evaluation: loss, accuracy, and multi-label average precision.
 #pragma once
 
+#include <span>
+
 #include "data/dataset.h"
 #include "nn/model.h"
 
 namespace hetero {
+
+/// Eval-mode forward of rows [begin, end) of `data` as one batch; returns
+/// the (end - begin, outputs) logits. Every evaluation below, and the
+/// per-device task list of fl/simulation.h, forwards through it.
+Tensor forward_rows(Model& model, const Dataset& data, std::size_t begin,
+                    std::size_t end);
+
+/// Concatenates (rows, cols) logit blocks with equal column counts along
+/// the rows, in order.
+Tensor stack_rows(std::span<const Tensor> parts);
 
 /// Mean loss of the model on a dataset (no gradient, eval-mode batch norm).
 /// Uses softmax-CE for single-label data, BCE for multi-label.
@@ -20,6 +32,10 @@ double evaluate_accuracy(Model& model, const Dataset& data,
 /// dataset. Scores are the sigmoid of the logits.
 double evaluate_average_precision(Model& model, const Dataset& data,
                                   std::size_t batch_size = 32);
+
+/// Macro-averaged AP of stacked logits (N, L) against multi-hot targets
+/// (N, L); labels with no positive are skipped.
+double macro_average_precision(const Tensor& logits, const Tensor& targets);
 
 /// AP of one label column given (score, relevance) pairs — exposed for unit
 /// tests.

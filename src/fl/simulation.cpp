@@ -1,29 +1,16 @@
 #include "fl/simulation.h"
 
+#include <algorithm>
+#include <span>
+
 #include "fl/eval.h"
+#include "nn/loss.h"
 #include "runtime/sched/scheduler.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace hetero {
 namespace {
-
-DeviceMetrics evaluate_device_tests(Model& model,
-                                    const std::vector<Dataset>& tests) {
-  HS_CHECK(!tests.empty(), "evaluate_per_device: no test sets");
-  DeviceMetrics m;
-  m.per_device.reserve(tests.size());
-  for (const Dataset& test : tests) {
-    const double v = test.is_multi_label()
-                         ? evaluate_average_precision(model, test)
-                         : evaluate_accuracy(model, test);
-    m.per_device.push_back(v);
-  }
-  m.average = mean(m.per_device);
-  m.variance = variance(m.per_device);
-  m.worst_case = min_value(m.per_device);
-  return m;
-}
 
 /// Deterministic run counters persisted in a checkpoint; wall-clock fields
 /// are deliberately absent (they are not replayable).
@@ -55,8 +42,47 @@ void load_runtime_counters(const std::map<std::string, double>& in,
 
 }  // namespace
 
+DeviceEval::DeviceEval(const std::vector<Dataset>& tests) : tests_(tests) {
+  HS_CHECK(!tests.empty(), "evaluate_per_device: no test sets");
+  for (std::size_t set = 0; set < tests.size(); ++set) {
+    const std::size_t n = tests[set].size();
+    HS_CHECK(n > 0, "evaluate_per_device: empty test set");
+    for (std::size_t begin = 0; begin < n; begin += kSliceRows) {
+      slices_.push_back({set, begin, std::min(begin + kSliceRows, n)});
+    }
+  }
+  logits_.resize(slices_.size());
+}
+
+void DeviceEval::run(std::size_t t, Model& model) {
+  const Slice& s = slices_.at(t);
+  logits_[t] = forward_rows(model, tests_[s.set], s.begin, s.end);
+}
+
+DeviceMetrics DeviceEval::metrics() const {
+  DeviceMetrics m;
+  m.per_device.reserve(tests_.size());
+  for (std::size_t first = 0, last = 0; first < slices_.size(); first = last) {
+    const std::size_t set = slices_[first].set;
+    while (last < slices_.size() && slices_[last].set == set) ++last;
+    const Tensor logits = stack_rows(
+        std::span<const Tensor>(logits_).subspan(first, last - first));
+    const Dataset& test = tests_[set];
+    m.per_device.push_back(
+        test.is_multi_label()
+            ? macro_average_precision(logits, test.multi_targets())
+            : accuracy(logits, test.labels()));
+  }
+  m.average = mean(m.per_device);
+  m.variance = variance(m.per_device);
+  m.worst_case = min_value(m.per_device);
+  return m;
+}
+
 DeviceMetrics evaluate_per_device(Model& model, const ClientProvider& pop) {
-  return evaluate_device_tests(model, pop.device_test());
+  DeviceEval eval(pop.device_test());
+  for (std::size_t t = 0; t < eval.tasks(); ++t) eval.run(t, model);
+  return eval.metrics();
 }
 
 SimulationResult run_simulation(Model& model,
@@ -134,7 +160,7 @@ SimulationResult run_simulation(Model& model,
   auto on_flush = [&](std::size_t done) {
     if (cfg.eval_every > 0 && done % cfg.eval_every == 0 &&
         done < cfg.rounds) {
-      DeviceMetrics checkpoint = evaluate_per_device(model, population);
+      DeviceMetrics checkpoint = sched.evaluate(model);
       if (observer) observer->on_eval(done, checkpoint);
       result.checkpoints.emplace_back(done, std::move(checkpoint));
     }
@@ -157,7 +183,7 @@ SimulationResult run_simulation(Model& model,
   };
   sched.run(model, algorithm, rng, result, on_flush);
 
-  result.final_metrics = evaluate_per_device(model, population);
+  result.final_metrics = sched.evaluate(model);
   if (observer) observer->on_eval(cfg.rounds, result.final_metrics);
   return result;
 }

@@ -28,8 +28,42 @@ struct DeviceMetrics {
   double worst_case = 0.0;
 };
 
+/// The fixed per-device evaluation task list (DESIGN.md §7): every device
+/// test set cut into kSliceRows-row slices, in device order and then row
+/// order. The list depends on the test sets alone, never on the thread
+/// count or the kernel kind. Each task forwards its slice on whatever model
+/// runs it; metrics() stacks the slice logits per device on the calling
+/// thread and computes each device's metric there, so any assignment of
+/// tasks to model replicas gives the same bits.
+class DeviceEval {
+ public:
+  /// Rows per task. Four workers forwarding 8 rows each hold the scratch
+  /// one 32-row batch held, and 8-row batches cost no more per sample.
+  static constexpr std::size_t kSliceRows = 8;
+
+  /// `tests` must outlive the DeviceEval; every set must be non-empty.
+  explicit DeviceEval(const std::vector<Dataset>& tests);
+
+  std::size_t tasks() const { return slices_.size(); }
+  /// Forwards task t's slice on `model` in eval mode. Distinct tasks may
+  /// run concurrently on distinct models.
+  void run(std::size_t t, Model& model);
+  /// Accuracy (AP for multi-label sets) per device from the stacked slice
+  /// logits, plus the summary metrics. Every task must have run.
+  DeviceMetrics metrics() const;
+
+ private:
+  struct Slice {
+    std::size_t set = 0, begin = 0, end = 0;
+  };
+  const std::vector<Dataset>& tests_;
+  std::vector<Slice> slices_;
+  std::vector<Tensor> logits_;  // one block per task
+};
+
 /// Evaluates accuracy (or AP for multi-label test sets) on every device
-/// test set of the population.
+/// test set of the population: the DeviceEval list, run on `model` on the
+/// calling thread. run_simulation fans the same list out over its workers.
 DeviceMetrics evaluate_per_device(Model& model, const ClientProvider& pop);
 
 struct SimulationConfig {

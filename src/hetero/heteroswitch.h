@@ -58,10 +58,12 @@ struct HeteroSwitchOptions {
   /// true restores the legacy behavior where the empty EMA reads +inf and
   /// L_init < +inf fires Switch_1 for every client in round 0.
   bool switch_on_unseeded_ema = false;
-  /// Forward batch size for the L_init / post-training probe evals. Eval
-  /// batching is invisible to the measured losses in f32 (per-element
-  /// reduction chains are batch-independent, DESIGN.md §13), so probes
-  /// default to a larger batch than the paper's training B=10 purely to
+  /// Forward batch size for the L_init / post-training probe evals. Under
+  /// the reference and tiled kernels eval batching is invisible to the
+  /// measured losses (per-element reduction chains are batch-independent,
+  /// DESIGN.md §13); under HS_KERNEL=fast the GEMM tiles follow the batch
+  /// shape, so the losses can differ in the last bits between batch sizes.
+  /// Probes default to a larger batch than the paper's training B=10 to
   /// amortize per-batch forward overhead. 0 falls back to the training
   /// batch size.
   std::size_t probe_batch = 64;

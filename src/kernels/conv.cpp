@@ -499,6 +499,13 @@ void col2im_strided_add(const float* src, const ConvShape& s, std::size_t c0,
   col2im_impl(src, s, c0, ld, col0, img);
 }
 
+std::size_t conv2d_retained_size(KernelKind kind, const ConvShape& s) {
+  if (kind != KernelKind::kReference && (pointwise(s) || depthwise_direct(s))) {
+    return s.n * s.in_c * s.in_h * s.in_w;
+  }
+  return s.cols_size();
+}
+
 void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
                     const float* w, const float* bias, float* y,
                     float* cols, Workspace& ws) {
@@ -508,11 +515,15 @@ void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
   const std::size_t img_stride = s.in_c * s.in_h * s.in_w;
   // A caller-provided cols slab means a training forward: backward will
   // replay from it, so the direct (pointwise/depthwise) paths must retain
-  // the input there. Eval forwards pass none — skip that copy entirely.
+  // the input there. Eval forwards pass none: the direct paths then touch
+  // no scratch at all, and only the im2col paths take a workspace slab.
   const bool retain = cols != nullptr;
-  if (!cols) cols = ws.get(kSlotCols, s.cols_size());
+  const auto patch_slab = [&] {
+    return retain ? cols : ws.get(kSlotCols, s.cols_size());
+  };
 
   if (kind == KernelKind::kReference) {
+    cols = patch_slab();
     // Seed path: one im2col + one GEMM per sample per group, with fresh
     // weight/output slabs per call — the parity and performance oracle.
     for (std::size_t smp = 0; smp < s.n; ++smp) {
@@ -582,6 +593,7 @@ void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
   }
 
   const std::size_t ld = s.n * ohow;
+  cols = patch_slab();
   for (std::size_t grp = 0; grp < s.groups; ++grp) {
     float* cols_g = cols + grp * patch * ld;
     // Samples own disjoint column ranges of the group's patch matrix.

@@ -146,17 +146,25 @@ void im2col_strided(const float* img, const ConvShape& s, std::size_t c0,
 void col2im_strided_add(const float* src, const ConvShape& s, std::size_t c0,
                         std::size_t ld, std::size_t col0, float* img);
 
+/// Floats a training forward retains for backward: the input (n·c·h·w)
+/// on the tiled/fast pointwise and depthwise-direct paths, whose backward
+/// replays from the input, and cols_size() on the reference and general
+/// im2col paths.
+std::size_t conv2d_retained_size(KernelKind kind, const ConvShape& s);
+
 /// Batched grouped convolution forward: y(n,out_c,oh,ow) = x * w (+ bias).
 /// w is (out_c, in_c/groups, k, k); bias is (out_c) or nullptr. When
-/// `cols_retained` is non-null it receives the batched per-group patch
-/// matrices (ConvShape::cols_size() floats, caller-stable until backward);
-/// otherwise scratch from `ws` is used. Allocation-free in steady state.
+/// `cols_retained` is non-null (a training forward) it receives what
+/// backward replays from (conv2d_retained_size() floats, caller-stable
+/// until backward). Otherwise only the reference and general im2col paths
+/// take patch-matrix scratch from `ws`; the direct paths need none.
+/// Allocation-free in steady state.
 void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
                     const float* w, const float* bias, float* y,
                     float* cols_retained, Workspace& ws);
 
 /// Batched grouped convolution backward. Inputs: grad_out (n,out_c,oh,ow),
-/// weights w, and the patch matrices retained by conv2d_forward. Outputs:
+/// weights w, and what conv2d_forward retained. Outputs:
 /// gw (+=, shape of w), gb (+= per-channel sums, nullptr to skip), and
 /// grad_in (n,in_c,h,w), which must be zero-initialized — the fold-back
 /// accumulates straight into it (no intermediate image). Allocation-free in

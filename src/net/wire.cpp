@@ -1,22 +1,9 @@
 #include "net/wire.h"
 
-#include <array>
 #include <bit>
 
 namespace hetero::net {
 namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 void put_le(std::vector<std::uint8_t>& buf, std::uint64_t v, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -59,16 +46,6 @@ const char* parse_error_name(ParseError error) {
     case ParseError::kBadSeq: return "bad_seq";
   }
   return "unknown";
-}
-
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
-                    std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> kTable = make_crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = kTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
 }
 
 std::vector<std::uint8_t> encode_frame(

@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "util/crc32.h"
+
 namespace hetero::net {
 
 constexpr std::uint32_t kFrameMagic = 0x48534E46u;  // "HSNF"
@@ -69,11 +71,6 @@ struct Frame {
   FrameHeader header;
   std::vector<std::uint8_t> payload;
 };
-
-/// CRC-32 (IEEE 802.3 polynomial, table-driven). `seed` chains partial
-/// computations: crc32(b, crc32(a)) == crc32(a+b).
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
-                    std::uint32_t seed = 0);
 
 /// Builds one complete frame (header + CRC + payload) ready to write.
 std::vector<std::uint8_t> encode_frame(FrameType type, std::uint64_t run,

@@ -70,7 +70,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   const kernels::KernelKind kind = kernels::active_kernel();
   float* cols = nullptr;
   if (train) {
-    cols = ws_.get(0, s.cols_size());
+    cols = ws_.get(0, kernels::conv2d_retained_size(kind, s));
     cached_kind_ = kind;
     has_cached_ = true;
     cached_n_ = n;
@@ -93,7 +93,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
            "Conv2d::backward: grad shape mismatch");
 
   Tensor grad_in({n, in_c_, h, w});  // zero-initialized; kernel folds into it
-  const float* cols = ws_.get(0, s.cols_size());
+  const float* cols =
+      ws_.get(0, kernels::conv2d_retained_size(cached_kind_, s));
   kernels::conv2d_backward(cached_kind_, s, grad_out.data(), w_.data(), cols,
                            gw_.data(), has_bias_ ? gb_.data() : nullptr,
                            grad_in.data(), ws_);

@@ -4,9 +4,10 @@
 //
 // Implementation: kernels::conv2d_forward/backward — batched im2col + one
 // GEMM per group over the whole mini-batch (HS_KERNEL=tiled) or the
-// per-sample reference loops (HS_KERNEL=reference). The unfolded patch
-// matrices live in a per-layer workspace that is reused across steps, so
-// steady-state training does not allocate.
+// per-sample reference loops (HS_KERNEL=reference). What backward replays
+// from (the unfolded patch matrices, or the input itself on the direct
+// pointwise/depthwise paths) lives in a per-layer workspace that is reused
+// across steps, so steady-state training does not allocate.
 #pragma once
 
 #include "kernels/kernels.h"
@@ -53,9 +54,10 @@ class Conv2d : public Layer {
   std::size_t in_c_, out_c_, kernel_, stride_, pad_, groups_;
   bool has_bias_;
   Tensor w_, b_, gw_, gb_;
-  // Caches from the last training forward. The patch matrices sit in the
-  // workspace (slot 0); their layout depends on the kernel kind, so the
-  // kind is pinned at forward time and reused by backward.
+  // Caches from the last training forward. What backward replays from sits
+  // in the workspace (slot 0, conv2d_retained_size() floats); its layout
+  // and size depend on the kernel kind, so the kind is pinned at forward
+  // time and reused by backward.
   kernels::Workspace ws_;
   kernels::KernelKind cached_kind_ = kernels::KernelKind::kReference;
   bool has_cached_ = false;

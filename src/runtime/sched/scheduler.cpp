@@ -248,6 +248,27 @@ void EventScheduler::train_pending(const Model& model,
   untrained_.clear();
 }
 
+DeviceMetrics EventScheduler::evaluate(Model& model) {
+  if (!pool_) return evaluate_per_device(model, provider_);
+  // Replicas are cloned lazily, as for training, and may hold any earlier
+  // state: local_update starts from set_state(global) (DESIGN.md §7 rule
+  // 2), so overwriting them here costs training nothing.
+  DeviceEval eval(provider_.device_test());
+  const Tensor state = model.state();
+  std::vector<std::uint8_t> synced(replicas_.size(), 0);
+  pool_->parallel_for(eval.tasks(), [&](std::size_t t) {
+    const std::size_t w = ThreadPool::worker_index();
+    HS_CHECK(w < replicas_.size(), "EventScheduler: bad worker index");
+    if (!replicas_[w]) replicas_[w] = model.clone();
+    if (!synced[w]) {
+      replicas_[w]->set_state(state);
+      synced[w] = 1;
+    }
+    eval.run(t, *replicas_[w]);
+  });
+  return eval.metrics();
+}
+
 void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
                          Rng& rng, SimulationResult& result,
                          const std::function<void(std::size_t)>& on_flush) {

@@ -82,6 +82,15 @@ class EventScheduler {
            SimulationResult& result,
            const std::function<void(std::size_t)>& on_flush);
 
+  /// Per-device evaluation of `model` on the provider's test sets: the
+  /// fixed DeviceEval list (fl/simulation.h) over the pool, each worker
+  /// forwarding its slices on its own replica, set to `model`'s state
+  /// before its first slice. Without a pool (one thread, or a remote train
+  /// step) the list runs on `model` on the calling thread. Bit-identical
+  /// to evaluate_per_device for any thread count. Called between flushes
+  /// (from on_flush) or after run(), never while clients train.
+  DeviceMetrics evaluate(Model& model);
+
  private:
   struct Dispatch;
 

@@ -8,17 +8,22 @@
 //     larger batches (batched single-rounding vs per-sample rounding —
 //     DESIGN.md §9).
 //   * Training is bit-identical across thread counts for a fixed kind.
+//   * Eval logits do not depend on the batch size under the reference and
+//     tiled kinds.
 //   * The tiled conv/linear hot paths perform zero heap allocations in
-//     steady state (global operator new hook + Workspace::grow_count()).
+//     steady state (global operator new hook + Workspace::grow_count()),
+//     and eval forwards of the direct conv paths take no scratch at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <vector>
 
 #include "fl/algorithm.h"
+#include "fl/eval.h"
 #include "fl/simulation.h"
 #include "kernels/kernels.h"
 #include "nn/conv2d.h"
@@ -400,6 +405,57 @@ TEST(Determinism, ConvTrainingBitIdenticalAcrossThreadCountsPerKind) {
   }
 }
 
+// ------------------------------------------------ eval batch independence --
+
+TEST(Determinism, EvalLogitsIndependentOfBatchSize) {
+  // Every forward reduction chain runs per output element over one
+  // sample's inputs, so under reference and tiled an eval row's logits do
+  // not depend on which rows share its batch. Per-device evaluation slices
+  // its test sets into 8-row tasks on this property. (The fast kind's GEMM
+  // tiles do depend on the batch shape, so it is left out.)
+  KernelGuard guard;
+  constexpr std::size_t kRows = 72;
+  for (KernelKind kind : {KernelKind::kReference, KernelKind::kTiled}) {
+    kernels::set_active_kernel(kind);
+    for (const std::string& arch : model_zoo_names()) {
+      for (std::size_t size : {std::size_t{16}, std::size_t{32}}) {
+        Rng rng(311);
+        ModelSpec spec;
+        spec.arch = arch;
+        spec.image_size = size;
+        auto model = make_model(spec, rng);
+        Tensor xs = Tensor::randn({kRows, 3, size, size}, rng, 1.0f);
+        std::vector<std::size_t> labels(kRows, 0);
+        const Dataset data(std::move(xs), std::move(labels));
+        // One train-mode forward moves the batch-norm running statistics
+        // off their initial values.
+        std::vector<std::size_t> first(10);
+        for (std::size_t i = 0; i < first.size(); ++i) first[i] = i;
+        (void)model->forward(data.gather_x(first), /*train=*/true);
+
+        auto logits_at = [&](std::size_t batch) {
+          std::vector<Tensor> parts;
+          for (std::size_t b = 0; b < kRows; b += batch) {
+            parts.push_back(
+                forward_rows(*model, data, b, std::min(b + batch, kRows)));
+          }
+          return stack_rows(parts);
+        };
+        const Tensor ref = logits_at(32);
+        for (std::size_t batch : {1, 5, 8, 10, 16, 72}) {
+          const Tensor got = logits_at(batch);
+          ASSERT_EQ(got.shape(), ref.shape());
+          EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                                ref.size() * sizeof(float)),
+                    0)
+              << kernels::kernel_name(kind) << " " << arch << " " << size
+              << "px, batch " << batch;
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------- allocation-free --
 
 TEST(ZeroAlloc, TiledConvSteadyStateDoesNotAllocate) {
@@ -452,6 +508,40 @@ TEST(ZeroAlloc, TiledGemmsDoNotAllocate) {
   kernels::gemm_tn(KernelKind::kTiled, a.data(), tn_b.data(), tn_out.data(),
                    48, 36, 52, false);
   EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), before);
+}
+
+TEST(ZeroAlloc, DirectConvEvalForwardTakesNoScratch) {
+  // The tiled pointwise and depthwise-direct paths read no patch matrix,
+  // so an eval forward on a fresh layer must not grow any workspace slot.
+  KernelGuard guard;
+  kernels::set_active_kernel(KernelKind::kTiled);
+  Rng rng(304);
+  Conv2d pointwise(8, 16, 1, 1, 0, 1, rng, false);
+  Conv2d depthwise(8, 8, 3, 1, 1, 8, rng, false);
+  const Tensor x = Tensor::randn({4, 8, 8, 8}, rng, 1.0f);
+  const std::uint64_t grows = kernels::Workspace::grow_count();
+  (void)pointwise.forward(x, false);
+  (void)depthwise.forward(x, false);
+  EXPECT_EQ(kernels::Workspace::grow_count(), grows);
+}
+
+TEST(ZeroAlloc, RetainedConvScratchFollowsTheKernelPath) {
+  // A training forward retains what its backward replays from: the input
+  // on the tiled/fast direct paths, the patch matrices everywhere else.
+  for (const ConvCase& c : conv_cases()) {
+    const ConvShape s = make_shape(c, 8);
+    const std::size_t input = s.n * s.in_c * s.in_h * s.in_w;
+    const bool direct =
+        (c.k == 1 && c.stride == 1 && c.pad == 0) || c.groups == c.in_c;
+    EXPECT_EQ(kernels::conv2d_retained_size(KernelKind::kReference, s),
+              s.cols_size());
+    for (KernelKind kind : {KernelKind::kTiled, KernelKind::kFast}) {
+      EXPECT_EQ(kernels::conv2d_retained_size(kind, s),
+                direct ? input : s.cols_size())
+          << "k=" << c.k << " s=" << c.stride << " p=" << c.pad
+          << " g=" << c.groups;
+    }
+  }
 }
 
 TEST(ZeroAlloc, LayerWorkspacesStopGrowingAfterWarmup) {

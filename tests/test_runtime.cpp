@@ -11,16 +11,20 @@
 #include <type_traits>
 #include <vector>
 
+#include "device/device_profile.h"
 #include "fl/algorithm.h"
 #include "fl/compression.h"
 #include "fl/observer.h"
 #include "fl/privacy.h"
 #include "fl/simulation.h"
 #include "hetero/heteroswitch.h"
+#include "kernels/kernels.h"
 #include "nn/model_zoo.h"
 #include "obs/jsonl.h"
 #include "obs/tracer.h"
 #include "runtime/thread_pool.h"
+#include "scene/flair_gen.h"
+#include "scene/scene_gen.h"
 #include "util/rng.h"
 
 namespace hetero {
@@ -275,6 +279,93 @@ TEST(Determinism, CompressedFedAvgBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r1.train_loss_history[t], r4.train_loss_history[t]);
   }
   expect_same_metrics(r1.final_metrics, r4.final_metrics);
+}
+
+// ------------------------------------------------------ pooled evaluation --
+
+/// Runs FedAvg on a mobile-mini for three rounds under `kind`, evaluating
+/// after every round, at 1, 2 and 4 threads. Pooled runs evaluate on the
+/// workers' replicas, so every checkpoint and the final metrics must be
+/// bit-equal across thread counts and to a serial evaluate_per_device of
+/// the final model.
+void expect_pooled_eval_matches_serial(const ClientProvider& pop,
+                                       std::size_t num_classes,
+                                       kernels::KernelKind kind) {
+  struct KernelGuard {
+    kernels::KernelKind saved = kernels::active_kernel();
+    ~KernelGuard() { kernels::set_active_kernel(saved); }
+  } guard;
+  kernels::set_active_kernel(kind);
+  const char* name = kernels::kernel_name(kind);
+  std::vector<SimulationResult> runs;
+  for (std::size_t threads : {1, 2, 4}) {
+    Rng rng(123);
+    ModelSpec spec;
+    spec.arch = "mobile-mini";
+    spec.image_size = 8;
+    spec.num_classes = num_classes;
+    auto model = make_model(spec, rng);
+    FedAvg algo(fast_cfg());
+    SimulationConfig sim;
+    sim.rounds = 3;
+    sim.clients_per_round = 4;
+    sim.seed = 17;
+    sim.eval_every = 1;
+    sim.num_threads = threads;
+    runs.push_back(run_simulation(*model, algo, pop, sim));
+    ASSERT_EQ(runs.back().checkpoints.size(), 2u) << name;
+    SCOPED_TRACE(std::string(name) + ", " + std::to_string(threads) +
+                 " threads vs serial evaluate_per_device");
+    expect_same_metrics(runs.back().final_metrics,
+                        evaluate_per_device(*model, pop));
+  }
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    SCOPED_TRACE(std::string(name) + ", run " + std::to_string(i));
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(runs[i].checkpoints[c].first, runs[0].checkpoints[c].first);
+      expect_same_metrics(runs[i].checkpoints[c].second,
+                          runs[0].checkpoints[c].second);
+    }
+    expect_same_metrics(runs[i].final_metrics, runs[0].final_metrics);
+  }
+}
+
+TEST(PooledEval, AccuracyBitIdenticalAcrossThreadCounts) {
+  // Nine device test sets of 12 captured images: two slices each, the
+  // second a partial one.
+  SceneGenerator scenes(16);
+  PopulationConfig cfg;
+  cfg.num_clients = 8;
+  cfg.samples_per_client = 6;
+  cfg.test_per_class = 1;
+  cfg.capture.tensor_size = 8;
+  const MaterializedPopulation pop(
+      PopulationSpec::single_label(paper_devices(), cfg, scenes),
+      Rng(41).fork(1));
+  ASSERT_FALSE(pop.device_test().front().is_multi_label());
+  ASSERT_EQ(pop.device_test().front().size(), 12u);
+  for (kernels::KernelKind kind :
+       {kernels::KernelKind::kTiled, kernels::KernelKind::kFast}) {
+    expect_pooled_eval_matches_serial(pop, SceneGenerator::kNumClasses, kind);
+  }
+}
+
+TEST(PooledEval, AveragePrecisionBitIdenticalAcrossThreadCounts) {
+  // FLAIR users: nine multi-label device test sets of 11 images, scored by
+  // macro AP from the stacked slice logits.
+  FlairSceneGenerator scenes(16);
+  CaptureConfig capture;
+  capture.tensor_size = 8;
+  const MaterializedPopulation pop(
+      PopulationSpec::flair(paper_devices(), 8, 6, 11, capture, scenes),
+      Rng(42).fork(1));
+  ASSERT_TRUE(pop.device_test().front().is_multi_label());
+  ASSERT_EQ(pop.device_test().front().size(), 11u);
+  for (kernels::KernelKind kind :
+       {kernels::KernelKind::kTiled, kernels::KernelKind::kFast}) {
+    expect_pooled_eval_matches_serial(pop, FlairSceneGenerator::kNumLabels,
+                                      kind);
+  }
 }
 
 // ---------------------------------------------------------- runtime stats --

@@ -14,6 +14,7 @@
 #include "nn/model_zoo.h"
 #include "tensor/serialize.h"
 #include "test_util.h"
+#include "util/crc32.h"
 
 namespace hetero {
 namespace {
@@ -213,23 +214,83 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Recomputes the trailing CRC-32 after a deliberate edit, so the edit
+/// reaches the parser's own checks.
+void reseal(std::string& bytes) {
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc =
+      crc32(reinterpret_cast<const std::uint8_t*>(bytes.data()), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+}
+
 TEST(CheckpointFile, ForgedLossCountRejected) {
   const std::string path = temp_path("hs_ckpt_forged.bin");
   std::string bytes = write_small_checkpoint(path);
   // After the loss_history count come its two values, the empty
-  // virtual-time vector's count and the four empty map counts.
-  const std::size_t at = bytes.size() - (2 * 8 + 8 + 4 * 8) - 8;
+  // virtual-time vector's count, the four empty map counts and the CRC.
+  const std::size_t at = bytes.size() - 4 - (2 * 8 + 8 + 4 * 8) - 8;
   std::uint64_t count = 0;
   std::memcpy(&count, bytes.data() + at, sizeof(count));
   ASSERT_EQ(count, 2u);
   // 2^40 doubles would be an 8 TiB reservation, 2^61 more than a vector
-  // can hold; both must fail as a malformed file.
+  // can hold; both must fail as a malformed file, CRC intact.
   for (const std::uint64_t forged : {1ull << 40, 1ull << 61}) {
     std::memcpy(bytes.data() + at, &forged, sizeof(forged));
+    reseal(bytes);
     write_bytes(path, bytes);
     SimulationCheckpoint out;
     EXPECT_THROW(read_checkpoint(path, out), std::runtime_error) << forged;
   }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, EverySingleBitFlipRejected) {
+  // Without the CRC, a flip inside a stored double (a loss, the cached
+  // normal, a model weight) loads silently as a different run.
+  const std::string path = temp_path("hs_ckpt_flip.bin");
+  const std::string bytes = write_small_checkpoint(path);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      write_bytes(path, flipped);
+      SimulationCheckpoint out;
+      EXPECT_THROW(read_checkpoint(path, out), std::runtime_error)
+          << "byte " << i << " bit " << bit;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, OtherVersionsRejectedByNumber) {
+  const std::string path = temp_path("hs_ckpt_version.bin");
+  std::string bytes = write_small_checkpoint(path);
+  for (const std::uint32_t version : {1u, 3u}) {
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    reseal(bytes);
+    write_bytes(path, bytes);
+    SimulationCheckpoint out;
+    try {
+      read_checkpoint(path, out);
+      ADD_FAILURE() << "version " << version << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, TrailingBytesRejected) {
+  const std::string path = temp_path("hs_ckpt_trailing.bin");
+  std::string bytes = write_small_checkpoint(path);
+  bytes.insert(bytes.size() - 4, 1, '\0');
+  reseal(bytes);
+  write_bytes(path, bytes);
+  SimulationCheckpoint out;
+  EXPECT_THROW(read_checkpoint(path, out), std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -10,7 +10,12 @@
 # bounds-checked parser, and ASan/UBSan turn any out-of-bounds read,
 # overflow, or misaligned load that survives those checks into a hard
 # failure instead of silent corruption. The serialize and tensor tests ride
-# along because the codecs reuse their flat-state layout. The isp-parity
+# along because the codecs reuse their flat-state layout; the serialize
+# suite also flips every bit of a checkpoint file and truncates it at every
+# length, all of which the CRC-checked reader must reject. The kernel tests
+# run every conv path with workspace slabs sized to what that path reads
+# (the direct paths retain only the input), so a read past a trimmed slab
+# is an ASan report. The isp-parity
 # tests put the HS_ISP=fast rewrites under the same watch: their pointer
 # arithmetic over raw scratch arenas (geometry-keyed, grow-only) and the
 # SoA block transposes with clamped-edge fallbacks are exactly the kind of
@@ -24,13 +29,13 @@ BUILD_DIR=${BUILD_DIR:-build-asan}
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHETERO_SANITIZE=address,undefined
-cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_net test_serialize test_tensor test_isp_parity
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_net test_serialize test_tensor test_isp_parity test_kernels
 
 # halt_on_error fails the run on the first report; detect_leaks catches
 # frames or datasets dropped on the quarantine paths.
 ASAN_OPTIONS=${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1} \
-  ctest --test-dir "${BUILD_DIR}" -R '^(test_net|test_serialize|test_tensor|test_isp_parity)$' \
+  ctest --test-dir "${BUILD_DIR}" -R '^(test_net|test_serialize|test_tensor|test_isp_parity|test_kernels)$' \
   --output-on-failure "$@"
 
 echo "ASan/UBSan check passed."

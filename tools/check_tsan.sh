@@ -6,7 +6,10 @@
 # Uses a dedicated build directory (build-tsan) so the regular build stays
 # untouched. The runtime tests exercise the ThreadPool and the event
 # scheduler's parallel training batches, which is where any data race in
-# the client fan-out would surface; the kernel tests run tiled-kernel training steps across
+# the client fan-out would surface, and its evaluation fan-out: workers
+# forward fixed 8-row slices of the device test sets on their own replicas
+# and write per-slice logits the calling thread stacks afterwards. The
+# kernel tests run tiled-kernel training steps across
 # thread counts on top of them (isa.h compiles the ifunc clones out under
 # TSan, so the baseline code paths are what gets checked). The fault tests
 # add concurrent FaultPlan::decide calls and the fault-aware disposition
