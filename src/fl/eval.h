@@ -8,6 +8,13 @@
 
 namespace hetero {
 
+/// Rows per eval forward wherever an evaluation is cut into slices: the
+/// per-device task list (fl/simulation.h) and the HeteroSwitch loss probes.
+/// Four workers forwarding 8 rows each hold the scratch one 32-row batch
+/// held, and 8-row batches cost no more per sample. Under the reference
+/// and tiled kernels the slice size cannot change a result (DESIGN.md §13).
+inline constexpr std::size_t kEvalSliceRows = 8;
+
 /// Eval-mode forward of rows [begin, end) of `data` as one batch; returns
 /// the (end - begin, outputs) logits. Every evaluation below, and the
 /// per-device task list of fl/simulation.h, forwards through it.

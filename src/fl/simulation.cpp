@@ -47,8 +47,8 @@ DeviceEval::DeviceEval(const std::vector<Dataset>& tests) : tests_(tests) {
   for (std::size_t set = 0; set < tests.size(); ++set) {
     const std::size_t n = tests[set].size();
     HS_CHECK(n > 0, "evaluate_per_device: empty test set");
-    for (std::size_t begin = 0; begin < n; begin += kSliceRows) {
-      slices_.push_back({set, begin, std::min(begin + kSliceRows, n)});
+    for (std::size_t begin = 0; begin < n; begin += kEvalSliceRows) {
+      slices_.push_back({set, begin, std::min(begin + kEvalSliceRows, n)});
     }
   }
   logits_.resize(slices_.size());

@@ -29,18 +29,14 @@ struct DeviceMetrics {
 };
 
 /// The fixed per-device evaluation task list (DESIGN.md §7): every device
-/// test set cut into kSliceRows-row slices, in device order and then row
-/// order. The list depends on the test sets alone, never on the thread
-/// count or the kernel kind. Each task forwards its slice on whatever model
-/// runs it; metrics() stacks the slice logits per device on the calling
-/// thread and computes each device's metric there, so any assignment of
-/// tasks to model replicas gives the same bits.
+/// test set cut into kEvalSliceRows-row slices (fl/eval.h), in device order
+/// and then row order. The list depends on the test sets alone, never on
+/// the thread count or the kernel kind. Each task forwards its slice on
+/// whatever model runs it; metrics() stacks the slice logits per device on
+/// the calling thread and computes each device's metric there, so any
+/// assignment of tasks to model replicas gives the same bits.
 class DeviceEval {
  public:
-  /// Rows per task. Four workers forwarding 8 rows each hold the scratch
-  /// one 32-row batch held, and 8-row batches cost no more per sample.
-  static constexpr std::size_t kSliceRows = 8;
-
   /// `tests` must outlive the DeviceEval; every set must be non-empty.
   explicit DeviceEval(const std::vector<Dataset>& tests);
 

@@ -68,7 +68,7 @@ ClientUpdate HeteroSwitch::local_update(Model& model, const Tensor& global,
       // (HeteroSwitchOptions::switch_on_unseeded_ema restores the legacy
       // fire-for-everyone round 0).
       if (!ema_.initialized() && !options_.switch_on_unseeded_ema) break;
-      const double l_init = evaluate_loss(model, probe, probe_batch());
+      const double l_init = evaluate_loss(model, probe, kEvalSliceRows);
       switch1 = l_init < l_ema;
       break;
     }
@@ -100,7 +100,7 @@ ClientUpdate HeteroSwitch::local_update(Model& model, const Tensor& global,
   // With the validation criterion the post-training loss is re-measured
   // on the held-out slice instead of reusing the running train loss.
   const double l_post = use_val
-                            ? evaluate_loss(model, probe, probe_batch())
+                            ? evaluate_loss(model, probe, kEvalSliceRows)
                             : static_cast<double>(l_train);
   bool switch2 = false;
   switch (options_.mode) {

@@ -17,6 +17,13 @@
 // The server aggregates returned states sample-weighted (FedAvg) and
 // updates L_EMA with the round's mean train loss.
 //
+// The loss probes (L_init, and L_post under the validation criterion)
+// forward the probe set in the shared kEvalSliceRows-row eval slices
+// (fl/eval.h), which keep each slice's activations in cache. Under the
+// reference and tiled kernels the slice size cannot change a loss; under
+// HS_KERNEL=fast the GEMM tiles follow the batch shape, so fast-mode probe
+// losses depend on it in the last bits (DESIGN.md §13).
+//
 // `mode` exposes the paper's Table 4 ablations on the same code path:
 //   kSelective      - full HeteroSwitch (switching logic active);
 //   kAlwaysIsp      - "ISP Transformation" row: transforms always on,
@@ -58,15 +65,6 @@ struct HeteroSwitchOptions {
   /// true restores the legacy behavior where the empty EMA reads +inf and
   /// L_init < +inf fires Switch_1 for every client in round 0.
   bool switch_on_unseeded_ema = false;
-  /// Forward batch size for the L_init / post-training probe evals. Under
-  /// the reference and tiled kernels eval batching is invisible to the
-  /// measured losses (per-element reduction chains are batch-independent,
-  /// DESIGN.md §13); under HS_KERNEL=fast the GEMM tiles follow the batch
-  /// shape, so the losses can differ in the last bits between batch sizes.
-  /// Probes default to a larger batch than the paper's training B=10 to
-  /// amortize per-batch forward overhead. 0 falls back to the training
-  /// batch size.
-  std::size_t probe_batch = 64;
 };
 
 class HeteroSwitch : public SplitFederatedAlgorithm {
@@ -99,12 +97,6 @@ class HeteroSwitch : public SplitFederatedAlgorithm {
   std::size_t client_updates() const { return update_count_; }
 
  private:
-  /// Batch size for the probe evals (options_.probe_batch, falling back to
-  /// the training batch size when 0).
-  std::size_t probe_batch() const {
-    return options_.probe_batch ? options_.probe_batch : cfg_.batch_size;
-  }
-
   LocalTrainConfig cfg_;
   HeteroSwitchOptions options_;
   Ema ema_;

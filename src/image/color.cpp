@@ -105,10 +105,6 @@ Image srgb_decode(const Image& encoded) {
   return out;
 }
 
-float luminance(float r, float g, float b) {
-  return 0.2126f * r + 0.7152f * g + 0.0722f * b;
-}
-
 // IEC 61966-2-1 sRGB <-> XYZ (D65).
 const ColorMatrix kSrgbToXyz = {0.4124f, 0.3576f, 0.1805f,
                                 0.2126f, 0.7152f, 0.0722f,

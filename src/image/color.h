@@ -33,8 +33,11 @@ float srgb_decode(float encoded);
 Image srgb_encode(const Image& linear);
 Image srgb_decode(const Image& encoded);
 
-/// Rec.709/sRGB luminance of a linear RGB pixel.
-float luminance(float r, float g, float b);
+/// Rec.709/sRGB luminance of a linear RGB pixel. Inline so the ISP's wide
+/// clones (tone equalization) compute it on their own ISA.
+inline float luminance(float r, float g, float b) {
+  return 0.2126f * r + 0.7152f * g + 0.0722f * b;
+}
 
 /// Linear sRGB -> CIE XYZ (D65).
 extern const ColorMatrix kSrgbToXyz;

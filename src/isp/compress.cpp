@@ -40,13 +40,16 @@ struct DctBasis {
   }
 };
 
-const DctBasis& dct_basis() {
+// dct_basis, dct8x8 and idct8x8 are force-inlined: jpeg_channel_fast's wide
+// clone runs them on leftover blocks (isa.h). Each output keeps its own
+// seed chain, so the inlined copies compute the same bits.
+HS_ALWAYS_INLINE const DctBasis& dct_basis() {
   static const DctBasis basis;
   return basis;
 }
 
 /// Forward 8x8 DCT of block (row-major), in place via temp.
-void dct8x8(std::array<float, 64>& block) {
+HS_ALWAYS_INLINE void dct8x8(std::array<float, 64>& block) {
   const auto& c = dct_basis().c;
   std::array<float, 64> tmp{};
   // Rows.
@@ -74,7 +77,7 @@ void dct8x8(std::array<float, 64>& block) {
 }
 
 /// Inverse 8x8 DCT.
-void idct8x8(std::array<float, 64>& block) {
+HS_ALWAYS_INLINE void idct8x8(std::array<float, 64>& block) {
   const auto& c = dct_basis().c;
   std::array<float, 64> tmp{};
   for (int v = 0; v < 8; ++v) {

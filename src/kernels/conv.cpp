@@ -37,6 +37,7 @@
 #include "kernels/kernels.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -83,8 +84,9 @@ struct ValidRange {
 };
 
 // Output positions o with 0 <= o*stride + k - pad < extent.
-ValidRange valid_range(std::size_t out, std::size_t stride, std::size_t k,
-                       std::size_t pad, std::size_t extent) {
+HS_ALWAYS_INLINE ValidRange valid_range(std::size_t out, std::size_t stride,
+                                        std::size_t k, std::size_t pad,
+                                        std::size_t extent) {
   const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(k) -
                              static_cast<std::ptrdiff_t>(pad);
   const std::ptrdiff_t st = static_cast<std::ptrdiff_t>(stride);
@@ -232,86 +234,224 @@ void depthwise_backward_plane(const ConvShape& s, const float* HS_RESTRICT go,
 // The depthwise layers of the paper models are tiny (4-16 px planes), so
 // runtime-length inner loops spend more time on bookkeeping than on math.
 // For the handful of (out_w, kernel, stride) combinations those models
-// produce, the templates below compile fully unrolled tap loops with
-// register accumulators over a zero-padded stack copy of the plane.
+// produce, the templates below compute whole output rows as 8- or 4-float
+// vectors over a zero-padded stack copy of the plane. A stride-2 plane is
+// staged as its two column phases (even and odd padded columns), so every
+// tap of a row reads one contiguous run from one phase.
 //
-// Padding keeps this bit-identical to the reference chain: every tap is
-// applied at full width, with halo taps contributing the same exact zeros
-// the reference reads out of its patch matrix. Adding (or skipping) signed
-// zeros cannot diverge either, because an accumulator that starts at +0
-// and only ever adds terms can never become -0.
-constexpr std::size_t kDwPadPlane = 18 * 18;  // largest padded plane (16+2)^2
+// Every output keeps the chain of the scalar fixed kernels it replaced:
+// the forward sums all K*K taps in (ky, kx) order from +0 and adds the bias
+// last; dX sums its taps in the same tap-major order; dW accumulates one
+// lane per output column over the rows, then sums the lanes left to right.
+// Padding keeps this bit-identical to the reference chain: halo taps
+// contribute the exact zeros the reference reads out of its patch matrix,
+// and adding a signed zero cannot change an accumulator that starts at +0
+// and only ever adds terms (it can never become -0). dX gathers from a
+// zero-margined copy of the output gradient on the same argument.
+//
+// The bodies assume the geometry the models build (pad K/2, square input
+// of side out*stride); any other shape runs the generic strided planes.
 
+typedef float v8f __attribute__((vector_size(32)));
+typedef float v4f __attribute__((vector_size(16)));
+
+template <class V>
+HS_ALWAYS_INLINE V vload(const float* p) {
+  V v;
+  __builtin_memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+template <class V>
+HS_ALWAYS_INLINE void vstore(float* p, V v) {
+  __builtin_memcpy(p, &v, sizeof(v));
+}
+
+/// Compile-time layout of one fixed geometry. The staged input holds ST
+/// column phases of kRows x kPhaseW floats: padded element (r, c) sits in
+/// phase c % ST at row r, column c / ST. The staged output gradient holds
+/// OW rows with kMargin zero columns on either side. Both buffers round up
+/// to whole 4-float vectors.
 template <std::size_t OW, std::size_t K, std::size_t ST>
-inline void dw_fwd_body(const ConvShape& s, const float* HS_RESTRICT chan,
-                        const float* HS_RESTRICT wrow, const float* bias,
-                        float* HS_RESTRICT dst) {
-  const std::size_t p = s.pad, ih = s.in_h, iw = s.in_w, oh = s.out_h();
-  const std::size_t pw = iw + 2 * p, ph = ih + 2 * p;
-  float xpad[kDwPadPlane];
-  std::fill(xpad, xpad + ph * pw, 0.0f);
-  for (std::size_t r = 0; r < ih; ++r) {
-    std::copy(chan + r * iw, chan + (r + 1) * iw, xpad + (r + p) * pw + p);
+struct DwGeom {
+  static constexpr std::size_t kPad = K / 2;
+  static constexpr std::size_t kIn = OW * ST;  // input side
+  using V = std::conditional_t<OW % 8 == 0, v8f, v4f>;
+  static constexpr std::size_t kLanes = sizeof(V) / sizeof(float);
+  static constexpr std::size_t kVecs = OW / kLanes;  // vectors per row
+  static constexpr std::size_t kRows = (OW - 1) * ST + K;
+  static constexpr std::size_t kPhaseW = OW + (K - 1) / ST;
+  static constexpr std::size_t kPhase = kRows * kPhaseW;
+  static constexpr std::size_t kStaged = (ST * kPhase + 3) / 4 * 4;
+  static constexpr std::size_t kMargin = K - 1;
+  static constexpr std::size_t kGoW = OW + 2 * kMargin;
+  static constexpr std::size_t kGoStaged = (OW * kGoW + 3) / 4 * 4;
+  /// Input column i sits at padded column i + kPad, so stride-2 phase q
+  /// holds the input columns of parity (q + kPad) & 1; the first of them
+  /// lands at phase column shift(q).
+  static constexpr std::size_t shift(std::size_t q) {
+    return (kPad - q + ((q + kPad) & 1)) / 2;
   }
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    const float* HS_RESTRICT base = xpad + oy * ST * pw;
-    float acc[OW] = {};
-    for (std::size_t ky = 0; ky < K; ++ky) {
-      const float* HS_RESTRICT r0 = base + ky * pw;
-      for (std::size_t kx = 0; kx < K; ++kx) {
-        const float wv = wrow[ky * K + kx];
-        for (std::size_t l = 0; l < OW; ++l) acc[l] += wv * r0[l * ST + kx];
+};
+
+/// Zero-fills N floats (a multiple of 4) with vector stores.
+template <std::size_t N>
+HS_ALWAYS_INLINE void dw_zero(float* dst) {
+  static_assert(N % 4 == 0);
+  for (std::size_t i = 0; i + 8 <= N; i += 8) vstore(dst + i, v8f{});
+  if constexpr (N % 8 != 0) vstore(dst + N - 4, v4f{});
+}
+
+/// Stages one input plane into its padded column phases (DwGeom layout).
+template <std::size_t OW, std::size_t K, std::size_t ST>
+HS_ALWAYS_INLINE void dw_stage_input(const float* HS_RESTRICT chan,
+                                     float* HS_RESTRICT xs) {
+  using G = DwGeom<OW, K, ST>;
+  using V = typename G::V;
+  constexpr std::size_t L = G::kLanes, P = G::kPad;
+  dw_zero<G::kStaged>(xs);
+  for (std::size_t r = 0; r < G::kIn; ++r) {
+    const float* HS_RESTRICT src = chan + r * G::kIn;
+    float* HS_RESTRICT row = xs + (r + P) * G::kPhaseW;
+    if constexpr (ST == 1) {
+      for (std::size_t v = 0; v < G::kVecs; ++v) {
+        vstore(row + P + v * L, vload<V>(src + v * L));
       }
-    }
-    float* HS_RESTRICT orow = dst + oy * OW;
-    if (bias) {
-      const float bv = *bias;
-      for (std::size_t l = 0; l < OW; ++l) orow[l] = acc[l] + bv;
     } else {
-      for (std::size_t l = 0; l < OW; ++l) orow[l] = acc[l];
+      // Split the row into its even and odd input columns; phase q holds
+      // the parity (q + P) & 1 from column shift(q) on.
+      for (std::size_t v = 0; v < G::kVecs; ++v) {
+        V even, odd;
+        if constexpr (L == 8) {
+          const v8f lo = vload<v8f>(src + 16 * v);
+          const v8f hi = vload<v8f>(src + 16 * v + 8);
+          even = __builtin_shufflevector(lo, hi, 0, 2, 4, 6, 8, 10, 12, 14);
+          odd = __builtin_shufflevector(lo, hi, 1, 3, 5, 7, 9, 11, 13, 15);
+        } else {
+          const v8f in = vload<v8f>(src + 8 * v);
+          even = __builtin_shufflevector(in, in, 0, 2, 4, 6);
+          odd = __builtin_shufflevector(in, in, 1, 3, 5, 7);
+        }
+        for (std::size_t q = 0; q < 2; ++q) {
+          vstore(row + q * G::kPhase + G::shift(q) + v * L,
+                 ((q + P) & 1) ? odd : even);
+        }
+      }
     }
   }
 }
 
 template <std::size_t OW, std::size_t K, std::size_t ST>
-inline void dw_bwd_body(const ConvShape& s, const float* HS_RESTRICT go,
-                        const float* HS_RESTRICT chan,
-                        const float* HS_RESTRICT wrow,
-                        float* HS_RESTRICT gwrow, float* HS_RESTRICT gin) {
-  const std::size_t p = s.pad, ih = s.in_h, iw = s.in_w, oh = s.out_h();
-  const std::size_t pw = iw + 2 * p, ph = ih + 2 * p;
-  float xpad[kDwPadPlane], gpad[kDwPadPlane];
-  std::fill(xpad, xpad + ph * pw, 0.0f);
-  std::fill(gpad, gpad + ph * pw, 0.0f);
-  for (std::size_t r = 0; r < ih; ++r) {
-    std::copy(chan + r * iw, chan + (r + 1) * iw, xpad + (r + p) * pw + p);
-  }
-  // Tap-major, like col2im, so the dX chains match the reference exactly;
-  // dW reduces per-tap lane accumulators (the weight-gradient drift).
-  for (std::size_t ky = 0; ky < K; ++ky) {
-    for (std::size_t kx = 0; kx < K; ++kx) {
-      const float wv = wrow[ky * K + kx];
-      float lanes[OW] = {};
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        const float* HS_RESTRICT grow = go + oy * OW;
-        const float* HS_RESTRICT xr = xpad + (oy * ST + ky) * pw + kx;
-        float* HS_RESTRICT gr = gpad + (oy * ST + ky) * pw + kx;
-        for (std::size_t l = 0; l < OW; ++l) {
-          lanes[l] += grow[l] * xr[l * ST];
-          gr[l * ST] += wv * grow[l];
+HS_ALWAYS_INLINE void dw_fwd_vec(const float* HS_RESTRICT chan,
+                                 const float* HS_RESTRICT wrow,
+                                 const float* bias, float* HS_RESTRICT dst) {
+  using G = DwGeom<OW, K, ST>;
+  using V = typename G::V;
+  constexpr std::size_t L = G::kLanes, NV = G::kVecs;
+  alignas(32) float xs[G::kStaged];
+  dw_stage_input<OW, K, ST>(chan, xs);
+  for (std::size_t oy = 0; oy < OW; ++oy) {
+    V acc[NV] = {};
+    for (std::size_t ky = 0; ky < K; ++ky) {
+      const float* HS_RESTRICT r0 = xs + (oy * ST + ky) * G::kPhaseW;
+      for (std::size_t kx = 0; kx < K; ++kx) {
+        const float wv = wrow[ky * K + kx];
+        const float* HS_RESTRICT src = r0 + (kx % ST) * G::kPhase + kx / ST;
+        for (std::size_t v = 0; v < NV; ++v) {
+          acc[v] += wv * vload<V>(src + v * L);
         }
       }
+    }
+    if (bias) {
+      const float bv = *bias;
+      for (std::size_t v = 0; v < NV; ++v) acc[v] += bv;
+    }
+    for (std::size_t v = 0; v < NV; ++v) vstore(dst + oy * OW + v * L, acc[v]);
+  }
+}
+
+template <std::size_t OW, std::size_t K, std::size_t ST>
+HS_ALWAYS_INLINE void dw_bwd_vec(const float* HS_RESTRICT go,
+                                 const float* HS_RESTRICT chan,
+                                 const float* HS_RESTRICT wrow,
+                                 float* HS_RESTRICT gwrow,
+                                 float* HS_RESTRICT gin) {
+  using G = DwGeom<OW, K, ST>;
+  using V = typename G::V;
+  constexpr std::size_t L = G::kLanes, NV = G::kVecs, M = G::kMargin;
+  alignas(32) float xs[G::kStaged];
+  alignas(32) float gos[G::kGoStaged];
+  dw_stage_input<OW, K, ST>(chan, xs);
+  dw_zero<G::kGoStaged>(gos);
+  for (std::size_t oy = 0; oy < OW; ++oy) {
+    for (std::size_t v = 0; v < NV; ++v) {
+      vstore(gos + oy * G::kGoW + M + v * L, vload<V>(go + oy * OW + v * L));
+    }
+  }
+  // dW: one lane per output column and tap, each summed over the rows; the
+  // K taps of a kernel row advance together.
+  for (std::size_t ky = 0; ky < K; ++ky) {
+    V lanes[K][NV] = {};
+    for (std::size_t oy = 0; oy < OW; ++oy) {
+      const float* HS_RESTRICT r0 = xs + (oy * ST + ky) * G::kPhaseW;
+      for (std::size_t kx = 0; kx < K; ++kx) {
+        const float* HS_RESTRICT src = r0 + (kx % ST) * G::kPhase + kx / ST;
+        for (std::size_t v = 0; v < NV; ++v) {
+          lanes[kx][v] += vload<V>(go + oy * OW + v * L) *
+                          vload<V>(src + v * L);
+        }
+      }
+    }
+    for (std::size_t kx = 0; kx < K; ++kx) {
       float tap = 0.0f;
-      for (std::size_t l = 0; l < OW; ++l) tap += lanes[l];
+      for (std::size_t v = 0; v < NV; ++v) {
+        for (std::size_t l = 0; l < L; ++l) tap += lanes[kx][v][l];
+      }
       gwrow[ky * K + kx] += tap;
     }
   }
-  // Drop the halo; the interior chains equal col2im's adds onto the
-  // zero-initialized grad_in, so a straight copy preserves every bit.
-  for (std::size_t r = 0; r < ih; ++r) {
-    const float* HS_RESTRICT src = gpad + (r + p) * pw + p;
-    float* HS_RESTRICT drow = gin + r * iw;
-    for (std::size_t c = 0; c < iw; ++c) drow[c] = src[c];
+  // dX: each input element gathers its taps in (ky, kx) order. Input
+  // column c sits at padded column c + P; tap kx reaches it from output
+  // column (c + P - kx) / ST when that divides evenly, so for stride 2 the
+  // even and odd input columns are two separate gathers, interleaved on
+  // store.
+  constexpr std::size_t P = G::kPad;
+  for (std::size_t iy = 0; iy < G::kIn; ++iy) {
+    V acc[ST][NV] = {};
+    for (std::size_t ky = 0; ky < K; ++ky) {
+      if (iy + P < ky || (iy + P - ky) % ST != 0) continue;
+      const std::size_t oy = (iy + P - ky) / ST;
+      if (oy >= OW) continue;
+      const float* HS_RESTRICT grow = gos + oy * G::kGoW + M;
+      for (std::size_t kx = 0; kx < K; ++kx) {
+        const float wv = wrow[ky * K + kx];
+        // Tap kx reaches the input columns of parity par (always 0 for
+        // stride 1); lane i of that gather is input column par + ST * i,
+        // fed by output column i + (par + P - kx) / ST.
+        const std::size_t par = (kx + P) % ST;
+        const float* HS_RESTRICT src = grow + (par + P) / ST - kx / ST;
+        for (std::size_t v = 0; v < NV; ++v) {
+          acc[par][v] += wv * vload<V>(src + v * L);
+        }
+      }
+    }
+    float* HS_RESTRICT drow = gin + iy * G::kIn;
+    if constexpr (ST == 1) {
+      for (std::size_t v = 0; v < NV; ++v) vstore(drow + v * L, acc[0][v]);
+    } else {
+      for (std::size_t v = 0; v < NV; ++v) {
+        const V e = acc[0][v], o = acc[1][v];
+        if constexpr (L == 8) {
+          vstore(drow + 16 * v,
+                 __builtin_shufflevector(e, o, 0, 8, 1, 9, 2, 10, 3, 11));
+          vstore(drow + 16 * v + 8,
+                 __builtin_shufflevector(e, o, 4, 12, 5, 13, 6, 14, 7, 15));
+        } else {
+          vstore(drow + 8 * v,
+                 __builtin_shufflevector(e, o, 0, 4, 1, 5, 2, 6, 3, 7));
+        }
+      }
+    }
   }
 }
 
@@ -322,14 +462,14 @@ using DwBwdFn = void (*)(const ConvShape&, const float*, const float*,
 
 #define HS_DW_FIXED(OW, K, ST)                                              \
   HS_TILED_CLONES void dw_fwd_##OW##_##K##_##ST(                            \
-      const ConvShape& s, const float* chan, const float* wrow,             \
+      const ConvShape&, const float* chan, const float* wrow,               \
       const float* bias, float* dst) {                                      \
-    dw_fwd_body<OW, K, ST>(s, chan, wrow, bias, dst);                       \
+    dw_fwd_vec<OW, K, ST>(chan, wrow, bias, dst);                           \
   }                                                                         \
   HS_TILED_CLONES void dw_bwd_##OW##_##K##_##ST(                            \
-      const ConvShape& s, const float* go, const float* chan,               \
+      const ConvShape&, const float* go, const float* chan,                 \
       const float* wrow, float* gwrow, float* gin) {                        \
-    dw_bwd_body<OW, K, ST>(s, go, chan, wrow, gwrow, gin);                  \
+    dw_bwd_vec<OW, K, ST>(go, chan, wrow, gwrow, gin);                      \
   }
 
 HS_DW_FIXED(16, 3, 1)
@@ -342,12 +482,12 @@ HS_DW_FIXED(4, 5, 2)
 #undef HS_DW_FIXED
 
 /// Fixed-shape plane kernels for the square depthwise geometries the paper
-/// models use; nullptr when no specialization fits (the strided generic
-/// planes handle everything else).
+/// models use (pad k/2, input side out*stride); nullptr when no
+/// specialization fits (the strided generic planes handle everything else).
 std::pair<DwFwdFn, DwBwdFn> dw_fixed(const ConvShape& s) {
   const std::size_t ow = s.out_w();
-  if (s.out_h() != ow ||
-      (s.in_h + 2 * s.pad) * (s.in_w + 2 * s.pad) > kDwPadPlane) {
+  if (s.out_h() != ow || s.pad != s.kernel / 2 ||
+      s.in_w != ow * s.stride || s.in_h != s.in_w) {
     return {nullptr, nullptr};
   }
   if (s.kernel == 3 && s.stride == 1) {
@@ -382,9 +522,11 @@ void add_bias_channel_sums(const ConvShape& s, const float* grad_out,
 // baseline ISA (the reference kind uses them as the seed did); the tiled
 // conv paths call the *_tiled twins, whose runtime-dispatched clones
 // vectorize the same copies/adjoint scatters — pure data movement, so the
-// results are identical whichever twin runs.
-inline void im2col_impl(const float* img, const ConvShape& s, std::size_t c0,
-                        float* dst, std::size_t ld, std::size_t col0) {
+// results are identical whichever twin runs. The bodies are force-inlined
+// into both twins, so each runs on its own ISA (isa.h).
+HS_ALWAYS_INLINE void im2col_impl(const float* img, const ConvShape& s,
+                                  std::size_t c0, float* dst, std::size_t ld,
+                                  std::size_t col0) {
   const std::size_t oh = s.out_h(), ow = s.out_w();
   const std::size_t gic = s.group_in_c();
   std::size_t row = 0;
@@ -447,8 +589,9 @@ inline void im2col_impl(const float* img, const ConvShape& s, std::size_t c0,
   }
 }
 
-inline void col2im_impl(const float* src, const ConvShape& s, std::size_t c0,
-                        std::size_t ld, std::size_t col0, float* img) {
+HS_ALWAYS_INLINE void col2im_impl(const float* src, const ConvShape& s,
+                                  std::size_t c0, std::size_t ld,
+                                  std::size_t col0, float* img) {
   const std::size_t oh = s.out_h(), ow = s.out_w();
   const std::size_t gic = s.group_in_c();
   std::size_t row = 0;

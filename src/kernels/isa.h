@@ -17,6 +17,11 @@
 // wide clone would funnel its hot loops through baseline-ISA code. GCC
 // honours always_inline across target boundaries when the callee has no
 // target attribute of its own (the inlined body adopts the caller's ISA).
+// A plain `inline` is not enough for a large helper (GCC may still emit it
+// out of line), and a helper defined in another translation unit cannot
+// inline at all: look those up in the caller and pass the result in.
+// tools/check_clones.sh (a ctest) fails the build's tests when any wide
+// clone calls or jumps into project code that is not itself a wide clone.
 #if defined(__GNUC__) || defined(__clang__)
 #define HS_ALWAYS_INLINE inline __attribute__((always_inline))
 #else

@@ -85,6 +85,61 @@ void plane_moments(const float* p, std::size_t count, double& sum,
   sumsq = sq;
 }
 
+namespace {
+
+/// Channels whose reduction chains advance together: each chain is bound
+/// by f64 add latency, and four of them fill the adders.
+constexpr std::size_t kChannelBlock = 4;
+
+/// Runs B channels' two-chain reductions (channels c0..c0+B-1 of
+/// (n, channels, count) tensors a and b) one element at a time. term(a, b)
+/// yields the element's (first, second) chain terms.
+template <std::size_t B, typename Term>
+void reduce_channel_block(const float* a, const float* b, std::size_t n,
+                          std::size_t channels, std::size_t count,
+                          std::size_t c0, double* first, double* second,
+                          Term term) {
+  double f[B] = {}, g[B] = {};
+  for (std::size_t smp = 0; smp < n; ++smp) {
+    const std::size_t base = (smp * channels + c0) * count;
+    for (std::size_t i = 0; i < count; ++i) {
+      for (std::size_t k = 0; k < B; ++k) {
+        const std::size_t at = base + k * count + i;
+        const auto [tf, tg] = term(a[at], b[at]);
+        f[k] += tf;
+        g[k] += tg;
+      }
+    }
+  }
+  for (std::size_t k = 0; k < B; ++k) {
+    first[c0 + k] = f[k];
+    second[c0 + k] = g[k];
+  }
+}
+
+template <typename Term>
+void reduce_channels(const float* a, const float* b, std::size_t n,
+                     std::size_t channels, std::size_t count, double* first,
+                     double* second, Term term) {
+  std::size_t c = 0;
+  for (; c + kChannelBlock <= channels; c += kChannelBlock) {
+    reduce_channel_block<kChannelBlock>(a, b, n, channels, count, c, first,
+                                        second, term);
+  }
+  for (; c < channels; ++c) {
+    reduce_channel_block<1>(a, b, n, channels, count, c, first, second, term);
+  }
+}
+
+}  // namespace
+
+void channel_moments(const float* x, std::size_t n, std::size_t channels,
+                     std::size_t count, double* sum, double* sumsq) {
+  reduce_channels(x, x, n, channels, count, sum, sumsq, [](float v, float) {
+    return std::pair<double, double>(v, static_cast<double>(v) * v);
+  });
+}
+
 void bn_normalize_plane(const float* src, float* dst, float* xhat,
                         std::size_t count, float mean, float inv, float g,
                         float b) {
@@ -104,6 +159,16 @@ void bn_reduce_plane(const float* dy, const float* xh, std::size_t count,
   }
   sum_dy = s;
   sum_dy_xhat = sx;
+}
+
+void bn_reduce_channels(const float* dy, const float* xh, std::size_t n,
+                        std::size_t channels, std::size_t count,
+                        double* sum_dy, double* sum_dy_xhat) {
+  reduce_channels(dy, xh, n, channels, count, sum_dy, sum_dy_xhat,
+                  [](float d, float h) {
+                    return std::pair<double, double>(
+                        d, static_cast<double>(d) * h);
+                  });
 }
 
 void bn_apply_plane(const float* dy, const float* xh, float* dx,

@@ -182,6 +182,13 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
 void plane_moments(const float* p, std::size_t count, double& sum,
                    double& sumsq);
 
+/// Per-channel moments of an (n, channels, count) tensor: sum[c] and
+/// sumsq[c] are the plane_moments chains of channel c's planes in sample
+/// order, starting from 0. Four channels' chains advance together, each in
+/// its own unchanged order, so the sums are those of the per-plane loop.
+void channel_moments(const float* x, std::size_t n, std::size_t channels,
+                     std::size_t count, double* sum, double* sumsq);
+
 /// dst[i] = g * (src[i] - mean) * inv + b; optionally records the
 /// normalized value in xhat (pass nullptr to skip).
 void bn_normalize_plane(const float* src, float* dst, float* xhat,
@@ -191,6 +198,12 @@ void bn_normalize_plane(const float* src, float* dst, float* xhat,
 /// sum_dy += Σ dy[i]; sum_dy_xhat += Σ dy[i]·xh[i].
 void bn_reduce_plane(const float* dy, const float* xh, std::size_t count,
                      double& sum_dy, double& sum_dy_xhat);
+
+/// bn_reduce_plane per channel of (n, channels, count) tensors, starting
+/// from 0, with the same four-channel interleave as channel_moments.
+void bn_reduce_channels(const float* dy, const float* xh, std::size_t n,
+                        std::size_t channels, std::size_t count,
+                        double* sum_dy, double* sum_dy_xhat);
 
 /// dx[i] = g_inv * (dy[i] - k1 - xh[i] * k2).
 void bn_apply_plane(const float* dy, const float* xh, float* dx,

@@ -75,7 +75,13 @@ Tensor HSwish::forward(const Tensor& x, bool train) {
   Tensor y = Tensor::uninit(x.shape());
   const float* xp = x.data();
   float* yp = y.data();
-  for (std::size_t i = 0; i < x.size(); ++i) yp[i] = xp[i] * HSigmoid::f(xp[i]);
+  const std::size_t size = x.size();
+  // Gate pass, then product pass: fused, the clamp's select chain followed
+  // by the product is control flow GCC cannot if-convert under
+  // -ftrapping-math, and the loop does not vectorize. Split, both passes
+  // do, and every product is still x * f(x).
+  for (std::size_t i = 0; i < size; ++i) yp[i] = HSigmoid::f(xp[i]);
+  for (std::size_t i = 0; i < size; ++i) yp[i] = xp[i] * yp[i];
   return y;
 }
 

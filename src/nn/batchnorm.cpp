@@ -1,6 +1,7 @@
 #include "nn/batchnorm.h"
 
 #include <cmath>
+#include <vector>
 
 #include "kernels/kernels.h"
 
@@ -27,22 +28,24 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const double count = static_cast<double>(n * hw);
   HS_CHECK(count > 0, "BatchNorm2d: empty batch");
 
-  Tensor y({n, c_, h, w});
+  // y and xhat are written in full by bn_normalize_plane below.
+  Tensor y = Tensor::uninit({n, c_, h, w});
+  std::vector<double> sums, sqs;
   if (train) {
-    cached_xhat_ = Tensor({n, c_, h, w});
+    cached_xhat_ = Tensor::uninit({n, c_, h, w});
     inv_std_.assign(c_, 0.0f);
     cached_n_ = n;
     cached_h_ = h;
     cached_w_ = w;
+    sums.resize(c_);
+    sqs.resize(c_);
+    kernels::channel_moments(x.data(), n, c_, hw, sums.data(), sqs.data());
   }
 
   for (std::size_t c = 0; c < c_; ++c) {
     float mean_c, var_c;
     if (train) {
-      double sum = 0.0, sq = 0.0;
-      for (std::size_t s = 0; s < n; ++s) {
-        kernels::plane_moments(x.data() + ((s * c_) + c) * hw, hw, sum, sq);
-      }
+      const double sum = sums[c], sq = sqs[c];
       mean_c = static_cast<float>(sum / count);
       var_c = static_cast<float>(std::max(0.0, sq / count - sum / count * sum / count));
       run_mean_[c] = (1 - momentum_) * run_mean_[c] + momentum_ * mean_c;
@@ -75,17 +78,14 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   const std::size_t hw = h * w;
   const double m = static_cast<double>(n * hw);
 
-  Tensor grad_in({n, c_, h, w});
+  // Standard batch-norm backward: reduce dL/dgamma, dL/dbeta, then the
+  // coupled input gradient, which bn_apply_plane writes in full.
+  std::vector<double> sums_dy(c_), sums_dy_xhat(c_);
+  kernels::bn_reduce_channels(grad_out.data(), cached_xhat_.data(), n, c_, hw,
+                              sums_dy.data(), sums_dy_xhat.data());
+  Tensor grad_in = Tensor::uninit({n, c_, h, w});
   for (std::size_t c = 0; c < c_; ++c) {
-    // Standard batch-norm backward: reduce dL/dgamma, dL/dbeta, then the
-    // coupled input gradient.
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t plane = ((s * c_) + c) * hw;
-      kernels::bn_reduce_plane(grad_out.data() + plane,
-                               cached_xhat_.data() + plane, hw, sum_dy,
-                               sum_dy_xhat);
-    }
+    const double sum_dy = sums_dy[c], sum_dy_xhat = sums_dy_xhat[c];
     ggamma_[c] += static_cast<float>(sum_dy_xhat);
     gbeta_[c] += static_cast<float>(sum_dy);
     // g * inv is folded once; the per-element product order is unchanged

@@ -17,15 +17,21 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
+// Layers take their input by const reference, so the outermost layer reads
+// x (or grad_out) as is.
 Tensor Sequential::forward(const Tensor& x, bool train) {
-  Tensor h = x;
-  for (auto& l : layers_) h = l->forward(h, train);
+  if (layers_.empty()) return x;
+  Tensor h = layers_.front()->forward(x, train);
+  for (auto it = layers_.begin() + 1; it != layers_.end(); ++it) {
+    h = (*it)->forward(h, train);
+  }
   return h;
 }
 
 Tensor Sequential::backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+  if (layers_.empty()) return grad_out;
+  Tensor g = layers_.back()->backward(grad_out);
+  for (auto it = layers_.rbegin() + 1; it != layers_.rend(); ++it) {
     g = (*it)->backward(g);
   }
   return g;

@@ -103,13 +103,13 @@ HS_ALWAYS_INLINE float shape_coverage(ShapeKind shape, float u, float v,
 // All randomness is drawn before the pixel loop, so rendering is a pure
 // per-pixel function; this variant only hoists the row/column-invariant
 // subexpressions (same expressions, evaluated once) and writes through raw
-// row pointers — per-pixel math is the seed loop verbatim.
+// row pointers — per-pixel math is the seed loop verbatim. `fxs` is
+// `size` floats of caller scratch, looked up outside the clone.
 HS_TILED_CLONES
 void render_scene_rows(const ClassRecipe& r, const Instance& inst,
                        const float* HS_RESTRICT fg, const float* HS_RESTRICT bg,
                        float phase, float ca, float sa, std::size_t size,
-                       float* HS_RESTRICT out) {
-  float* fxs = img::scratch(img::kSlotScene, size);
+                       float* HS_RESTRICT fxs, float* HS_RESTRICT out) {
   for (std::size_t x = 0; x < size; ++x) {
     fxs[x] = (static_cast<float>(x) / size - inst.cx) / inst.scale;
   }
@@ -215,7 +215,8 @@ Image SceneGenerator::generate(std::size_t cls, Rng& rng) const {
   const float phase = rng.uniform_f(0.0f, 100.0f);
 
   if (img::fast_path()) {
-    render_scene_rows(r, inst, fg, bg, phase, ca, sa, size_, img.data());
+    render_scene_rows(r, inst, fg, bg, phase, ca, sa, size_,
+                      img::scratch(img::kSlotScene, size_), img.data());
     return img;
   }
 

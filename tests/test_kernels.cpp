@@ -19,13 +19,17 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "fl/algorithm.h"
 #include "fl/eval.h"
 #include "fl/simulation.h"
 #include "kernels/kernels.h"
+#include "nn/activations.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/model_zoo.h"
@@ -314,6 +318,250 @@ TEST(ConvParity, LayerForwardBackwardMatchesAcrossKinds) {
   ASSERT_EQ(gx_ref.size(), gx_til.size());
   for (std::size_t i = 0; i < gx_ref.size(); ++i) {
     EXPECT_EQ(gx_ref[i], gx_til[i]);
+  }
+}
+
+// ------------------------------------------ fixed-shape depthwise planes --
+
+struct DwGeometry {
+  std::size_t out, k, stride, pad, in;
+};
+
+// Every (output side, kernel, stride) the fixed depthwise kernels serve, at
+// the geometry the models build (pad k/2, input side out * stride), then
+// shapes with another pad or an odd input side, which must fall through to
+// the generic strided planes.
+const DwGeometry kDwGeometries[] = {
+    {16, 3, 1, 1, 16}, {8, 3, 1, 1, 8},  {8, 3, 2, 1, 16},
+    {4, 3, 1, 1, 4},   {4, 3, 2, 1, 8},  {4, 5, 2, 2, 8},
+    {8, 3, 1, 0, 10},  {8, 3, 2, 1, 15}, {4, 5, 2, 2, 7},
+};
+
+/// The fixed kernels' weight-gradient chain in scalar form. Per channel,
+/// samples in order: each tap keeps one lane per output column, summed over
+/// the output rows from +0 with halo taps reading exact zeros; the lanes
+/// are summed left to right from +0 and the sum is added onto gw.
+void dw_weight_grad_oracle(const ConvShape& s, const float* x,
+                           const float* go, float* gw) {
+  const std::size_t oh = s.out_h(), ow = s.out_w(), k = s.kernel;
+  const std::size_t ihw = s.in_h * s.in_w;
+  for (std::size_t c = 0; c < s.out_c; ++c) {
+    for (std::size_t smp = 0; smp < s.n; ++smp) {
+      const float* xp = x + (smp * s.in_c + c) * ihw;
+      const float* gp = go + (smp * s.out_c + c) * oh * ow;
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        for (std::size_t kx = 0; kx < k; ++kx) {
+          std::vector<float> lanes(ow, 0.0f);
+          for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t l = 0; l < ow; ++l) {
+              const std::ptrdiff_t iy =
+                  static_cast<std::ptrdiff_t>(oy * s.stride + ky) -
+                  static_cast<std::ptrdiff_t>(s.pad);
+              const std::ptrdiff_t ix =
+                  static_cast<std::ptrdiff_t>(l * s.stride + kx) -
+                  static_cast<std::ptrdiff_t>(s.pad);
+              const bool inside =
+                  iy >= 0 && ix >= 0 &&
+                  iy < static_cast<std::ptrdiff_t>(s.in_h) &&
+                  ix < static_cast<std::ptrdiff_t>(s.in_w);
+              const float xv =
+                  inside ? xp[static_cast<std::size_t>(iy) * s.in_w +
+                              static_cast<std::size_t>(ix)]
+                         : 0.0f;
+              lanes[l] += gp[oy * ow + l] * xv;
+            }
+          }
+          float tap = 0.0f;
+          for (std::size_t l = 0; l < ow; ++l) tap += lanes[l];
+          gw[(c * k + ky) * k + kx] += tap;
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvParity, FixedDepthwisePlanesBitExact) {
+  // Forward and dX equal the reference kind bit for bit; on the model
+  // geometries dW equals the scalar oracle of the fixed kernels' lane order
+  // bit for bit (the reference reduces dW differently, so it only bounds
+  // the drift).
+  Rng rng(204);
+  for (const DwGeometry& g : kDwGeometries) {
+    const bool fixed = g.pad == g.k / 2 && g.in == g.out * g.stride;
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+      ConvShape s;
+      s.n = n;
+      s.in_c = s.out_c = s.groups = 3;
+      s.in_h = s.in_w = g.in;
+      s.kernel = g.k;
+      s.stride = g.stride;
+      s.pad = g.pad;
+      ASSERT_EQ(s.out_h(), g.out);
+      ASSERT_EQ(s.out_w(), g.out);
+      const std::size_t x_size = s.n * s.in_c * s.in_h * s.in_w;
+      const std::size_t y_size = s.n * s.out_c * s.out_h() * s.out_w();
+      const std::size_t w_size = s.out_c * s.kernel * s.kernel;
+      std::vector<float> x(x_size), w(w_size), bias(s.out_c), go(y_size);
+      std::vector<float> gw_base(w_size), gb_base(s.out_c);
+      fill_random(x, rng);
+      fill_random(w, rng);
+      fill_random(bias, rng);
+      fill_random(go, rng);
+      fill_random(gw_base, rng, -0.1f, 0.1f);
+      fill_random(gb_base, rng, -0.1f, 0.1f);
+      const std::string where = "out=" + std::to_string(g.out) +
+                                " k=" + std::to_string(g.k) +
+                                " s=" + std::to_string(g.stride) +
+                                " p=" + std::to_string(g.pad) +
+                                " in=" + std::to_string(g.in) +
+                                " n=" + std::to_string(n);
+
+      std::vector<float> y_ref(y_size), y_til(y_size);
+      std::vector<float> cols_ref(s.cols_size()), cols_til(s.cols_size());
+      kernels::Workspace ws_ref, ws_til;
+      kernels::conv2d_forward(KernelKind::kReference, s, x.data(), w.data(),
+                              bias.data(), y_ref.data(), cols_ref.data(),
+                              ws_ref);
+      kernels::conv2d_forward(KernelKind::kTiled, s, x.data(), w.data(),
+                              bias.data(), y_til.data(), cols_til.data(),
+                              ws_til);
+      for (std::size_t i = 0; i < y_size; ++i) {
+        ASSERT_EQ(y_ref[i], y_til[i]) << where << " y elem " << i;
+      }
+
+      std::vector<float> gw_ref = gw_base, gw_til = gw_base;
+      std::vector<float> gw_oracle = gw_base;
+      std::vector<float> gb_ref = gb_base, gb_til = gb_base;
+      std::vector<float> gx_ref(x_size), gx_til(x_size);
+      kernels::conv2d_backward(KernelKind::kReference, s, go.data(), w.data(),
+                               cols_ref.data(), gw_ref.data(), gb_ref.data(),
+                               gx_ref.data(), ws_ref);
+      kernels::conv2d_backward(KernelKind::kTiled, s, go.data(), w.data(),
+                               cols_til.data(), gw_til.data(), gb_til.data(),
+                               gx_til.data(), ws_til);
+      dw_weight_grad_oracle(s, x.data(), go.data(), gw_oracle.data());
+      for (std::size_t i = 0; i < x_size; ++i) {
+        ASSERT_EQ(gx_ref[i], gx_til[i]) << where << " dX elem " << i;
+      }
+      for (std::size_t i = 0; i < s.out_c; ++i) {
+        ASSERT_EQ(gb_ref[i], gb_til[i]) << where << " dB elem " << i;
+      }
+      for (std::size_t i = 0; i < w_size; ++i) {
+        if (fixed) {
+          ASSERT_EQ(gw_oracle[i], gw_til[i]) << where << " dW elem " << i;
+        }
+        const float tol = 1e-4f * std::max(1.0f, std::fabs(gw_ref[i]));
+        ASSERT_NEAR(gw_ref[i], gw_til[i], tol) << where << " dW elem " << i;
+      }
+    }
+  }
+}
+
+// -------------------------------------------- batch-norm channel blocks --
+
+TEST(BatchNormKernels, ChannelBlocksMatchThePerPlaneLoop) {
+  // BatchNorm2d reduces four channels at a time; every channel's chains
+  // must stay those of the per-plane loop (plane_moments / bn_reduce_plane
+  // over the channel's planes in sample order), for full blocks and for
+  // the remainders alike.
+  Rng rng(205);
+  for (std::size_t c = 1; c <= 9; ++c) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+      const std::size_t h = 5, w = 6, hw = h * w;
+      const Tensor x = Tensor::randn({n, c, h, w}, rng, 2.0f);
+      const Tensor go = Tensor::randn({n, c, h, w}, rng, 1.0f);
+      BatchNorm2d bn(c);
+      const Tensor y = bn.forward(x, /*train=*/true);
+      const Tensor gx = bn.backward(go);
+
+      // The per-plane loop, channel by channel.
+      const double count = static_cast<double>(n * hw);
+      Tensor y_want({n, c, h, w}), xhat({n, c, h, w}), gx_want({n, c, h, w});
+      std::vector<float> gamma_grad(c), beta_grad(c), run_mean(c), run_var(c);
+      for (std::size_t ch = 0; ch < c; ++ch) {
+        double sum = 0.0, sq = 0.0;
+        for (std::size_t s = 0; s < n; ++s) {
+          kernels::plane_moments(x.data() + (s * c + ch) * hw, hw, sum, sq);
+        }
+        const float mean = static_cast<float>(sum / count);
+        const float var = static_cast<float>(
+            std::max(0.0, sq / count - sum / count * sum / count));
+        const float momentum = 0.1f;  // BatchNorm2d's default
+        run_mean[ch] = (1 - momentum) * 0.0f + momentum * mean;
+        run_var[ch] = (1 - momentum) * 1.0f + momentum * var;
+        const float inv = 1.0f / std::sqrt(var + 1e-5f);
+        for (std::size_t s = 0; s < n; ++s) {
+          const std::size_t plane = (s * c + ch) * hw;
+          kernels::bn_normalize_plane(x.data() + plane, y_want.data() + plane,
+                                      xhat.data() + plane, hw, mean, inv,
+                                      1.0f, 0.0f);
+        }
+        double sum_dy = 0.0, sum_dy_xhat = 0.0;
+        for (std::size_t s = 0; s < n; ++s) {
+          const std::size_t plane = (s * c + ch) * hw;
+          kernels::bn_reduce_plane(go.data() + plane, xhat.data() + plane, hw,
+                                   sum_dy, sum_dy_xhat);
+        }
+        gamma_grad[ch] = static_cast<float>(sum_dy_xhat);
+        beta_grad[ch] = static_cast<float>(sum_dy);
+        for (std::size_t s = 0; s < n; ++s) {
+          const std::size_t plane = (s * c + ch) * hw;
+          kernels::bn_apply_plane(go.data() + plane, xhat.data() + plane,
+                                  gx_want.data() + plane, hw, 1.0f * inv,
+                                  static_cast<float>(sum_dy / count),
+                                  static_cast<float>(sum_dy_xhat / count));
+        }
+      }
+      const std::string where =
+          "c=" + std::to_string(c) + " n=" + std::to_string(n);
+      EXPECT_EQ(std::memcmp(y.data(), y_want.data(), y.size() * sizeof(float)),
+                0)
+          << where;
+      EXPECT_EQ(
+          std::memcmp(gx.data(), gx_want.data(), gx.size() * sizeof(float)), 0)
+          << where;
+      ParamGroup group;
+      bn.collect(group);
+      for (std::size_t ch = 0; ch < c; ++ch) {
+        EXPECT_EQ((*group.grads[0])[ch], gamma_grad[ch]) << where;
+        EXPECT_EQ((*group.grads[1])[ch], beta_grad[ch]) << where;
+        EXPECT_EQ((*group.buffers[0])[ch], run_mean[ch]) << where;
+        EXPECT_EQ((*group.buffers[1])[ch], run_var[ch]) << where;
+      }
+    }
+  }
+}
+
+// ----------------------------------------------------------------- h-swish --
+
+TEST(HSwishKernel, ForwardEqualsProductOfGate) {
+  // The forward runs the gate and the product as two passes; every output
+  // must still be the bits of x * HSigmoid::f(x).
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> xs = {0.0f,   -0.0f,   3.0f,     -3.0f,
+                           6.0f,   -6.0f,   inf,      -inf,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           denorm, -denorm, 1.0e-39f, -1.0e-39f,
+                           std::numeric_limits<float>::min(),
+                           2.9999998f, -2.9999998f, 3.0000002f, -3.0000002f};
+  Rng rng(206);
+  while (xs.size() < 1027) xs.push_back(rng.uniform_f(-8.0f, 8.0f));
+  const std::size_t size = xs.size();
+  const Tensor x({1, size}, xs);
+  HSwish act;
+  for (bool train : {false, true}) {
+    const Tensor y = act.forward(x, train);
+    for (std::size_t i = 0; i < size; ++i) {
+      const float want = xs[i] * HSigmoid::f(xs[i]);
+      const float got = y[i];
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(got)) << "x=" << xs[i];
+        continue;
+      }
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << "x=" << xs[i] << " got " << got << " want " << want;
+    }
   }
 }
 
