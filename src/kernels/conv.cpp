@@ -252,20 +252,10 @@ void depthwise_backward_plane(const ConvShape& s, const float* HS_RESTRICT go,
 // The bodies assume the geometry the models build (pad K/2, square input
 // of side out*stride); any other shape runs the generic strided planes.
 
-typedef float v8f __attribute__((vector_size(32)));
-typedef float v4f __attribute__((vector_size(16)));
-
-template <class V>
-HS_ALWAYS_INLINE V vload(const float* p) {
-  V v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-template <class V>
-HS_ALWAYS_INLINE void vstore(float* p, V v) {
-  __builtin_memcpy(p, &v, sizeof(v));
-}
+using detail::v4f;
+using detail::v8f;
+using detail::vload;
+using detail::vstore;
 
 /// Compile-time layout of one fixed geometry. The staged input holds ST
 /// column phases of kRows x kPhaseW floats: padded element (r, c) sits in
@@ -505,17 +495,27 @@ std::pair<DwFwdFn, DwBwdFn> dw_fixed(const ConvShape& s) {
   return {nullptr, nullptr};
 }
 
-void add_bias_channel_sums(const ConvShape& s, const float* grad_out,
-                           float* gb) {
-  const std::size_t ohow = s.out_h() * s.out_w();
-  for (std::size_t smp = 0; smp < s.n; ++smp) {
-    for (std::size_t c = 0; c < s.out_c; ++c) {
-      const float* src = grad_out + ((smp * s.out_c) + c) * ohow;
-      double acc = 0.0;
-      for (std::size_t i = 0; i < ohow; ++i) acc += src[i];
-      gb[c] += static_cast<float>(acc);
+/// gb[c] += the f64 sum of each (sample, channel c) plane of grad_out, one
+/// chain per plane from 0, added in sample order. Up to eight planes'
+/// chains run as vector lanes (detail::plane_chains), each in its order.
+HS_TILED_CLONES
+void add_bias_channel_sums(const float* grad_out, std::size_t n,
+                           std::size_t out_c, std::size_t ohow, float* gb) {
+  const std::size_t planes = n * out_c;
+  detail::chain_blocks(planes, [&](std::size_t p0, auto groups)
+                                   __attribute__((always_inline)) {
+    constexpr std::size_t G = decltype(groups)::value;
+    const float* lane[4 * G];
+    detail::plane_block<G>(grad_out, p0, planes, ohow, lane);
+    detail::v4d acc[G] = {};
+    detail::plane_chains<G>(
+        lane, lane, ohow,
+        [&](std::size_t g, detail::v4d u, detail::v4d)
+            __attribute__((always_inline)) { acc[g] += u; });
+    for (std::size_t k = 0; k < 4 * G && p0 + k < planes; ++k) {
+      gb[(p0 + k) % out_c] += static_cast<float>(acc[k / 4][k % 4]);
     }
-  }
+  });
 }
 
 // Shared im2col/col2im bodies. The public entry points below compile on the
@@ -799,7 +799,7 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
                            grad_in + smp * img_stride);
       }
     }
-    if (gb) add_bias_channel_sums(s, grad_out, gb);
+    if (gb) add_bias_channel_sums(grad_out, s.n, s.out_c, ohow, gb);
     return;
   }
 
@@ -827,7 +827,7 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
                 ohow, true);
       }
     }
-    if (gb) add_bias_channel_sums(s, grad_out, gb);
+    if (gb) add_bias_channel_sums(grad_out, s.n, s.out_c, ohow, gb);
     return;
   }
 
@@ -849,7 +849,7 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
                   gw + c * patch, grad_in + smp * img_stride + c * ihw);
           }
         });
-    if (gb) add_bias_channel_sums(s, grad_out, gb);
+    if (gb) add_bias_channel_sums(grad_out, s.n, s.out_c, ohow, gb);
     return;
   }
 
@@ -889,7 +889,7 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
                                          grad_in + smp * img_stride);
                       });
   }
-  if (gb) add_bias_channel_sums(s, grad_out, gb);
+  if (gb) add_bias_channel_sums(grad_out, s.n, s.out_c, ohow, gb);
 }
 
 }  // namespace hetero::kernels

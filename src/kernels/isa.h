@@ -1,5 +1,6 @@
-// Internal ISA helpers shared by the tiled kernel translation units. Not
-// installed with the public kernels.h API.
+// Internal ISA helpers shared by the tiled kernel translation units.
+// kernels.h includes it only for HS_ALWAYS_INLINE on its h-sigmoid
+// templates, which the vector loops instantiate.
 #pragma once
 
 #if defined(__GNUC__) || defined(__clang__)

@@ -38,6 +38,7 @@
 #include <functional>
 #include <string>
 
+#include "kernels/isa.h"
 #include "kernels/workspace.h"
 
 namespace hetero::kernels {
@@ -173,21 +174,64 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
                      const float* grad_out, const float* w, const float* cols,
                      float* gw, float* gb, float* grad_in, Workspace& ws);
 
-// ----------------------------------------------- Row/plane reductions ----
-// Shared by BatchNorm2d and the SE block: contiguous-plane reductions and
-// affine maps with pinned accumulation order (f64, increasing index), so
-// moving them here changes no results.
+// ------------------------------------------ Batch norm and activations ----
+// BatchNorm2d runs its statistics, normalization and the activation that
+// follows it as a few wide passes (DESIGN.md §9). Every element keeps the
+// float expression of the separate layers, and every per-channel f64 chain
+// keeps the per-plane loop's order (sample-major, position ascending), so
+// the fused layer has the bits of BatchNorm2d followed by ReLU or HSwish.
+
+/// The activation a batch norm applies to its output.
+enum class Nonlinearity { kNone, kReLU, kHSwish };
+
+/// h-sigmoid(x) = clamp(x / 6 + 0.5, 0, 1), the ReLU6(x + 3) / 6 form; V is
+/// float or a GCC float vector, with the same bits either way. A division,
+/// not a multiply by 1/6, clamped in std::clamp's compare order, so -0 and
+/// NaN pass through as std::clamp passes them.
+template <class V>
+HS_ALWAYS_INLINE V hsigmoid(V x) {
+  const V t = x / 6.0f + 0.5f;
+  const V lo = t < 0.0f ? V{} : t;
+  return 1.0f < lo ? V{} + 1.0f : lo;
+}
+
+/// d/dx hsigmoid: 1/6 inside (-3, 3), 0 elsewhere.
+template <class V>
+HS_ALWAYS_INLINE V hsigmoid_grad(V x) {
+  return (x > -3.0f) & (x < 3.0f) ? V{} + 1.0f / 6.0f : V{};
+}
+
+/// Per-channel moments of an (n, channels, count) tensor: sum[c] = Σx and
+/// sumsq[c] = Σx², f64 chains from 0 over channel c's planes in sample
+/// order, position ascending (the plane_moments loop's order).
+void bn_moments(const float* x, std::size_t n, std::size_t channels,
+                std::size_t count, double* sum, double* sumsq);
+
+/// y = act(gamma[c]·x̂ + beta[c]) with x̂ = (x - mean[c])·inv[c], over an
+/// (n, channels, count) tensor; records x̂ in xhat unless it is null (a
+/// training forward does, an eval forward does not).
+void bn_act_forward(Nonlinearity act, const float* x, std::size_t n,
+                    std::size_t channels, std::size_t count, const float* mean,
+                    const float* inv, const float* gamma, const float* beta,
+                    float* xhat, float* y);
+
+/// Backward of a training bn_act_forward, from its x̂ and the output
+/// gradient dy. d = act'(gamma·x̂ + beta)·dy (the recomputed pre-activation
+/// has the forward's bits); sum_d[c] = Σd and sum_d_xhat[c] = Σd·x̂ in
+/// bn_moments' chain order; dx = (gamma·inv)·(d - k1 - x̂·k2) with
+/// k1 = Σd/m and k2 = Σd·x̂/m over the m = n·count elements of a channel.
+/// dx is written in full.
+void bn_act_backward(Nonlinearity act, const float* dy, const float* xhat,
+                     std::size_t n, std::size_t channels, std::size_t count,
+                     const float* inv, const float* gamma, const float* beta,
+                     float* dx, double* sum_d, double* sum_d_xhat);
+
+// The per-plane loops bn_moments and bn_act_* replace, kept as their oracle
+// (BatchNormKernels.ChannelBlocksMatchThePerPlaneLoop).
 
 /// sum += Σ p[i]; sumsq += Σ p[i]².
 void plane_moments(const float* p, std::size_t count, double& sum,
                    double& sumsq);
-
-/// Per-channel moments of an (n, channels, count) tensor: sum[c] and
-/// sumsq[c] are the plane_moments chains of channel c's planes in sample
-/// order, starting from 0. Four channels' chains advance together, each in
-/// its own unchanged order, so the sums are those of the per-plane loop.
-void channel_moments(const float* x, std::size_t n, std::size_t channels,
-                     std::size_t count, double* sum, double* sumsq);
 
 /// dst[i] = g * (src[i] - mean) * inv + b; optionally records the
 /// normalized value in xhat (pass nullptr to skip).
@@ -199,22 +243,27 @@ void bn_normalize_plane(const float* src, float* dst, float* xhat,
 void bn_reduce_plane(const float* dy, const float* xh, std::size_t count,
                      double& sum_dy, double& sum_dy_xhat);
 
-/// bn_reduce_plane per channel of (n, channels, count) tensors, starting
-/// from 0, with the same four-channel interleave as channel_moments.
-void bn_reduce_channels(const float* dy, const float* xh, std::size_t n,
-                        std::size_t channels, std::size_t count,
-                        double* sum_dy, double* sum_dy_xhat);
-
 /// dx[i] = g_inv * (dy[i] - k1 - xh[i] * k2).
 void bn_apply_plane(const float* dy, const float* xh, float* dx,
                     std::size_t count, float g_inv, float k1, float k2);
 
-/// plane[i] *= s.
-void scale_plane(float* plane, std::size_t count, float s);
+// ------------------------------------------------------------- SE gate ----
+// Squeeze-and-excitation scales each (sample, channel) plane p of an
+// activation by a gate value gate[p].
 
-/// Fused SE-gate backward on one plane: dx[i] = dy[i] * g and returns
-/// Σ dy[i]·x[i] in f64.
-double se_backward_plane(const float* dy, const float* x, float* dx,
-                         std::size_t count, float g);
+/// y = x·gate[p] over `planes` planes of `count` floats.
+void se_scale(const float* x, const float* gate, std::size_t planes,
+              std::size_t count, float* y);
+
+/// dgate[p] = Σ dy·x over plane p: an f64 chain from 0, position
+/// ascending, rounded to float.
+void se_gate_grad(const float* dy, const float* x, std::size_t planes,
+                  std::size_t count, float* dgate);
+
+/// dx = dy·gate[p] + pool[p]·(1/count): the gated path's gradient plus the
+/// value GlobalAvgPool::backward broadcasts for the pooled gradient pool[p],
+/// rounded in that order.
+void se_input_grad(const float* dy, const float* gate, const float* pool,
+                   std::size_t planes, std::size_t count, float* dx);
 
 }  // namespace hetero::kernels

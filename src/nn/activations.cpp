@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "kernels/kernels.h"
+
 namespace hetero {
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
@@ -44,13 +46,9 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   return g;
 }
 
-float HSigmoid::f(float x) {
-  return std::clamp(x / 6.0f + 0.5f, 0.0f, 1.0f);
-}
+float HSigmoid::f(float x) { return kernels::hsigmoid(x); }
 
-float HSigmoid::df(float x) {
-  return (x > -3.0f && x < 3.0f) ? 1.0f / 6.0f : 0.0f;
-}
+float HSigmoid::df(float x) { return kernels::hsigmoid_grad(x); }
 
 Tensor HSigmoid::forward(const Tensor& x, bool train) {
   if (train) cached_x_ = x;

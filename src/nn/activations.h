@@ -35,7 +35,7 @@ class HSigmoid : public Layer {
   }
   std::string name() const override { return "HSigmoid"; }
 
-  /// Scalar version, shared with SEBlock.
+  /// Scalar version (kernels::hsigmoid), shared with HSwish.
   static float f(float x);
   static float df(float x);
 

@@ -3,12 +3,15 @@
 #include <cmath>
 #include <vector>
 
-#include "kernels/kernels.h"
-
 namespace hetero {
 
 BatchNorm2d::BatchNorm2d(std::size_t channels, float momentum, float eps)
+    : BatchNorm2d(channels, Nonlinearity::kNone, momentum, eps) {}
+
+BatchNorm2d::BatchNorm2d(std::size_t channels, Nonlinearity act,
+                         float momentum, float eps)
     : c_(channels),
+      act_(act),
       momentum_(momentum),
       eps_(eps),
       gamma_(Tensor::ones({channels})),
@@ -28,83 +31,54 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const double count = static_cast<double>(n * hw);
   HS_CHECK(count > 0, "BatchNorm2d: empty batch");
 
-  // y and xhat are written in full by bn_normalize_plane below.
-  Tensor y = Tensor::uninit({n, c_, h, w});
-  std::vector<double> sums, sqs;
+  std::vector<float> mean(c_), inv(c_);
   if (train) {
-    cached_xhat_ = Tensor::uninit({n, c_, h, w});
-    inv_std_.assign(c_, 0.0f);
-    cached_n_ = n;
-    cached_h_ = h;
-    cached_w_ = w;
-    sums.resize(c_);
-    sqs.resize(c_);
-    kernels::channel_moments(x.data(), n, c_, hw, sums.data(), sqs.data());
-  }
-
-  for (std::size_t c = 0; c < c_; ++c) {
-    float mean_c, var_c;
-    if (train) {
+    std::vector<double> sums(c_), sqs(c_);
+    kernels::bn_moments(x.data(), n, c_, hw, sums.data(), sqs.data());
+    for (std::size_t c = 0; c < c_; ++c) {
       const double sum = sums[c], sq = sqs[c];
-      mean_c = static_cast<float>(sum / count);
-      var_c = static_cast<float>(std::max(0.0, sq / count - sum / count * sum / count));
-      run_mean_[c] = (1 - momentum_) * run_mean_[c] + momentum_ * mean_c;
+      mean[c] = static_cast<float>(sum / count);
+      const float var_c = static_cast<float>(
+          std::max(0.0, sq / count - sum / count * sum / count));
+      run_mean_[c] = (1 - momentum_) * run_mean_[c] + momentum_ * mean[c];
       run_var_[c] = (1 - momentum_) * run_var_[c] + momentum_ * var_c;
-    } else {
-      mean_c = run_mean_[c];
-      var_c = run_var_[c];
+      inv[c] = 1.0f / std::sqrt(var_c + eps_);
     }
-    const float inv = 1.0f / std::sqrt(var_c + eps_);
-    if (train) inv_std_[c] = inv;
-    const float g = gamma_[c], b = beta_[c];
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t plane = ((s * c_) + c) * hw;
-      kernels::bn_normalize_plane(
-          x.data() + plane, y.data() + plane,
-          train ? cached_xhat_.data() + plane : nullptr, hw, mean_c, inv, g,
-          b);
+    inv_std_ = inv;
+    cached_xhat_ = Tensor::uninit({n, c_, h, w});
+  } else {
+    for (std::size_t c = 0; c < c_; ++c) {
+      mean[c] = run_mean_[c];
+      inv[c] = 1.0f / std::sqrt(run_var_[c] + eps_);
     }
   }
+  // y and x̂ are written in full.
+  Tensor y = Tensor::uninit({n, c_, h, w});
+  kernels::bn_act_forward(act_, x.data(), n, c_, hw, mean.data(), inv.data(),
+                          gamma_.data(), beta_.data(),
+                          train ? cached_xhat_.data() : nullptr, y.data());
   return y;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   HS_CHECK(!cached_xhat_.empty(), "BatchNorm2d::backward: no cached forward");
-  const std::size_t n = cached_n_, h = cached_h_, w = cached_w_;
-  HS_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == n &&
-               grad_out.dim(1) == c_ && grad_out.dim(2) == h &&
-               grad_out.dim(3) == w,
+  HS_CHECK(grad_out.same_shape(cached_xhat_),
            "BatchNorm2d::backward: grad shape mismatch");
-  const std::size_t hw = h * w;
-  const double m = static_cast<double>(n * hw);
-
-  // Standard batch-norm backward: reduce dL/dgamma, dL/dbeta, then the
-  // coupled input gradient, which bn_apply_plane writes in full.
-  std::vector<double> sums_dy(c_), sums_dy_xhat(c_);
-  kernels::bn_reduce_channels(grad_out.data(), cached_xhat_.data(), n, c_, hw,
-                              sums_dy.data(), sums_dy_xhat.data());
-  Tensor grad_in = Tensor::uninit({n, c_, h, w});
+  const std::size_t n = grad_out.dim(0), hw = grad_out.dim(2) * grad_out.dim(3);
+  std::vector<double> sum_d(c_), sum_d_xhat(c_);
+  Tensor grad_in = Tensor::uninit(grad_out.shape());  // written in full
+  kernels::bn_act_backward(act_, grad_out.data(), cached_xhat_.data(), n, c_,
+                           hw, inv_std_.data(), gamma_.data(), beta_.data(),
+                           grad_in.data(), sum_d.data(), sum_d_xhat.data());
   for (std::size_t c = 0; c < c_; ++c) {
-    const double sum_dy = sums_dy[c], sum_dy_xhat = sums_dy_xhat[c];
-    ggamma_[c] += static_cast<float>(sum_dy_xhat);
-    gbeta_[c] += static_cast<float>(sum_dy);
-    // g * inv is folded once; the per-element product order is unchanged
-    // (the seed expression evaluates (g * inv) * rest left-to-right).
-    const float g_inv = gamma_[c] * inv_std_[c];
-    const float k1 = static_cast<float>(sum_dy / m);
-    const float k2 = static_cast<float>(sum_dy_xhat / m);
-    for (std::size_t s = 0; s < n; ++s) {
-      const std::size_t plane = ((s * c_) + c) * hw;
-      kernels::bn_apply_plane(grad_out.data() + plane,
-                              cached_xhat_.data() + plane,
-                              grad_in.data() + plane, hw, g_inv, k1, k2);
-    }
+    ggamma_[c] += static_cast<float>(sum_d_xhat[c]);
+    gbeta_[c] += static_cast<float>(sum_d[c]);
   }
   return grad_in;
 }
 
 std::unique_ptr<Layer> BatchNorm2d::clone() const {
-  auto copy = std::make_unique<BatchNorm2d>(c_, momentum_, eps_);
+  auto copy = std::make_unique<BatchNorm2d>(c_, act_, momentum_, eps_);
   copy->gamma_ = gamma_;
   copy->beta_ = beta_;
   copy->run_mean_ = run_mean_;

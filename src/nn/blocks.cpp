@@ -17,18 +17,13 @@ Tensor SEBlock::forward(const Tensor& x, bool train) {
   Tensor s = gap_.forward(x, train);                       // (N, C)
   Tensor h = relu_.forward(fc1_.forward(s, train), train); // (N, C/r)
   Tensor gate = hsig_.forward(fc2_.forward(h, train), train);  // (N, C)
+  // y = x * gate, written straight from x (every element).
+  Tensor y = Tensor::uninit(x.shape());
+  kernels::se_scale(x.data(), gate.data(), x.dim(0) * c_,
+                    x.dim(2) * x.dim(3), y.data());
   if (train) {
     cached_x_ = x;
-    cached_gate_ = gate;
-  }
-  Tensor y = x;
-  const std::size_t n = x.dim(0), hgt = x.dim(2), wid = x.dim(3);
-  const std::size_t hw = hgt * wid;
-  for (std::size_t sm = 0; sm < n; ++sm) {
-    for (std::size_t ch = 0; ch < c_; ++ch) {
-      kernels::scale_plane(y.data() + ((sm * c_) + ch) * hw, hw,
-                           gate.at(sm, ch));
-    }
+    cached_gate_ = std::move(gate);
   }
   return y;
 }
@@ -37,26 +32,21 @@ Tensor SEBlock::backward(const Tensor& grad_out) {
   HS_CHECK(!cached_x_.empty(), "SEBlock::backward: no cached forward");
   HS_CHECK(grad_out.same_shape(cached_x_),
            "SEBlock::backward: grad shape mismatch");
-  const std::size_t n = cached_x_.dim(0), hgt = cached_x_.dim(2),
-                    wid = cached_x_.dim(3);
-  const std::size_t hw = hgt * wid;
-  // y = x * gate  =>  dx_direct = dy * gate ; dgate[n,c] = sum_hw dy * x.
-  Tensor grad_x = grad_out;
-  Tensor grad_gate({n, c_});
-  for (std::size_t sm = 0; sm < n; ++sm) {
-    for (std::size_t ch = 0; ch < c_; ++ch) {
-      const std::size_t plane = ((sm * c_) + ch) * hw;
-      grad_gate.at(sm, ch) = static_cast<float>(kernels::se_backward_plane(
-          grad_out.data() + plane, cached_x_.data() + plane,
-          grad_x.data() + plane, hw, cached_gate_.at(sm, ch)));
-    }
-  }
+  const std::size_t n = cached_x_.dim(0);
+  const std::size_t hw = cached_x_.dim(2) * cached_x_.dim(3);
+  // y = x * gate  =>  dgate[n,c] = sum_hw dy * x, and dx = dy * gate plus
+  // the pooled path's gradient, broadcast as GlobalAvgPool::backward would.
+  Tensor grad_gate = Tensor::uninit({n, c_});
+  kernels::se_gate_grad(grad_out.data(), cached_x_.data(), n * c_, hw,
+                        grad_gate.data());
   // Back through the excitation MLP into the pooled features, then into x.
   Tensor g = hsig_.backward(grad_gate);
   g = fc2_.backward(g);
   g = relu_.backward(g);
   g = fc1_.backward(g);
-  grad_x += gap_.backward(g);
+  Tensor grad_x = Tensor::uninit(grad_out.shape());
+  kernels::se_input_grad(grad_out.data(), cached_gate_.data(), g.data(),
+                         n * c_, hw, grad_x.data());
   return grad_x;
 }
 
@@ -99,11 +89,6 @@ std::unique_ptr<Layer> Residual::clone() const {
 
 // ---------------------------------------------------------------- helpers --
 
-std::unique_ptr<Layer> make_nonlinearity(Nonlinearity nl) {
-  if (nl == Nonlinearity::kHSwish) return std::make_unique<HSwish>();
-  return std::make_unique<ReLU>();
-}
-
 std::unique_ptr<Sequential> conv_bn_act(std::size_t in_c, std::size_t out_c,
                                         std::size_t kernel, std::size_t stride,
                                         std::size_t pad, std::size_t groups,
@@ -111,8 +96,7 @@ std::unique_ptr<Sequential> conv_bn_act(std::size_t in_c, std::size_t out_c,
   auto seq = std::make_unique<Sequential>();
   seq->add(std::make_unique<Conv2d>(in_c, out_c, kernel, stride, pad, groups,
                                     rng, false));
-  seq->add(std::make_unique<BatchNorm2d>(out_c));
-  seq->add(make_nonlinearity(nl));
+  seq->add(std::make_unique<BatchNorm2d>(out_c, nl));
   return seq;
 }
 
@@ -120,11 +104,8 @@ std::unique_ptr<Sequential> conv_bn(std::size_t in_c, std::size_t out_c,
                                     std::size_t kernel, std::size_t stride,
                                     std::size_t pad, std::size_t groups,
                                     Rng& rng) {
-  auto seq = std::make_unique<Sequential>();
-  seq->add(std::make_unique<Conv2d>(in_c, out_c, kernel, stride, pad, groups,
-                                    rng, false));
-  seq->add(std::make_unique<BatchNorm2d>(out_c));
-  return seq;
+  return conv_bn_act(in_c, out_c, kernel, stride, pad, groups,
+                     Nonlinearity::kNone, rng);
 }
 
 // ------------------------------------------------------- InvertedResidual --

@@ -61,11 +61,6 @@ class Residual : public Layer {
   std::unique_ptr<Layer> inner_;
 };
 
-/// Which nonlinearity an InvertedResidual uses.
-enum class Nonlinearity { kReLU, kHSwish };
-
-std::unique_ptr<Layer> make_nonlinearity(Nonlinearity nl);
-
 /// MobileNetV3 bottleneck block.
 class InvertedResidual : public Layer {
  public:
@@ -154,7 +149,8 @@ Tensor channel_range(const Tensor& x, std::size_t c0, std::size_t c1);
 /// Concatenates two (N,*,H,W) tensors along channels.
 Tensor channel_concat(const Tensor& a, const Tensor& b);
 
-/// Conv+BN+activation triple, the standard stem unit.
+/// Conv then BatchNorm2d(out_c, nl): the conv-bn-activation unit, with the
+/// activation (kReLU or kHSwish; kNone for none) run inside the batch norm.
 std::unique_ptr<Sequential> conv_bn_act(std::size_t in_c, std::size_t out_c,
                                         std::size_t kernel, std::size_t stride,
                                         std::size_t pad, std::size_t groups,

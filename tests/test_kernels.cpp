@@ -10,16 +10,21 @@
 //   * Training is bit-identical across thread counts for a fixed kind.
 //   * Eval logits do not depend on the batch size under the reference and
 //     tiled kinds.
+//   * The batch-norm, conv-bias and SE-gate vector loops keep the f64 chain
+//     order of the per-plane loops, and BatchNorm2d(c, act) keeps the bits
+//     of BatchNorm2d(c) followed by the standalone activation layer.
 //   * The tiled conv/linear hot paths perform zero heap allocations in
 //     steady state (global operator new hook + Workspace::grow_count()),
 //     and eval forwards of the direct conv paths take no scratch at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -30,6 +35,7 @@
 #include "kernels/kernels.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
+#include "nn/blocks.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/model_zoo.h"
@@ -68,6 +74,38 @@ using kernels::KernelKind;
 void fill_random(std::vector<float>& v, Rng& rng, float lo = -1.0f,
                  float hi = 1.0f) {
   for (float& x : v) x = rng.uniform_f(lo, hi);
+}
+
+/// True when a and b have the same shape and the same bits.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Values spread over 2^-40..2^40, so f64 sums of them round and a chain
+/// that changed its order would show in the bits.
+float wide_random(Rng& rng) {
+  return std::ldexp(rng.uniform_f(-1.0f, 1.0f),
+                    static_cast<int>(rng.uniform_f(-40.0f, 40.0f)));
+}
+
+/// Fills v[0, count) so that its f64 running sum shows the order of the
+/// adds even after rounding to float: values in (-1, 1), with a quarter of
+/// the positions, in random pairs, set to +2^60 and -2^60. A small value
+/// added while such a term is outstanding is absorbed, one added after the
+/// pair cancels survives, so any other order gives another sum.
+void cancelling_plane(float* v, std::size_t count, Rng& rng) {
+  std::vector<std::size_t> at(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    at[i] = i;
+    v[i] = rng.uniform_f(-1.0f, 1.0f);
+  }
+  rng.shuffle(at);
+  const float big = std::ldexp(1.0f, 60);
+  for (std::size_t k = 0; k + 1 < count / 4 * 2; k += 2) {
+    v[at[k]] = big;
+    v[at[k + 1]] = -big;
+  }
 }
 
 /// Restores the process kernel kind on scope exit so tests compose.
@@ -457,6 +495,59 @@ TEST(ConvParity, FixedDepthwisePlanesBitExact) {
   }
 }
 
+TEST(ConvParity, BiasGradientMatchesThePerPlaneLoop) {
+  // gb[c] += one f64 chain per (sample, channel) plane, from 0 and in
+  // position order, added in sample order. The kernels run four planes'
+  // chains as vector lanes; every chain must keep its bits, for each
+  // block remainder and for planes with scalar tails.
+  Rng rng(208);
+  const std::pair<std::size_t, std::size_t> planes[] = {{3, 3}, {5, 6}, {7, 7}};
+  for (std::size_t c = 1; c <= 17; ++c) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+      for (const auto& [h, w] : planes) {
+        ConvShape s;
+        s.n = n;
+        s.in_c = 2;
+        s.in_h = h;
+        s.in_w = w;
+        s.out_c = c;
+        const std::size_t hw = h * w;
+        std::vector<float> x(n * 2 * hw), wt(c * 2), go(n * c * hw), gb0(c);
+        fill_random(x, rng);
+        fill_random(wt, rng);
+        for (std::size_t p = 0; p < n * c; ++p) {
+          cancelling_plane(go.data() + p * hw, hw, rng);
+        }
+        fill_random(gb0, rng);
+        std::vector<float> gb_want = gb0;
+        for (std::size_t smp = 0; smp < n; ++smp) {
+          for (std::size_t ch = 0; ch < c; ++ch) {
+            double acc = 0.0;
+            for (std::size_t i = 0; i < hw; ++i) {
+              acc += go[(smp * c + ch) * hw + i];
+            }
+            gb_want[ch] += static_cast<float>(acc);
+          }
+        }
+        for (KernelKind kind : {KernelKind::kReference, KernelKind::kTiled}) {
+          std::vector<float> y(n * c * hw), gw(wt.size()), gx(x.size());
+          std::vector<float> cols(kernels::conv2d_retained_size(kind, s));
+          std::vector<float> gb = gb0;
+          kernels::Workspace ws;
+          kernels::conv2d_forward(kind, s, x.data(), wt.data(), nullptr,
+                                  y.data(), cols.data(), ws);
+          kernels::conv2d_backward(kind, s, go.data(), wt.data(), cols.data(),
+                                   gw.data(), gb.data(), gx.data(), ws);
+          EXPECT_EQ(std::memcmp(gb.data(), gb_want.data(), c * sizeof(float)),
+                    0)
+              << kernels::kernel_name(kind) << " c=" << c << " n=" << n << " "
+              << h << "x" << w;
+        }
+      }
+    }
+  }
+}
+
 // -------------------------------------------- batch-norm channel blocks --
 
 TEST(BatchNormKernels, ChannelBlocksMatchThePerPlaneLoop) {
@@ -532,6 +623,182 @@ TEST(BatchNormKernels, ChannelBlocksMatchThePerPlaneLoop) {
   }
 }
 
+TEST(BatchNormKernels, ChainSumsMatchThePerPlaneLoopInF64) {
+  // The f64 chain sums themselves, before any rounding to float, must be
+  // those of plane_moments / bn_reduce_plane over each channel's planes in
+  // sample order. Values spread over 2^-40..2^40 make any other order
+  // show in their low bits, for every lane block and remainder.
+  Rng rng(211);
+  const std::pair<std::size_t, std::size_t> planes[] = {
+      {4, 4}, {5, 6}, {7, 7}, {16, 16}};
+  for (std::size_t c = 1; c <= 17; ++c) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+      for (const auto& [h, w] : planes) {
+        const std::size_t hw = h * w, size = n * c * hw;
+        std::vector<float> x(size), dy(size), xhat(size), dx(size);
+        for (std::size_t i = 0; i < size; ++i) {
+          x[i] = wide_random(rng);
+          dy[i] = wide_random(rng);
+          xhat[i] = wide_random(rng);
+        }
+        const std::vector<float> ones(c, 1.0f), zeros(c, 0.0f);
+        std::vector<double> sum(c), sq(c), sum_d(c), sum_dx(c);
+        kernels::bn_moments(x.data(), n, c, hw, sum.data(), sq.data());
+        kernels::bn_act_backward(Nonlinearity::kNone, dy.data(), xhat.data(),
+                                 n, c, hw, ones.data(), ones.data(),
+                                 zeros.data(), dx.data(), sum_d.data(),
+                                 sum_dx.data());
+        for (std::size_t ch = 0; ch < c; ++ch) {
+          double want[4] = {0.0, 0.0, 0.0, 0.0};
+          for (std::size_t smp = 0; smp < n; ++smp) {
+            const std::size_t at = (smp * c + ch) * hw;
+            kernels::plane_moments(x.data() + at, hw, want[0], want[1]);
+            kernels::bn_reduce_plane(dy.data() + at, xhat.data() + at, hw,
+                                     want[2], want[3]);
+          }
+          const double got[4] = {sum[ch], sq[ch], sum_d[ch], sum_dx[ch]};
+          EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+              << "c=" << c << " n=" << n << " " << h << "x" << w
+              << " channel " << ch;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchNormKernels, FusedActivationMatchesSeparateLayers) {
+  // BatchNorm2d(c, act) runs the activation inside its own passes; it must
+  // keep the bits of BatchNorm2d(c) followed by the standalone ReLU or
+  // HSwish layer: train and eval outputs, the input gradient, dγ, dβ and
+  // the running statistics, over three steps. Channel counts cover every
+  // four-channel block and remainder, the planes every vector tail, and
+  // γ = 0 channels put γx̂ + β exactly on ±0, ±3 and ±6.
+  Rng rng(207);
+  const std::pair<std::size_t, std::size_t> planes[] = {
+      {4, 4}, {5, 6}, {7, 7}, {16, 16}};
+  const float kinks[] = {0.0f, -0.0f, 3.0f, -3.0f, 6.0f, -6.0f};
+  for (Nonlinearity act : {Nonlinearity::kReLU, Nonlinearity::kHSwish}) {
+    for (std::size_t c = 1; c <= 17; ++c) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+        for (const auto& [h, w] : planes) {
+          BatchNorm2d fused(c, act), bn(c);
+          std::unique_ptr<Layer> sep;
+          if (act == Nonlinearity::kReLU) {
+            sep = std::make_unique<ReLU>();
+          } else {
+            sep = std::make_unique<HSwish>();
+          }
+          ParamGroup fg, bg;
+          fused.collect(fg);
+          bn.collect(bg);
+          for (std::size_t ch = 0; ch < c; ++ch) {
+            const bool kink = ch % 2 == 0;
+            const float g = kink ? 0.0f : rng.uniform_f(-2.0f, 2.0f);
+            const float b =
+                kink ? kinks[(ch / 2) % 6] : rng.uniform_f(-4.0f, 4.0f);
+            (*fg.params[0])[ch] = (*bg.params[0])[ch] = g;
+            (*fg.params[1])[ch] = (*bg.params[1])[ch] = b;
+          }
+          const std::string where =
+              std::string(act == Nonlinearity::kReLU ? "relu" : "hswish") +
+              " c=" + std::to_string(c) + " n=" + std::to_string(n) + " " +
+              std::to_string(h) + "x" + std::to_string(w);
+          for (int step = 0; step < 3; ++step) {
+            const Tensor x = Tensor::randn({n, c, h, w}, rng, 3.0f);
+            const Tensor dy = Tensor::randn({n, c, h, w}, rng, 1.0f);
+            EXPECT_TRUE(same_bits(fused.forward(x, true),
+                                  sep->forward(bn.forward(x, true), true)))
+                << where << " train forward, step " << step;
+            EXPECT_TRUE(
+                same_bits(fused.backward(dy), bn.backward(sep->backward(dy))))
+                << where << " grad_in, step " << step;
+            for (std::size_t i = 0; i < 2; ++i) {
+              EXPECT_TRUE(same_bits(*fg.grads[i], *bg.grads[i]))
+                  << where << (i == 0 ? " dgamma" : " dbeta") << ", step "
+                  << step;
+              EXPECT_TRUE(same_bits(*fg.buffers[i], *bg.buffers[i]))
+                  << where << " running stat " << i << ", step " << step;
+            }
+            EXPECT_TRUE(same_bits(fused.forward(x, false),
+                                  sep->forward(bn.forward(x, false), false)))
+                << where << " eval forward, step " << step;
+          }
+        }
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------- SE-block gate --
+
+TEST(SEBlockKernels, MatchTheLayerByLayerFormula) {
+  // SEBlock writes y = x·gate, and dx = dy·gate plus the pooled path's
+  // gradient, in one pass each. Both must keep the bits of the layer-by-
+  // layer formula: scale a copy of x by the gate; scale a copy of dy by
+  // the gate, with dgate one f64 chain per plane, then add what
+  // GlobalAvgPool::backward broadcasts for the MLP's gradient.
+  Rng rng(209);
+  const std::pair<std::size_t, std::size_t> planes[] = {
+      {3, 3}, {4, 4}, {5, 6}, {8, 8}};
+  for (std::size_t c : {1, 4, 6, 16}) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+      for (const auto& [h, w] : planes) {
+        const std::size_t hw = h * w, mid = std::max<std::size_t>(1, c / 4);
+        SEBlock se(c, 4, rng);
+        GlobalAvgPool gap;
+        Linear fc1(c, mid, rng), fc2(mid, c, rng);
+        ReLU relu;
+        HSigmoid hsig;
+        ParamGroup sg, lg;
+        se.collect(sg);
+        fc1.collect(lg);
+        fc2.collect(lg);
+        ASSERT_EQ(sg.params.size(), lg.params.size());
+        for (std::size_t i = 0; i < sg.params.size(); ++i) {
+          *lg.params[i] = *sg.params[i];
+        }
+        Tensor x({n, c, h, w}), dy({n, c, h, w});
+        for (std::size_t p = 0; p < n * c; ++p) {
+          cancelling_plane(x.data() + p * hw, hw, rng);
+        }
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          // dy·x keeps the cancelling pairs where x is big.
+          dy[i] = std::fabs(x[i]) > 1.0f ? 1.0f : rng.uniform_f(-1.0f, 1.0f);
+        }
+        const Tensor y = se.forward(x, true);
+        const Tensor gx = se.backward(dy);
+
+        const Tensor gate = hsig.forward(
+            fc2.forward(relu.forward(fc1.forward(gap.forward(x, true), true),
+                                     true),
+                        true),
+            true);
+        Tensor y_want = x, gx_want = dy, dgate({n, c});
+        for (std::size_t p = 0; p < n * c; ++p) {
+          double acc = 0.0;
+          for (std::size_t i = p * hw; i < (p + 1) * hw; ++i) {
+            y_want[i] *= gate[p];
+            acc += static_cast<double>(dy[i]) * x[i];
+            gx_want[i] = dy[i] * gate[p];
+          }
+          dgate[p] = static_cast<float>(acc);
+        }
+        gx_want += gap.backward(
+            fc1.backward(relu.backward(fc2.backward(hsig.backward(dgate)))));
+        const std::string where = "c=" + std::to_string(c) + " n=" +
+                                  std::to_string(n) + " " + std::to_string(h) +
+                                  "x" + std::to_string(w);
+        EXPECT_TRUE(same_bits(y, y_want)) << where << " forward";
+        EXPECT_TRUE(same_bits(gx, gx_want)) << where << " grad_in";
+        for (std::size_t i = 0; i < sg.grads.size(); ++i) {
+          EXPECT_TRUE(same_bits(*sg.grads[i], *lg.grads[i]))
+              << where << " param grad " << i;
+        }
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------------- h-swish --
 
 TEST(HSwishKernel, ForwardEqualsProductOfGate) {
@@ -563,6 +830,30 @@ TEST(HSwishKernel, ForwardEqualsProductOfGate) {
           << "x=" << xs[i] << " got " << got << " want " << want;
     }
   }
+}
+
+TEST(HSwishKernel, GateKeepsTheDivisionForm) {
+  // kernels::hsigmoid is the one definition of the gate that HSigmoid,
+  // HSwish and the fused batch norm share. It must keep the bits of
+  // clamp(x / 6 + 0.5, 0, 1): a division, not a multiply by 1/6, clamped
+  // in std::clamp's compare order; its derivative is 1/6 only strictly
+  // inside (-3, 3).
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = {0.0f, -0.0f, 3.0f, -3.0f, 6.0f, -6.0f, inf, -inf,
+                           std::numeric_limits<float>::denorm_min(),
+                           2.9999998f, -2.9999998f, 3.0000002f, -3.0000002f};
+  Rng rng(210);
+  while (xs.size() < 4096) xs.push_back(rng.uniform_f(-8.0f, 8.0f));
+  for (float x : xs) {
+    const float want = std::clamp(x / 6.0f + 0.5f, 0.0f, 1.0f);
+    const float got = kernels::hsigmoid(x);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0) << "x=" << x;
+    EXPECT_EQ(kernels::hsigmoid_grad(x),
+              (x > -3.0f && x < 3.0f) ? 1.0f / 6.0f : 0.0f)
+        << "x=" << x;
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(kernels::hsigmoid(nan)));
 }
 
 // ----------------------------------------------------------- dispatching --

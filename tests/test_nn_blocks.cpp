@@ -187,10 +187,15 @@ TEST(ShuffleUnit, ConstructorValidation) {
   EXPECT_THROW(ShuffleUnit(4, 8, 3, rng), std::invalid_argument);  // stride
 }
 
-TEST(ConvBnAct, BuildsTriple) {
+TEST(ConvBnAct, BuildsConvThenBatchNormCarryingTheActivation) {
   Rng rng(18);
   auto seq = conv_bn_act(3, 8, 3, 1, 1, 1, Nonlinearity::kHSwish, rng);
-  EXPECT_EQ(seq->size(), 3u);
+  ASSERT_EQ(seq->size(), 2u);
+  EXPECT_NE(dynamic_cast<Conv2d*>(&seq->layer(0)), nullptr);
+  const auto* bn = dynamic_cast<BatchNorm2d*>(&seq->layer(1));
+  ASSERT_NE(bn, nullptr);
+  EXPECT_EQ(bn->activation(), Nonlinearity::kHSwish);
+  EXPECT_EQ(bn->channels(), 8u);
   Tensor y = seq->forward(Tensor::randn({1, 3, 6, 6}, rng), false);
   EXPECT_EQ(y.shape(), (std::vector<std::size_t>{1, 8, 6, 6}));
 }

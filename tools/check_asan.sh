@@ -15,7 +15,11 @@
 # length, all of which the CRC-checked reader must reject. The kernel tests
 # run every conv path with workspace slabs sized to what that path reads
 # (the direct paths retain only the input), so a read past a trimmed slab
-# is an ASan report. The isp-parity
+# is an ASan report; they also pin the batch-norm, bias and SE-gate vector
+# loops, whose scalar tails and partial lane blocks run at odd plane sizes
+# and channel counts. The nn layer and block suites drive the same loops
+# through the layer API (fused BatchNorm2d, SEBlock, conv_bn_act units,
+# gradient checks). The isp-parity
 # tests put the HS_ISP=fast rewrites under the same watch: their pointer
 # arithmetic over raw scratch arenas (geometry-keyed, grow-only) and the
 # SoA block transposes with clamped-edge fallbacks are exactly the kind of
@@ -29,13 +33,14 @@ BUILD_DIR=${BUILD_DIR:-build-asan}
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DHETERO_SANITIZE=address,undefined
-cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_net test_serialize test_tensor test_isp_parity test_kernels
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target test_net test_serialize test_tensor test_isp_parity test_kernels \
+  test_nn_layers test_nn_blocks
 
 # halt_on_error fails the run on the first report; detect_leaks catches
 # frames or datasets dropped on the quarantine paths.
 ASAN_OPTIONS=${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1} \
 UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1} \
-  ctest --test-dir "${BUILD_DIR}" -R '^(test_net|test_serialize|test_tensor|test_isp_parity|test_kernels)$' \
+  ctest --test-dir "${BUILD_DIR}" -R '^(test_net|test_serialize|test_tensor|test_isp_parity|test_kernels|test_nn_layers|test_nn_blocks)$' \
   --output-on-failure "$@"
 
 echo "ASan/UBSan check passed."
