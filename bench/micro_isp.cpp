@@ -1,7 +1,6 @@
 // Imaging-substrate microbench: per-stage and full-capture-path wall time
 // under HS_ISP=reference vs HS_ISP=fast (the vectorized row-major rewrite,
-// bit-exact by construction — tests/test_isp_parity.cpp), plus the
-// client-materialization batch serial vs fanned out over an intra-op pool.
+// bit-exact by construction — tests/test_isp_parity.cpp).
 //
 // Writes BENCH_isp.json fresh (one JSONL record per case) and exits
 // nonzero if the fast path fails to reach 3x reference throughput on the
@@ -12,19 +11,16 @@
 // seed's per-pixel RNG order, so its ratio is capped well below the ISP's.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "data/builder.h"
 #include "device/device_profile.h"
-#include "fl/population.h"
 #include "image/fastpath.h"
 #include "isp/pipeline.h"
-#include "kernels/kernels.h"
-#include "runtime/thread_pool.h"
 #include "scene/scene_gen.h"
 
 using namespace hetero;
@@ -135,62 +131,6 @@ int main() {
     table.add_row({cases[c].name, ref_s, fast_s, sp_s});
     jsonl << "{\"bench\":\"micro_isp\",\"case\":\"" << cases[c].name
           << "\",\"reference_us\":" << ref_med << ",\"fast_us\":" << fast_med
-          << ",\"speedup\":" << speedup << "}\n";
-  }
-
-  // Client-materialization batch: one virtual client's dataset generated
-  // cold (cache off), serial vs fanned over a 2-way intra-op pool. On a
-  // single-core box the pooled row measures fan-out overhead, not speedup
-  // — recorded, never gated. Both rows run under the fast path.
-  {
-    setenv("HS_POP_CACHE", "0", 1);
-    SceneGenerator pop_scenes(64);
-    PopulationConfig pc;
-    pc.num_clients = 4;
-    pc.samples_per_client = 8;
-    pc.test_per_class = 1;
-    pc.capture.tensor_size = 32;
-    const PopulationSpec spec =
-        PopulationSpec::single_label(paper_devices(), pc, pop_scenes);
-    const VirtualPopulation pop(spec, Rng(scale.seed()).fork(1));
-    unsetenv("HS_POP_CACHE");
-    img::set_active_path(img::PathKind::kFast);
-    auto materialize = [&](std::size_t threads) {
-      ClientSlot slot;
-      Timer t;
-      if (threads > 1) {
-        ThreadPool pool(threads);
-        const kernels::ScopedIntraOp intra(
-            [&pool](std::size_t tasks,
-                    const std::function<void(std::size_t)>& fn) {
-              pool.parallel_for(tasks, fn);
-            },
-            threads);
-        (void)pop.client_dataset(1, slot);
-      } else {
-        (void)pop.client_dataset(1, slot);
-      }
-      return t.elapsed_s() * 1e6;
-    };
-    std::vector<double> serial_us, pooled_us;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      serial_us.push_back(materialize(1));
-      pooled_us.push_back(materialize(2));
-    }
-    img::set_active_path(env_path);
-    const double s_med = median(serial_us), p_med = median(pooled_us);
-    std::vector<double> ratios;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      ratios.push_back(serial_us[rep] / pooled_us[rep]);
-    }
-    const double speedup = median(ratios);
-    char s_s[32], p_s[32], sp_s[32];
-    std::snprintf(s_s, sizeof s_s, "%.1f", s_med);
-    std::snprintf(p_s, sizeof p_s, "%.1f", p_med);
-    std::snprintf(sp_s, sizeof sp_s, "%.2fx", speedup);
-    table.add_row({"materialize_client_2way", s_s, p_s, sp_s});
-    jsonl << "{\"bench\":\"micro_isp\",\"case\":\"materialize_client_2way\""
-          << ",\"serial_us\":" << s_med << ",\"pooled_us\":" << p_med
           << ",\"speedup\":" << speedup << "}\n";
   }
 

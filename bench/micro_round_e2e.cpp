@@ -2,13 +2,12 @@
 // a synthetic squeeze-mini population, once per kernel mode —
 //   reference, tiled and fast (HS_KERNEL) —
 // reporting clients/s and rounds/s per mode. Also re-runs the tiled mode
-// with a larger thread count than selected clients (the scheduler's
-// intra-op lone-straggler/spare-worker grant) and checks the loss history
-// is bit-identical to the serial run, per the §13 determinism contract.
+// with more threads than selected clients and checks the loss history is
+// bit-identical to the one-thread run, per the §7 determinism contract.
 //
 // Writes BENCH_round_e2e.json fresh (one JSONL record per mode) and exits
 // nonzero if fast fails to reach 1.3x tiled round throughput or the
-// intra-op determinism check fails, so CI can gate on it directly.
+// thread-count determinism check fails, so CI can gate on it directly.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -214,9 +213,9 @@ int main() {
     return 0;
   }
 
-  // Intra-op determinism: tiled with more threads than selected clients
-  // routes through the scheduler's ScopedIntraOp grant; the loss history
-  // must match the serial run bit for bit (DESIGN.md §13).
+  // Thread-count determinism: tiled with more threads than selected
+  // clients (idle workers every round) must match the one-thread run's
+  // loss history bit for bit (DESIGN.md §7).
   const ModeResult serial = run_mode(kernels::KernelKind::kTiled, 1);
   const ModeResult pooled =
       run_mode(kernels::KernelKind::kTiled, clients_per_round + 2);
@@ -225,7 +224,7 @@ int main() {
        ++i) {
     deterministic = serial.loss_history[i] == pooled.loss_history[i];
   }
-  std::printf("[check] intra-op determinism (threads=1 vs %zu): %s\n",
+  std::printf("[check] thread-count determinism (threads=1 vs %zu): %s\n",
               clients_per_round + 2, deterministic ? "bit-identical" : "FAIL");
   if (!deterministic) return 1;
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "kernels/internal.h"
 #include "runtime/sched/delay_model.h"
 #include "util/config.h"
 #include "util/rng.h"
@@ -25,10 +24,9 @@ constexpr std::uint64_t kFlairDataBase = 2000;        // 2000 + client
 constexpr std::uint64_t kSingleTestTag = 0x7E5701;    // (kSingleTestTag, dev)
 constexpr std::uint64_t kFlairTestTag = 0x7E5702;     // (kFlairTestTag, dev)
 // Per-image render stream inside one client: forked off the client stream
-// AFTER its serial metadata draws, keyed on the image index. This is what
-// lets the image loop run on any intra-op worker count with bit-identical
-// output — stream contents depend only on (client stream state, i), never
-// on execution order.
+// AFTER its serial metadata draws, keyed on the image index. Part of the
+// dataset stream layout (DESIGN.md §15): an image's bytes depend only on
+// (client stream state, i).
 constexpr std::uint64_t kImageTag = 0x1316E;          // (kImageTag, image)
 
 void check_spec(const PopulationSpec& spec) {
@@ -226,14 +224,6 @@ void VirtualPopulation::generate_into(std::size_t client,
   // change, and hand them back to a fresh Dataset below.
   slot.data.release_buffers(slot.xs, slot.labels, slot.targets);
 
-  // Per-image rendering fans out over any installed intra-op context: each
-  // image draws from its own (kImageTag, i) fork of the client stream —
-  // taken AFTER the serial metadata draws below — and writes a disjoint
-  // slot slice, so output bytes are identical for every worker count. A
-  // capture is far above the helper's FLOP floor; pass the slab size as a
-  // stand-in estimate.
-  const double est_flops = 1e9;
-
   if (spec_.kind == PopulationSpec::Kind::kSingleLabel) {
     const CaptureConfig& cap = spec_.capture;
     const std::size_t side =
@@ -247,11 +237,11 @@ void VirtualPopulation::generate_into(std::size_t client,
     for (std::size_t i = 0; i < n; ++i) {
       slot.labels[i] = rng.uniform_int(SceneGenerator::kNumClasses);
     }
-    kernels::detail::intra_for(n, est_flops, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i) {
       Rng img_rng = rng.fork(kImageTag, i);
       const Image scene = spec_.scenes->generate(slot.labels[i], img_rng);
       slot.xs.set_slice0(i, capture_to_tensor(scene, device, cap, img_rng));
-    });
+    }
     slot.data = Dataset(std::move(slot.xs), std::move(slot.labels));
   } else {
     // Preferences from the client stream, then per-image label set + scene
@@ -271,7 +261,7 @@ void VirtualPopulation::generate_into(std::size_t client,
     Rng rng = root_.fork(kFlairDataBase + client);
     const std::vector<double> prefs =
         spec_.flair_scenes->sample_user_preferences(rng);
-    kernels::detail::intra_for(n, est_flops, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i) {
       Rng img_rng = rng.fork(kImageTag, i);
       const auto label_set =
           spec_.flair_scenes->sample_label_set(prefs, img_rng);
@@ -279,7 +269,7 @@ void VirtualPopulation::generate_into(std::size_t client,
       slot.xs.set_slice0(
           i, capture_to_tensor(scene, device, spec_.capture, img_rng));
       for (std::size_t l : label_set) slot.targets.at(i, l) = 1.0f;
-    });
+    }
     slot.data = Dataset(std::move(slot.xs), std::move(slot.targets));
   }
   const std::chrono::duration<double> dt =

@@ -160,9 +160,7 @@ class VirtualPopulation final : public ClientProvider {
   /// Runs the full recipe for `client` into `slot` (the pre-cache
   /// client_dataset body). Pure function of (spec, root, client): the
   /// serial draws (class/label-set metadata) come first, then each image
-  /// renders from its own fork of the client stream, so the per-image loop
-  /// fans out over any installed kernels::IntraOpContext with bit-identical
-  /// results for every worker count.
+  /// renders from its own fork of the client stream.
   void generate_into(std::size_t client, ClientSlot& slot) const;
 
   PopulationSpec spec_;

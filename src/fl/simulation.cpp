@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "fl/eval.h"
 #include "nn/loss.h"
@@ -100,6 +102,19 @@ SimulationResult run_simulation(Model& model,
                cfg.sched.one_wave(cfg.clients_per_round),
            "run_simulation: checkpoint/resume needs every flush window to be "
            "one wave (sync, or buffered wave sampling with buffer == k)");
+  // on_flush writes a checkpoint when done % every == 0.
+  HS_CHECK(!cfg.checkpoint.enabled() || cfg.checkpoint.every > 0,
+           "run_simulation: checkpoint every must be a positive number of "
+           "rounds, got 0");
+  // A wave is sampled only after a flush, so a window longer than one wave
+  // would never fill.
+  const std::size_t buffer = cfg.sched.resolve_buffer(cfg.clients_per_round);
+  if (cfg.sched.waves() && buffer > cfg.clients_per_round) {
+    throw std::invalid_argument(
+        "run_simulation: wave sampling needs buffer <= k, got buffer " +
+        std::to_string(buffer) + " with k " +
+        std::to_string(cfg.clients_per_round));
+  }
   if (remote != nullptr) {
     HS_CHECK(cfg.sched.waves(),
              "run_simulation: remote training needs wave sampling (a "

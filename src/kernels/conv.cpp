@@ -694,25 +694,21 @@ void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
   if (pointwise(s)) {
     // Retain the input verbatim for backward; run the GEMMs directly on
     // the x/y slabs (contiguous per sample per group), no gather/scatter.
-    // Samples write disjoint y slabs, so the intra-op split over them is
-    // bit-exact for any worker count.
     if (retain) std::copy(x, x + s.n * img_stride, cols);
-    detail::intra_for(
-        s.n, 2.0 * static_cast<double>(s.n) * s.out_c * gic * ohow,
-        [&](std::size_t smp) {
-          for (std::size_t grp = 0; grp < s.groups; ++grp) {
-            gemm_nn(kind, w + grp * goc * gic,
-                    x + smp * img_stride + grp * gic * ohow,
-                    y + ((smp * s.out_c) + grp * goc) * ohow, goc, gic, ohow,
-                    false);
-          }
-          if (bias) {
-            for (std::size_t c = 0; c < s.out_c; ++c) {
-              float* dst = y + ((smp * s.out_c) + c) * ohow;
-              for (std::size_t i = 0; i < ohow; ++i) dst[i] += bias[c];
-            }
-          }
-        });
+    for (std::size_t smp = 0; smp < s.n; ++smp) {
+      for (std::size_t grp = 0; grp < s.groups; ++grp) {
+        gemm_nn(kind, w + grp * goc * gic,
+                x + smp * img_stride + grp * gic * ohow,
+                y + ((smp * s.out_c) + grp * goc) * ohow, goc, gic, ohow,
+                false);
+      }
+      if (bias) {
+        for (std::size_t c = 0; c < s.out_c; ++c) {
+          float* dst = y + ((smp * s.out_c) + c) * ohow;
+          for (std::size_t i = 0; i < ohow; ++i) dst[i] += bias[c];
+        }
+      }
+    }
     return;
   }
 
@@ -724,14 +720,12 @@ void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
     const std::size_t ihw = s.in_h * s.in_w;
     const DwFwdFn fixed = dw_fixed(s).first;
     const DwFwdFn plane = fixed ? fixed : depthwise_forward_plane;
-    detail::intra_for(
-        s.n * s.out_c,
-        2.0 * static_cast<double>(s.n) * s.out_c * patch * ohow,
-        [&](std::size_t t) {
-          const std::size_t smp = t / s.out_c, c = t % s.out_c;
-          plane(s, x + smp * img_stride + c * ihw, w + c * patch,
-                bias ? bias + c : nullptr, y + ((smp * s.out_c) + c) * ohow);
-        });
+    for (std::size_t smp = 0; smp < s.n; ++smp) {
+      for (std::size_t c = 0; c < s.out_c; ++c) {
+        plane(s, x + smp * img_stride + c * ihw, w + c * patch,
+              bias ? bias + c : nullptr, y + ((smp * s.out_c) + c) * ohow);
+      }
+    }
     return;
   }
 
@@ -740,11 +734,10 @@ void conv2d_forward(KernelKind kind, const ConvShape& s, const float* x,
   for (std::size_t grp = 0; grp < s.groups; ++grp) {
     float* cols_g = cols + grp * patch * ld;
     // Samples own disjoint column ranges of the group's patch matrix.
-    detail::intra_for(s.n, 2.0 * static_cast<double>(patch) * ld,
-                      [&](std::size_t smp) {
-                        im2col_tiled(x + smp * img_stride, s, grp * gic,
-                                     cols_g, ld, smp * ohow);
-                      });
+    for (std::size_t smp = 0; smp < s.n; ++smp) {
+      im2col_tiled(x + smp * img_stride, s, grp * gic, cols_g, ld,
+                   smp * ohow);
+    }
     float* yt = ws.get(kSlotYt, goc * ld);
     gemm_nn(kind, w + grp * goc * patch, cols_g, yt, goc, patch, ld, false);
     // Scatter the (goc, n*oh*ow) result into (n, out_c, oh, ow) order,
@@ -833,22 +826,18 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
 
   if (depthwise_direct(s)) {
     // cols holds the forward input verbatim; one direct pass per plane.
-    // Split over channels, not samples: each channel's dW taps accumulate
-    // across the batch, so one task owns a channel and walks its samples in
-    // ascending order — the same per-tap chain as the serial smp-outer
-    // loop, which only interleaved independent channels differently.
+    // Channel outer, sample inner: each tap's dW chain runs over the
+    // samples in ascending order.
     const std::size_t ihw = s.in_h * s.in_w;
     const DwBwdFn fixed = dw_fixed(s).second;
     const DwBwdFn plane = fixed ? fixed : depthwise_backward_plane;
-    detail::intra_for(
-        s.out_c, 4.0 * static_cast<double>(s.n) * s.out_c * patch * ohow,
-        [&](std::size_t c) {
-          for (std::size_t smp = 0; smp < s.n; ++smp) {
-            plane(s, grad_out + ((smp * s.out_c) + c) * ohow,
-                  cols + smp * img_stride + c * ihw, w + c * patch,
-                  gw + c * patch, grad_in + smp * img_stride + c * ihw);
-          }
-        });
+    for (std::size_t c = 0; c < s.out_c; ++c) {
+      for (std::size_t smp = 0; smp < s.n; ++smp) {
+        plane(s, grad_out + ((smp * s.out_c) + c) * ohow,
+              cols + smp * img_stride + c * ihw, w + c * patch,
+              gw + c * patch, grad_in + smp * img_stride + c * ihw);
+      }
+    }
     if (gb) add_bias_channel_sums(grad_out, s.n, s.out_c, ohow, gb);
     return;
   }
@@ -883,11 +872,10 @@ void conv2d_backward(KernelKind kind, const ConvShape& s,
     float* dcols = ws.get(kSlotDcols, patch * ld);
     gemm_tn(kind, w + grp * goc * patch, go_b, dcols, goc, patch, ld, false);
     // Each sample folds its own column range into its own grad_in slab.
-    detail::intra_for(s.n, 2.0 * static_cast<double>(patch) * ld,
-                      [&](std::size_t smp) {
-                        col2im_tiled_add(dcols, s, grp * gic, ld, smp * ohow,
-                                         grad_in + smp * img_stride);
-                      });
+    for (std::size_t smp = 0; smp < s.n; ++smp) {
+      col2im_tiled_add(dcols, s, grp * gic, ld, smp * ohow,
+                       grad_in + smp * img_stride);
+    }
   }
   if (gb) add_bias_channel_sums(grad_out, s.n, s.out_c, ohow, gb);
 }

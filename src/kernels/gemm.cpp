@@ -5,12 +5,9 @@
 // finite inputs (the parity suite asserts exact equality). The fast
 // variants (gemm_fast.cpp) reuse the same blocking under FMA contraction.
 //
-// The public dispatch functions also own the intra-op task grids: a tiled
-// or fast GEMM is cut into regions along fixed row/column block boundaries
-// — a function of the problem shape only, never of the worker count — and
-// each region computes its outputs' full reduction chains. Running the
-// regions serially or on a ScopedIntraOp worker pool therefore yields
-// bit-identical results (DESIGN.md §13).
+// The public dispatch functions own the cache blocking: a tiled or fast
+// GEMM walks regions along fixed row/column block boundaries, row blocks
+// outer, and each region computes its outputs' full reduction chains.
 #include "kernels/kernels.h"
 
 #include <algorithm>
@@ -118,7 +115,7 @@ void gemm_nn_block(const float* HS_RESTRICT a, const float* HS_RESTRICT b,
   }
 }
 
-// One intra-op region of the tiled nn GEMM: rows [i0, i0+ib), columns
+// One cache-block region of the tiled nn GEMM: rows [i0, i0+ib), columns
 // [j0, j0+jb), all of k (blocks ascend, so each C element reduces over k in
 // increasing order).
 void gemm_nn_tiled_region(const float* a, const float* b, float* c,
@@ -189,8 +186,9 @@ HS_ALWAYS_INLINE void nt_tile(const float* HS_RESTRICT a,
   }
 }
 
-// One intra-op region of the tiled nt GEMM: rows [i0, i0+ib) (ib <= kNtMI),
-// columns [j0, j0+jb), cascading 32-wide -> 8-wide -> scalar column tiles.
+// One cache-block region of the tiled nt GEMM: rows [i0, i0+ib)
+// (ib <= kNtMI), columns [j0, j0+jb), cascading 32-wide -> 8-wide ->
+// scalar column tiles.
 // Tile-width boundaries depend only on the region bounds, and every path
 // computes the identical per-element chain (f32 product, f64 sum over
 // ascending k), so the cascade cannot change bits.
@@ -248,21 +246,17 @@ void gemm_nn(KernelKind kind, const float* a, const float* b, float* c,
     return;
   }
   constexpr std::size_t kIChunk = 8;
-  const std::size_t nj = (n + kJBlock - 1) / kJBlock;
-  const std::size_t ni = (m + kIChunk - 1) / kIChunk;
-  detail::intra_for(ni * nj, 2.0 * static_cast<double>(m) * k * n,
-                    [&](std::size_t t) {
-                      const std::size_t i0 = (t / nj) * kIChunk;
-                      const std::size_t j0 = (t % nj) * kJBlock;
-                      const std::size_t ib = std::min(kIChunk, m - i0);
-                      const std::size_t jb = std::min(kJBlock, n - j0);
-                      if (kind == KernelKind::kFast) {
-                        detail::gemm_nn_fast_region(a, b, c, m, k, n, i0, ib,
-                                                    j0, jb);
-                      } else {
-                        gemm_nn_tiled_region(a, b, c, k, n, i0, ib, j0, jb);
-                      }
-                    });
+  for (std::size_t i0 = 0; i0 < m; i0 += kIChunk) {
+    const std::size_t ib = std::min(kIChunk, m - i0);
+    for (std::size_t j0 = 0; j0 < n; j0 += kJBlock) {
+      const std::size_t jb = std::min(kJBlock, n - j0);
+      if (kind == KernelKind::kFast) {
+        detail::gemm_nn_fast_region(a, b, c, m, k, n, i0, ib, j0, jb);
+      } else {
+        gemm_nn_tiled_region(a, b, c, k, n, i0, ib, j0, jb);
+      }
+    }
+  }
 }
 
 void gemm_nt(KernelKind kind, const float* a, const float* b, float* c,
@@ -271,22 +265,18 @@ void gemm_nt(KernelKind kind, const float* a, const float* b, float* c,
     gemm_nt_reference(a, b, c, m, k, n, accumulate);
     return;
   }
-  const std::size_t ni = (m + kNtMI - 1) / kNtMI;
-  const std::size_t nj = (n + kNtJBlock - 1) / kNtJBlock;
-  detail::intra_for(ni * nj, 2.0 * static_cast<double>(m) * k * n,
-                    [&](std::size_t t) {
-                      const std::size_t i0 = (t / nj) * kNtMI;
-                      const std::size_t j0 = (t % nj) * kNtJBlock;
-                      const std::size_t ib = std::min(kNtMI, m - i0);
-                      const std::size_t jb = std::min(kNtJBlock, n - j0);
-                      if (kind == KernelKind::kFast) {
-                        detail::gemm_nt_fast_region(a, b, c, m, k, n, i0, ib,
-                                                    j0, jb, accumulate);
-                      } else {
-                        gemm_nt_tiled_region(a, b, c, k, n, i0, ib, j0, jb,
-                                             accumulate);
-                      }
-                    });
+  for (std::size_t i0 = 0; i0 < m; i0 += kNtMI) {
+    const std::size_t ib = std::min(kNtMI, m - i0);
+    for (std::size_t j0 = 0; j0 < n; j0 += kNtJBlock) {
+      const std::size_t jb = std::min(kNtJBlock, n - j0);
+      if (kind == KernelKind::kFast) {
+        detail::gemm_nt_fast_region(a, b, c, m, k, n, i0, ib, j0, jb,
+                                    accumulate);
+      } else {
+        gemm_nt_tiled_region(a, b, c, k, n, i0, ib, j0, jb, accumulate);
+      }
+    }
+  }
 }
 
 void gemm_tn(KernelKind kind, const float* a, const float* b, float* c,
@@ -296,22 +286,17 @@ void gemm_tn(KernelKind kind, const float* a, const float* b, float* c,
     gemm_tn_reference(a, b, c, m, k, n);
     return;
   }
-  const std::size_t np = (k + kTnPanel - 1) / kTnPanel;
-  const std::size_t nj = (n + kTnJBlock - 1) / kTnJBlock;
-  detail::intra_for(np * nj, 2.0 * static_cast<double>(m) * k * n,
-                    [&](std::size_t t) {
-                      const std::size_t kk0 = (t / nj) * kTnPanel;
-                      const std::size_t j0 = (t % nj) * kTnJBlock;
-                      const std::size_t kb = std::min(kTnPanel, k - kk0);
-                      const std::size_t jb = std::min(kTnJBlock, n - j0);
-                      if (kind == KernelKind::kFast) {
-                        detail::gemm_tn_fast_region(a, b, c, m, k, n, kk0, kb,
-                                                    j0, jb);
-                      } else {
-                        gemm_tn_tiled_region(a, b, c, m, k, n, kk0, kb, j0,
-                                             jb);
-                      }
-                    });
+  for (std::size_t kk0 = 0; kk0 < k; kk0 += kTnPanel) {
+    const std::size_t kb = std::min(kTnPanel, k - kk0);
+    for (std::size_t j0 = 0; j0 < n; j0 += kTnJBlock) {
+      const std::size_t jb = std::min(kTnJBlock, n - j0);
+      if (kind == KernelKind::kFast) {
+        detail::gemm_tn_fast_region(a, b, c, m, k, n, kk0, kb, j0, jb);
+      } else {
+        gemm_tn_tiled_region(a, b, c, m, k, n, kk0, kb, j0, jb);
+      }
+    }
+  }
 }
 
 }  // namespace hetero::kernels

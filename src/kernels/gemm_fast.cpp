@@ -17,7 +17,7 @@
 //
 // Region boundaries are chosen by the public dispatch in gemm.cpp; each
 // region owns a disjoint C sub-matrix and computes its outputs' full
-// reduction chains, so intra-op execution order cannot change bits.
+// reduction chains.
 #include <algorithm>
 #include <cstring>
 

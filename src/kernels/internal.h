@@ -1,37 +1,17 @@
 // Cross-TU internals of the kernel layer: the fast-kind GEMM entry points
-// (gemm_fast.cpp), the blocked transpose (defined in conv.cpp), the intra-op
-// task-grid helper, and the vector types and plane-chain reductions the
-// kernel TUs share. Not installed with the public kernels.h API.
+// (gemm_fast.cpp), the blocked transpose (defined in conv.cpp), and the
+// vector types and plane-chain reductions the kernel TUs share. Not
+// installed with the public kernels.h API.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <type_traits>
 
 #include "kernels/isa.h"
 #include "kernels/kernels.h"
 
 namespace hetero::kernels::detail {
-
-// ------------------------------------------------------------ intra-op ----
-
-/// Runs fn(t) for every task t in [0, tasks) — on the thread-local intra-op
-/// context's workers when one is installed and the grid is worth splitting,
-/// inline otherwise. Tasks must write disjoint outputs; because the grid
-/// shape is fixed by the problem shape (never by the worker count), results
-/// are bit-identical for any thread count (DESIGN.md §13).
-template <typename Fn>
-void intra_for(std::size_t tasks, double flops, Fn&& fn) {
-  // Below ~1 MFLOP the fork/join overhead dominates any split.
-  constexpr double kMinFlops = 1 << 20;
-  const IntraOpContext& ctx = intra_op();
-  if (ctx.run != nullptr && ctx.ways > 1 && tasks > 1 && flops >= kMinFlops) {
-    ctx.run(tasks, std::function<void(std::size_t)>(std::forward<Fn>(fn)));
-    return;
-  }
-  for (std::size_t t = 0; t < tasks; ++t) fn(t);
-}
 
 // ----------------------------------------------------- shared tn region ----
 

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <stdexcept>
 #include <type_traits>
-#include <utility>
 
 #include "kernels/internal.h"
 #include "util/config.h"
@@ -27,11 +26,6 @@ std::atomic<KernelKind>& active_slot() {
   static std::atomic<KernelKind> slot{kind_from_env()};
   return slot;
 }
-
-// Thread-local intra-op state. A plain thread_local: it is strictly
-// scope-managed (RAII installs/restores) and never observed from another
-// thread.
-thread_local IntraOpContext t_intra_op;
 
 }  // namespace
 
@@ -61,19 +55,6 @@ KernelKind parse_kernel_kind(const std::string& value) {
   throw std::invalid_argument("HS_KERNEL: unknown kernel kind '" + value +
                               "' (valid modes: reference, tiled, fast)");
 }
-
-const IntraOpContext& intra_op() { return t_intra_op; }
-
-ScopedIntraOp::ScopedIntraOp(
-    std::function<void(std::size_t, const std::function<void(std::size_t)>&)>
-        run,
-    std::size_t ways)
-    : saved_(std::move(t_intra_op)) {
-  t_intra_op.run = std::move(run);
-  t_intra_op.ways = ways;
-}
-
-ScopedIntraOp::~ScopedIntraOp() { t_intra_op = std::move(saved_); }
 
 namespace {
 

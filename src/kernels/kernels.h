@@ -17,12 +17,11 @@
 //     bounds it per layer). Opt-in via HS_KERNEL=fast.
 //
 // Determinism contract (DESIGN.md §9/§13): for a fixed kernel kind, results
-// are bit-identical run-to-run and across thread counts — including any
-// intra-op worker count (ScopedIntraOp below): GEMMs split over a task grid
-// fixed by the problem shape, each task owning a disjoint output region
-// whose per-element reduction chains are untouched. The tiled GEMMs reduce
-// over k in increasing order with the same accumulation precision as the
-// reference loops, so gemm_nn / gemm_nt / gemm_tn — and therefore
+// are bit-identical run-to-run and across thread counts: every call runs on
+// its calling thread, and each output element's reduction chain is fixed by
+// the problem shape alone. The tiled GEMMs reduce over k in increasing
+// order with the same accumulation precision as the reference loops, so
+// gemm_nn / gemm_nt / gemm_tn — and therefore
 // conv2d_forward and the conv input gradient — are bit-identical across the
 // reference and tiled kinds for finite inputs. The only reference↔tiled
 // drift is the convolution weight/bias gradient for batch sizes > 1, where
@@ -35,7 +34,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 #include "kernels/isa.h"
@@ -55,45 +53,6 @@ const char* kernel_name(KernelKind kind);
 /// Strict mode parsing: returns the kind for "reference" / "tiled" /
 /// "fast", throws std::invalid_argument listing the valid modes otherwise.
 KernelKind parse_kernel_kind(const std::string& value);
-
-// ---------------------------------------------------- intra-op parallelism --
-// A thread-local context carrying an optional worker handle (type-erased so
-// this layer never depends on src/runtime). While installed, large GEMMs
-// and conv lowerings split their fixed task grids across it; results stay
-// bit-identical to the serial run for any worker count because block
-// ownership is a function of the problem shape alone (DESIGN.md §13).
-
-struct IntraOpContext {
-  /// Runs fn(t) for every t in [0, tasks), in any order, possibly
-  /// concurrently, and returns when all calls finished. Null → serial.
-  std::function<void(std::size_t, const std::function<void(std::size_t)>&)>
-      run;
-  /// Workers behind `run` (1 → serial; contexts with ways <= 1 are ignored).
-  std::size_t ways = 1;
-};
-
-/// The calling thread's current intra-op context (a serial default when no
-/// ScopedIntraOp is live).
-const IntraOpContext& intra_op();
-
-/// Installs an intra-op context on the calling thread for the scope's
-/// lifetime, restoring the previous one on exit. The context is
-/// deliberately not inherited by the workers `run` fans out to, so nested
-/// kernel calls inside a task run serially (no fork-bomb, no pool
-/// deadlock).
-class ScopedIntraOp {
- public:
-  ScopedIntraOp(
-      std::function<void(std::size_t,
-                         const std::function<void(std::size_t)>&)> run,
-      std::size_t ways);
-  ~ScopedIntraOp();
-  ScopedIntraOp(const ScopedIntraOp&) = delete;
-  ScopedIntraOp& operator=(const ScopedIntraOp&) = delete;
-
- private:
-  IntraOpContext saved_;
-};
 
 // ---------------------------------------------------------------- GEMM ----
 // All shapes are row-major. When `accumulate` is true the result is added

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <exception>
 
-#include "kernels/kernels.h"
-
 namespace hetero {
 namespace {
 
@@ -210,38 +208,22 @@ void EventScheduler::train_pending(const Model& model,
     d.trained = true;
   };
 
-  // Intra-op grant (DESIGN.md §13): with fewer clients than workers, the
-  // clients that do run split large kernels across the idle workers. Kernel
-  // task grids are fixed by problem shape, never by worker count, so the
-  // grant changes who computes each block, never the bits.
-  const auto intra_run = [this](std::size_t tasks,
-                                const std::function<void(std::size_t)>& fn) {
-    pool_->parallel_for(tasks, fn);
-  };
-  const std::size_t n = untrained_.size();
-  if (!pool_ || n == 1) {
-    // The serial path, or a lone client: train on the calling thread's
-    // scratch replica, never the server model (in-flight clients hold
-    // snapshots; an aborted flush must leave it untouched). A lone client
-    // gets the whole pool; without a pool the one-way grant is inert.
+  if (!pool_) {
+    // The serial path: train on a scratch replica, never the server model
+    // (in-flight clients hold snapshots; an aborted flush must leave it
+    // untouched).
     if (!scratch_) scratch_ = model.clone();
-    const kernels::ScopedIntraOp grant(intra_run, num_threads_);
     for (std::size_t ix : untrained_) {
       train_one(dispatches_[ix], *scratch_, slots_[0]);
     }
   } else {
     // Each worker lazily clones its own replica the first time it picks up
-    // a client and keeps its ClientSlot private. Spare workers drain nested
-    // kernel tasks; a nested parallel_for only blocks its issuing worker
-    // and at least one worker holds no client, so the nested queue always
-    // drains, and the grant is not inherited, so nesting stops at depth one.
-    const std::size_t spare = n < num_threads_ ? num_threads_ - n : 0;
-    pool_->parallel_for(n, [&](std::size_t j) {
+    // a client and keeps its ClientSlot private.
+    pool_->parallel_for(untrained_.size(), [&](std::size_t j) {
       const std::size_t w = ThreadPool::worker_index();
       HS_CHECK(w < replicas_.size() && w < slots_.size(),
                "EventScheduler: bad worker index");
       if (!replicas_[w]) replicas_[w] = model.clone();
-      const kernels::ScopedIntraOp grant(intra_run, spare + 1);
       train_one(dispatches_[untrained_[j]], *replicas_[w], slots_[w]);
     });
   }

@@ -110,7 +110,7 @@ class EventScheduler {
 
   std::unique_ptr<ThreadPool> pool_;              // null when num_threads_==1
   std::vector<std::unique_ptr<Model>> replicas_;  // one slot per worker
-  std::unique_ptr<Model> scratch_;  // calling-thread training replica
+  std::unique_ptr<Model> scratch_;  // training replica of the serial path
   std::vector<ClientSlot> slots_;   // one materialization arena per worker
 
   // Run state (reset by run()).

@@ -1,6 +1,9 @@
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
 
 #include "tensor/tensor.h"
 
@@ -45,20 +48,6 @@ void ThreadPool::worker_loop(std::size_t index) {
     }
     task();
   }
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> fn) {
-  HS_CHECK(static_cast<bool>(fn), "ThreadPool::submit: empty task");
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> result = packaged->get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    HS_CHECK(!stop_, "ThreadPool::submit: pool is shutting down");
-    queue_.emplace_back([packaged] { (*packaged)(); });
-  }
-  cv_.notify_one();
-  return result;
 }
 
 void ThreadPool::parallel_for(std::size_t n,

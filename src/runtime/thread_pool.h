@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -39,9 +38,6 @@ class ThreadPool {
   /// Index of the calling thread within its pool ([0, num_workers)), or
   /// npos when the caller is not a pool worker.
   static std::size_t worker_index();
-
-  /// Enqueues one task; the returned future rethrows anything it threw.
-  std::future<void> submit(std::function<void()> fn);
 
   /// Runs fn(i) for every i in [0, n) across the workers and blocks until
   /// all calls finish. Indices are claimed from a shared counter, so each

@@ -3,22 +3,16 @@
 //     naming the valid ones;
 //   * fast-kind parity: FMA contraction and f32 nt accumulators drift from
 //     tiled, but the drift is bounded per reduction length across the GEMM
-//     shapes, the conv layer inventory, and whole model-zoo forwards;
-//   * intra-op parallelism: tiled kernels split across a worker pool stay
-//     bit-identical to the serial run (fixed task grids, disjoint output
-//     ownership), at the raw-kernel level and through the scheduler's
-//     lone-straggler grant.
+//     shapes, the conv layer inventory, and whole model-zoo forwards.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "fl/algorithm.h"
-#include "fl/simulation.h"
 #include "kernels/kernels.h"
 #include "nn/model_zoo.h"
-#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace hetero {
@@ -79,7 +73,7 @@ struct GemmShape {
 };
 
 // The small-shape sweep from the tiled parity suite plus shapes large
-// enough to engage every micro-kernel cascade and the intra-op task grids.
+// enough to engage every micro-kernel cascade and several cache blocks.
 const GemmShape kGemmShapes[] = {{1, 1, 1},     {2, 3, 4},     {7, 5, 9},
                                  {16, 16, 16},  {33, 17, 65},  {5, 1, 13},
                                  {64, 48, 100}, {96, 130, 70}, {130, 70, 530}};
@@ -264,178 +258,6 @@ TEST(FastParity, ModelZooForwardLogitsTrackTiled) {
       ASSERT_NEAR(til[i], fast[i], 1e-2f) << arch << " logit " << i;
     }
   }
-}
-
-// ---------------------------------------------------- intra-op determinism --
-
-TEST(IntraOp, TiledGemmsBitIdenticalUnderWorkerPool) {
-  // Shapes past the intra-op flop threshold with multi-task grids, so the
-  // parallel branch genuinely engages.
-  const std::size_t m = 128, k = 96, n = 72;
-  Rng rng(406);
-  std::vector<float> a(m * k), b(k * n), bt(n * k), tnb(m * n);
-  fill_random(a, rng);
-  fill_random(b, rng);
-  fill_random(bt, rng);
-  fill_random(tnb, rng);
-  std::vector<float> nn_s(m * n), nt_s(m * n), tn_s(k * n);
-  kernels::gemm_nn(KernelKind::kTiled, a.data(), b.data(), nn_s.data(), m, k,
-                   n, false);
-  kernels::gemm_nt(KernelKind::kTiled, a.data(), bt.data(), nt_s.data(), m, k,
-                   n, false);
-  kernels::gemm_tn(KernelKind::kTiled, a.data(), tnb.data(), tn_s.data(), m,
-                   k, n, false);
-
-  for (std::size_t workers : {std::size_t{2}, std::size_t{3}}) {
-    ThreadPool pool(workers);
-    const kernels::ScopedIntraOp intra(
-        [&pool](std::size_t tasks,
-                const std::function<void(std::size_t)>& fn) {
-          pool.parallel_for(tasks, fn);
-        },
-        workers);
-    std::vector<float> nn_p(m * n), nt_p(m * n), tn_p(k * n);
-    kernels::gemm_nn(KernelKind::kTiled, a.data(), b.data(), nn_p.data(), m,
-                     k, n, false);
-    kernels::gemm_nt(KernelKind::kTiled, a.data(), bt.data(), nt_p.data(), m,
-                     k, n, false);
-    kernels::gemm_tn(KernelKind::kTiled, a.data(), tnb.data(), tn_p.data(),
-                     m, k, n, false);
-    for (std::size_t i = 0; i < nn_s.size(); ++i) {
-      ASSERT_EQ(nn_s[i], nn_p[i]) << workers << " workers, nn elem " << i;
-    }
-    for (std::size_t i = 0; i < nt_s.size(); ++i) {
-      ASSERT_EQ(nt_s[i], nt_p[i]) << workers << " workers, nt elem " << i;
-    }
-    for (std::size_t i = 0; i < tn_s.size(); ++i) {
-      ASSERT_EQ(tn_s[i], tn_p[i]) << workers << " workers, tn elem " << i;
-    }
-  }
-}
-
-TEST(IntraOp, TiledConvBitIdenticalUnderWorkerPool) {
-  // A pointwise and a generic layer, both large enough to split over the
-  // sample-level task grids.
-  const ConvCase cases[] = {{4, 32, 32, 1, 1, 0, 1}, {4, 8, 16, 3, 1, 1, 1}};
-  Rng rng(407);
-  for (const ConvCase& c : cases) {
-    const ConvShape s = make_shape(c, 16);
-    const std::size_t w_size = s.out_c * s.group_in_c() * s.kernel * s.kernel;
-    const std::size_t y_size = s.n * s.out_c * s.out_h() * s.out_w();
-    const std::size_t x_size = s.n * s.in_c * s.in_h * s.in_w;
-    std::vector<float> x(x_size), w(w_size), bias(s.out_c), go(y_size);
-    fill_random(x, rng);
-    fill_random(w, rng);
-    fill_random(bias, rng);
-    fill_random(go, rng);
-
-    auto run = [&](bool pooled) {
-      std::vector<float> y(y_size), cols(s.cols_size());
-      std::vector<float> gw(w_size), gb(s.out_c), gx(x_size);
-      kernels::Workspace ws;
-      auto body = [&] {
-        kernels::conv2d_forward(KernelKind::kTiled, s, x.data(), w.data(),
-                                bias.data(), y.data(), cols.data(), ws);
-        kernels::conv2d_backward(KernelKind::kTiled, s, go.data(), w.data(),
-                                 cols.data(), gw.data(), gb.data(), gx.data(),
-                                 ws);
-      };
-      if (pooled) {
-        ThreadPool pool(3);
-        const kernels::ScopedIntraOp intra(
-            [&pool](std::size_t tasks,
-                    const std::function<void(std::size_t)>& fn) {
-              pool.parallel_for(tasks, fn);
-            },
-            3);
-        body();
-      } else {
-        body();
-      }
-      return std::make_tuple(y, gw, gb, gx);
-    };
-    const auto [y_s, gw_s, gb_s, gx_s] = run(false);
-    const auto [y_p, gw_p, gb_p, gx_p] = run(true);
-    for (std::size_t i = 0; i < y_size; ++i) {
-      ASSERT_EQ(y_s[i], y_p[i]) << "k=" << c.k << " y elem " << i;
-    }
-    for (std::size_t i = 0; i < w_size; ++i) {
-      ASSERT_EQ(gw_s[i], gw_p[i]) << "k=" << c.k << " gw elem " << i;
-    }
-    for (std::size_t i = 0; i < s.out_c; ++i) {
-      ASSERT_EQ(gb_s[i], gb_p[i]) << "k=" << c.k << " gb elem " << i;
-    }
-    for (std::size_t i = 0; i < x_size; ++i) {
-      ASSERT_EQ(gx_s[i], gx_p[i]) << "k=" << c.k << " gx elem " << i;
-    }
-  }
-}
-
-/// Synthetic separable two-class image set (label encoded in brightness).
-Dataset make_separable(std::size_t n, std::size_t seed) {
-  Rng rng(seed);
-  Tensor xs({n, 3, 8, 8});
-  std::vector<std::size_t> labels(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    labels[j] = j % 2;
-    const float base = labels[j] == 0 ? 0.2f : 0.8f;
-    for (std::size_t p = 0; p < 3 * 64; ++p) {
-      xs[j * 3 * 64 + p] = base + rng.uniform_f(-0.05f, 0.05f);
-    }
-  }
-  return Dataset(std::move(xs), std::move(labels));
-}
-
-SimulationResult run_lone_straggler_sim(std::size_t num_threads) {
-  ModeGuard guard;
-  kernels::set_active_kernel(KernelKind::kTiled);
-  Rng mrng(31);
-  ModelSpec spec;
-  spec.arch = "squeeze-mini";
-  spec.image_size = 8;
-  spec.num_classes = 2;
-  auto model = make_model(spec, mrng);
-
-  FlPopulation data;
-  for (std::size_t i = 0; i < 4; ++i) {
-    data.client_train.push_back(make_separable(8, 600 + i));
-    data.client_device.push_back(0);
-  }
-  data.device_test.push_back(make_separable(8, 700));
-  data.device_names.push_back("synthetic");
-  const MaterializedPopulation pop(std::move(data));
-
-  LocalTrainConfig cfg;
-  cfg.lr = 0.05f;
-  cfg.epochs = 1;
-  cfg.batch_size = 4;
-  FedAvg algo(cfg);
-  SimulationConfig sim;
-  sim.rounds = 3;
-  // One client per round: with a pool this takes the scheduler's inline
-  // lone-straggler path, granting the whole pool to the client's kernels.
-  sim.clients_per_round = 1;
-  sim.seed = 31;
-  sim.num_threads = num_threads;
-  return run_simulation(*model, algo, pop, sim);
-}
-
-TEST(IntraOp, LoneStragglerBitIdenticalAcrossThreadCounts) {
-  const SimulationResult serial = run_lone_straggler_sim(1);
-  const SimulationResult pooled = run_lone_straggler_sim(4);
-  ASSERT_EQ(serial.train_loss_history.size(),
-            pooled.train_loss_history.size());
-  for (std::size_t t = 0; t < serial.train_loss_history.size(); ++t) {
-    EXPECT_EQ(serial.train_loss_history[t], pooled.train_loss_history[t])
-        << "round " << t;
-  }
-  ASSERT_EQ(serial.final_metrics.per_device.size(),
-            pooled.final_metrics.per_device.size());
-  for (std::size_t i = 0; i < serial.final_metrics.per_device.size(); ++i) {
-    EXPECT_EQ(serial.final_metrics.per_device[i],
-              pooled.final_metrics.per_device[i]);
-  }
-  EXPECT_EQ(serial.final_metrics.average, pooled.final_metrics.average);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -18,8 +17,6 @@
 #include "fl/checkpoint.h"
 #include "fl/population.h"
 #include "fl/simulation.h"
-#include "kernels/kernels.h"
-#include "runtime/thread_pool.h"
 #include "nn/model_zoo.h"
 #include "scene/flair_gen.h"
 #include "scene/scene_gen.h"
@@ -161,42 +158,6 @@ TEST(VirtualPopulation, DatasetCacheEvictsLeastRecentlyUsed) {
   ClientSlot ref;
   expect_dataset_bits(pop.client_dataset(1, slot),
                       plain.client_dataset(1, ref));
-}
-
-TEST(VirtualPopulation, ParallelMaterializationIsBitIdentical) {
-  // generate_into fans its per-image loop over any installed intra-op
-  // context; image streams are keyed on (client stream, image index), so
-  // the dataset bytes must not depend on the worker count. Cache disabled
-  // so every read below re-runs the recipe.
-  setenv("HS_POP_CACHE", "0", 1);
-  SceneGenerator single_scenes(16);
-  FlairSceneGenerator flair_scenes(16);
-  CaptureConfig capture;
-  capture.tensor_size = 8;
-  const Rng root = Rng(29).fork(1);
-  const PopulationSpec specs[] = {
-      small_single_label(single_scenes, 6),
-      PopulationSpec::flair(paper_devices(), 6, 4, 4, capture, flair_scenes),
-  };
-  for (const PopulationSpec& spec : specs) {
-    const VirtualPopulation pop(spec, root);
-    ClientSlot serial_slot;
-    for (std::size_t c = 0; c < pop.num_clients(); ++c) {
-      const Dataset serial = pop.client_dataset(c, serial_slot);
-      for (std::size_t workers : {std::size_t{2}, std::size_t{3}}) {
-        ThreadPool pool(workers);
-        const kernels::ScopedIntraOp intra(
-            [&pool](std::size_t tasks,
-                    const std::function<void(std::size_t)>& fn) {
-              pool.parallel_for(tasks, fn);
-            },
-            workers);
-        ClientSlot pooled_slot;
-        expect_dataset_bits(serial, pop.client_dataset(c, pooled_slot));
-      }
-    }
-  }
-  unsetenv("HS_POP_CACHE");
 }
 
 TEST(VirtualPopulation, PopCacheEnvStrictlyParsed) {
@@ -432,6 +393,23 @@ TEST(Checkpoint, RejectedUnderScheduledModes) {
   sim.clients_per_round = 2;
   sim.sched.mode = SchedMode::kAsync;
   sim.checkpoint.dir = ::testing::TempDir() + "hs_ckpt_sched";
+  EXPECT_THROW(run_simulation(*model, algo, pop, sim),
+               std::invalid_argument);
+}
+
+TEST(Checkpoint, ZeroPeriodRejected) {
+  // The HS_CHECKPOINT parser refuses every=0; a config built in code (or
+  // from hsctl's --ckpt-every) must be refused too, not divide by zero
+  // after the first flush.
+  SceneGenerator scenes(16);
+  const VirtualPopulation pop(small_single_label(scenes, 8), Rng(73).fork(1));
+  FedAvg algo(fast_cfg());
+  auto model = tiny_model(10);
+  SimulationConfig sim;
+  sim.rounds = 2;
+  sim.clients_per_round = 2;
+  sim.checkpoint.dir = ::testing::TempDir() + "hs_ckpt_every0";
+  sim.checkpoint.every = 0;
   EXPECT_THROW(run_simulation(*model, algo, pop, sim),
                std::invalid_argument);
 }

@@ -122,14 +122,6 @@ TEST(ThreadPool, ParallelForZeroIterationsIsNoOp) {
   pool.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
 }
 
-TEST(ThreadPool, SubmitFuturePropagatesException) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] {});
-  auto bad = pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_NO_THROW(ok.get());
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, WorkerIndexIsBoundedInsideAndNposOutside) {
   EXPECT_EQ(ThreadPool::worker_index(), ThreadPool::npos);
   ThreadPool pool(4);

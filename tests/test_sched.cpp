@@ -2,8 +2,8 @@
 // (time, seq)-ordered event queue, device-tier delay modeling, staleness
 // decay, edge groups and memory in every mode, and — the point of the
 // subsystem — determinism: the degenerate buffered configuration is
-// bit-identical to sync, and async / buffered runs are bit-identical for
-// any thread count, faults included.
+// bit-identical to sync, and async / buffered runs and one-client batches
+// are bit-identical for any thread count, faults included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "fl/algorithm.h"
 #include "fl/observer.h"
 #include "fl/simulation.h"
+#include "kernels/kernels.h"
 #include "nn/model_zoo.h"
 #include "runtime/faults.h"
 #include "runtime/sched/delay_model.h"
@@ -344,6 +345,80 @@ TEST(SchedDeterminism, BufferedBitIdenticalAcrossThreadCounts) {
   expect_same_sched(r1, r4);
 }
 
+/// Restores the process kernel kind on scope exit.
+struct ModeGuard {
+  kernels::KernelKind saved_kind = kernels::active_kernel();
+  ~ModeGuard() { kernels::set_active_kernel(saved_kind); }
+};
+
+/// Synthetic separable two-class image set (label encoded in brightness).
+Dataset make_separable(std::size_t n, std::size_t seed) {
+  Rng rng(seed);
+  Tensor xs({n, 3, 8, 8});
+  std::vector<std::size_t> labels(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    labels[j] = j % 2;
+    const float base = labels[j] == 0 ? 0.2f : 0.8f;
+    for (std::size_t p = 0; p < 3 * 64; ++p) {
+      xs[j * 3 * 64 + p] = base + rng.uniform_f(-0.05f, 0.05f);
+    }
+  }
+  return Dataset(std::move(xs), std::move(labels));
+}
+
+SimulationResult run_one_client_sim(std::size_t num_threads) {
+  ModeGuard guard;
+  kernels::set_active_kernel(kernels::KernelKind::kTiled);
+  Rng mrng(31);
+  ModelSpec spec;
+  spec.arch = "squeeze-mini";
+  spec.image_size = 8;
+  spec.num_classes = 2;
+  auto model = make_model(spec, mrng);
+
+  FlPopulation data;
+  for (std::size_t i = 0; i < 4; ++i) {
+    data.client_train.push_back(make_separable(8, 600 + i));
+    data.client_device.push_back(0);
+  }
+  data.device_test.push_back(make_separable(8, 700));
+  data.device_names.push_back("synthetic");
+  const MaterializedPopulation pop(std::move(data));
+
+  LocalTrainConfig cfg;
+  cfg.lr = 0.05f;
+  cfg.epochs = 1;
+  cfg.batch_size = 4;
+  FedAvg algo(cfg);
+  SimulationConfig sim;
+  sim.rounds = 3;
+  // One client per round: with a pool, every training batch holds one
+  // client, which a pool worker trains on its own replica.
+  sim.clients_per_round = 1;
+  sim.seed = 31;
+  sim.num_threads = num_threads;
+  return run_simulation(*model, algo, pop, sim);
+}
+
+TEST(SchedDeterminism, OneClientBatchesBitIdenticalAcrossThreadCounts) {
+  const SimulationResult serial = run_one_client_sim(1);
+  const SimulationResult pooled = run_one_client_sim(4);
+  ASSERT_EQ(serial.train_loss_history.size(),
+            pooled.train_loss_history.size());
+  for (std::size_t t = 0; t < serial.train_loss_history.size(); ++t) {
+    EXPECT_EQ(serial.train_loss_history[t], pooled.train_loss_history[t])
+        << "round " << t;
+  }
+  ASSERT_EQ(serial.final_metrics.per_device.size(),
+            pooled.final_metrics.per_device.size());
+  for (std::size_t i = 0; i < serial.final_metrics.per_device.size(); ++i) {
+    EXPECT_EQ(serial.final_metrics.per_device[i],
+              pooled.final_metrics.per_device[i]);
+  }
+  EXPECT_EQ(serial.final_metrics.average, pooled.final_metrics.average);
+}
+
+
 // ------------------------------------------------------- aborted flushes --
 
 TEST(SchedFaults, AbortedFlushesSkipTheModelAndLaterFlushesRecover) {
@@ -555,6 +630,33 @@ TEST(SchedGuards, ContinuousRefillNeedsHeadroom) {
   EXPECT_THROW(run_simulation(*model, algo, pop, sim), std::invalid_argument);
   sim.sched = parse_sched_spec("async,wave=1");
   EXPECT_NO_THROW(run_simulation(*model, algo, pop, sim));
+}
+
+TEST(SchedGuards, WaveSamplingRejectsBufferAboveK) {
+  // A wave is sampled only after a flush, so a window of more than k
+  // terminal outcomes would never fill; run_simulation refuses it up front
+  // with a message naming both numbers.
+  const MaterializedPopulation pop(synthetic_population(8, 97));
+  auto run = [&pop](std::size_t buffer) {
+    auto model = tiny_model(98);
+    FedAvg algo(fast_cfg());
+    SimulationConfig sim;
+    sim.rounds = 2;
+    sim.clients_per_round = 4;
+    sim.sched = parse_sched_spec("buffered,wave=1");
+    sim.sched.buffer = buffer;
+    return run_simulation(*model, algo, pop, sim);
+  };
+  try {
+    run(5);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("buffer 5 with k 4"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(run(4));
+  EXPECT_NO_THROW(run(3));
 }
 
 }  // namespace

@@ -15,18 +15,15 @@
 # add concurrent FaultPlan::decide calls and the fault-aware disposition
 # pass to the raced surface. The sched tests run the event scheduler's
 # lazy parallel training batches across thread counts, asserting
-# bit-identical async/buffered results while TSan watches the fan-out. The
-# population tests run multi-threaded simulations over VirtualPopulation,
-# where worker threads materialize client datasets concurrently through
-# per-worker slots — the provider's const-purity contract under watch —
-# and fan single-client materialization out over an intra-op pool,
-# asserting the parallel bytes match the serial ones bit-for-bit. The
-# isp-parity tests run the HS_ISP=fast rewrites against the reference
-# loops (the clones compile out under TSan; the fast row-major loops and
-# their scratch arenas are what gets checked). The
-# fast-kernel tests add the intra-op worker fan-out (detail::intra_for under
-# a ScopedIntraOp grant) and the HS_KERNEL=fast dispatch to the raced
-# surface. The net tests run loopback daemon rounds, where the scheduler
+# bit-identical async/buffered results and one-client batches while TSan
+# watches the fan-out. The population tests run multi-threaded simulations
+# over VirtualPopulation, where worker threads materialize client datasets
+# concurrently through per-worker slots — the provider's const-purity
+# contract under watch. The isp-parity tests run the HS_ISP=fast rewrites
+# against the reference loops (the clones compile out under TSan; the fast
+# row-major loops and their scratch arenas are what gets checked). The
+# fast-kernel tests add the HS_KERNEL=fast dispatch to the raced surface.
+# The net tests run loopback daemon rounds, where the scheduler
 # hands each wave to the root as its remote train step instead of its
 # pool.
 set -euo pipefail
