@@ -12,9 +12,8 @@
 // single-thread loss history and staleness counters bit-for-bit.
 //
 // Honours HS_ROUNDS / HS_SEED / HS_SCALE like the other benches; HS_SCHED
-// adds one extra scenario with the given spec and HS_BUFFER overrides the
-// buffered scenarios' flush threshold. Appends one JSONL record per row to
-// BENCH_round.json.
+// adds one extra scenario with the given spec. Appends one JSONL record per
+// row to BENCH_round.json.
 #include <algorithm>
 #include <fstream>
 #include <string>
@@ -114,9 +113,6 @@ int main() {
       sim.num_threads = threads;
       sim.faults = parse_fault_spec(sc.fault_spec);
       sim.sched = parse_sched_spec(sc.sched_spec);
-      if (scale.env.sched_buffer > 0) {
-        sim.sched.buffer = scale.env.sched_buffer;
-      }
       sim.observer = trace_sink().run("micro_async_rounds." + sc.name +
                                       ".threads=" + std::to_string(threads));
       const SimulationResult r = run_simulation(*model, algo, pop, sim);

@@ -19,7 +19,6 @@
 // runs into the trace_smoke_population ctest. Appends one JSONL record per
 // row to BENCH_population.json.
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -160,75 +159,14 @@ int main() {
                  identical ? "bit-identical" : "RESULTS DIVERGED");
   }
 
-  // Phase 3: per-client dataset LRU (HS_POP_CACHE). Clients reselected in
-  // later rounds hit the cache instead of re-running the ISP pipeline; the
-  // cached run must stay byte-identical to the uncached one (hits return a
-  // copy of the exact bytes a miss would regenerate). A small N relative to
-  // k * rounds makes reselection — and therefore hits — likely.
-  {
-    const std::size_t n = 64;
-    const std::size_t lru_k = std::min<std::size_t>(k, 16);
-    const PopulationSpec spec = bench_spec(n, scenes);
-    const char* prev = std::getenv("HS_POP_CACHE");
-    const std::string saved = prev ? prev : "";
-    setenv("HS_POP_CACHE", "64", 1);
-    const VirtualPopulation cached(spec, pop_root);
-    Timer tc;
-    const SimulationResult rc = run_fedavg(cached, rounds, lru_k, scale,
-                                           "micro_population.lru.cached");
-    const double cached_s = tc.elapsed_s();
-    setenv("HS_POP_CACHE", "0", 1);
-    const VirtualPopulation uncached(spec, pop_root);
-    Timer tu;
-    const SimulationResult ru = run_fedavg(uncached, rounds, lru_k, scale,
-                                           "micro_population.lru.uncached");
-    const double uncached_s = tu.elapsed_s();
-    if (prev) {
-      setenv("HS_POP_CACHE", saved.c_str(), 1);
-    } else {
-      unsetenv("HS_POP_CACHE");
-    }
-    const bool identical =
-        rc.train_loss_history == ru.train_loss_history &&
-        rc.final_metrics.per_device == ru.final_metrics.per_device;
-    const double speedup = cached_s > 0.0 ? uncached_s / cached_s : 0.0;
-    char loss_s[32], sp_s[32];
-    std::snprintf(loss_s, sizeof loss_s, "%.4f",
-                  rc.train_loss_history.back());
-    std::snprintf(sp_s, sizeof sp_s, "%.2fx", speedup);
-    table.add_row({"lru", std::to_string(n), std::to_string(rounds),
-                   std::to_string(lru_k), loss_s, "-", sp_s,
-                   identical ? "yes" : "NO"});
-    jsonl << "{\"bench\":\"micro_population\",\"population\":\"lru\","
-          << "\"n\":" << n << ",\"rounds\":" << rounds << ",\"k\":" << lru_k
-          << ",\"cache_hits\":" << cached.cache_hits()
-          << ",\"cache_misses\":" << cached.cache_misses()
-          << ",\"speedup_vs_nocache\":" << speedup << ",\"identical\":"
-          << (identical ? "true" : "false") << "}\n";
-    std::fprintf(stderr,
-                 "[micro_population] lru N=%zu: %llu hits / %llu misses, "
-                 "%.2fx vs nocache, %s\n",
-                 n, static_cast<unsigned long long>(cached.cache_hits()),
-                 static_cast<unsigned long long>(cached.cache_misses()),
-                 speedup, identical ? "bit-identical" : "RESULTS DIVERGED");
-  }
-
-  // Phase 4: cold generation. With the cache disabled every client_dataset
-  // call re-runs scene synthesis + the full capture pipeline, so this row
-  // isolates the ISP substrate's share of materialization cost:
-  // HS_ISP=reference vs the vectorized fast path (bit-identical —
-  // tests/test_isp_parity.cpp), same clients, same bytes out.
+  // Phase 3: cold generation. Every client_dataset call re-runs scene
+  // synthesis + the full capture pipeline, so this row isolates the ISP
+  // substrate's share of materialization cost: HS_ISP=reference vs the
+  // vectorized fast path (bit-identical — tests/test_isp_parity.cpp), same
+  // clients, same bytes out.
   {
     const std::size_t n = 16;
-    const char* prev = std::getenv("HS_POP_CACHE");
-    const std::string saved = prev ? prev : "";
-    setenv("HS_POP_CACHE", "0", 1);
     const VirtualPopulation pop(bench_spec(n, scenes), pop_root);
-    if (prev) {
-      setenv("HS_POP_CACHE", saved.c_str(), 1);
-    } else {
-      unsetenv("HS_POP_CACHE");
-    }
     const img::PathKind env_path = img::active_path();
     auto materialize_all = [&](img::PathKind kind) {
       img::set_active_path(kind);
@@ -272,9 +210,7 @@ int main() {
       "Expected shape: RSSRatio stays within 1.10 as N grows 100x (the lazy "
       "provider's working set is O(k), not O(N)); the parity row's Identical "
       "column must read yes (virtual and materialized populations are the "
-      "same recipe); the lru row's Identical column must read yes too, with "
-      "RSSRatio showing its speedup over an HS_POP_CACHE=0 run; the cold "
-      "row's RSSRatio column shows HS_ISP=fast's speedup over reference on "
-      "cache-off materialization.\n");
+      "same recipe); the cold row's RSSRatio column shows HS_ISP=fast's "
+      "speedup over reference on materialization.\n");
   return 0;
 }

@@ -38,17 +38,18 @@ struct ClientSlot {
 };
 
 /// Cumulative materialization counters a lazy provider may expose (see
-/// ClientProvider::population_counters). Invariant for providers that
-/// report them: every client_dataset call is exactly one materialization
-/// and resolves as exactly one cache hit or one miss, so
-/// hits + misses == materializations at every instant — the scheduler
-/// stamps per-round deltas as pop.* round extras and tools/trace_check.cpp
-/// re-validates the identity per round.
+/// ClientProvider::population_counters). Every client_dataset call runs the
+/// recipe and counts one materialization; the scheduler stamps per-round
+/// deltas of materializations and gen_seconds as pop.* round extras.
 struct PopulationCounters {
   std::uint64_t materializations = 0;  ///< client_dataset calls served
-  std::uint64_t cache_hits = 0;        ///< served from the dataset LRU
-  std::uint64_t cache_misses = 0;      ///< ran the generation recipe
-  double gen_seconds = 0.0;            ///< wall time inside the recipe
+  /// Nothing in the program reads these two: cache_hits is always 0 and
+  /// cache_misses always equals materializations. They stay only because
+  /// the round benchmark (perfbench/round_bench.cpp) reads them and checks
+  /// hits + misses == materializations; drop them with that check.
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
+  double gen_seconds = 0.0;  ///< wall time inside the recipe
 };
 
 /// Abstract population: per-client device assignment, work size, and

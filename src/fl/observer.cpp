@@ -108,10 +108,9 @@ void TracingObserver::on_round_end(std::size_t round, const RoundStats& stats) {
   // rounds stay byte-identical to pre-scheduler traces).
   if (stats.virtual_seconds > 0.0) b.add("vseconds", stats.virtual_seconds);
   // std::map iterates keys sorted, keeping the emitted field order stable.
-  // pop.* extras are timing-class data: gen_seconds is wall time, and under
-  // LRU eviction the hit/miss split can depend on worker interleaving — so
-  // they are gated with the timings flag to keep deterministic traces
-  // byte-identical across thread counts.
+  // pop.* extras are timing-class data (gen_seconds is wall time), so they
+  // are gated with the timings flag to keep deterministic traces
+  // byte-identical across runs and thread counts.
   for (const auto& [key, value] : stats.extras) {
     if (!tracer_.include_timings() && key.rfind("pop.", 0) == 0) continue;
     b.add(key, value);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 #include <utility>
 
 #include "runtime/sched/delay_model.h"
-#include "util/config.h"
 #include "util/rng.h"
 
 namespace hetero {
@@ -38,19 +36,6 @@ void check_spec(const PopulationSpec& spec) {
     HS_CHECK(spec.flair_scenes != nullptr,
              "PopulationSpec: flair_scenes required");
   }
-}
-
-/// HS_POP_CACHE: LRU capacity in clients (default 64, 0 disables). Strict:
-/// a set-but-malformed value throws instead of silently running uncached.
-std::size_t pop_cache_capacity_from_env() {
-  const auto v = env_string("HS_POP_CACHE");
-  if (!v) return 64;
-  const std::optional<std::uint64_t> parsed = parse_uint(*v);
-  if (!parsed) {
-    throw std::invalid_argument("HS_POP_CACHE: invalid capacity '" + *v +
-                                "' (expected a non-negative integer)");
-  }
-  return static_cast<std::size_t>(*parsed);
 }
 
 }  // namespace
@@ -90,9 +75,7 @@ PopulationSpec PopulationSpec::flair(std::vector<DeviceProfile> devices,
 }
 
 VirtualPopulation::VirtualPopulation(PopulationSpec spec, const Rng& root)
-    : spec_(std::move(spec)),
-      root_(root),
-      cache_capacity_(pop_cache_capacity_from_env()) {
+    : spec_(std::move(spec)), root_(root) {
   check_spec(spec_);
   const std::size_t num_devices = spec_.devices.size();
   auto excluded = [&](std::size_t dev) {
@@ -164,51 +147,15 @@ std::size_t VirtualPopulation::device_of(std::size_t client) const {
 const Dataset& VirtualPopulation::client_dataset(std::size_t client,
                                                  ClientSlot& slot) const {
   HS_CHECK(client < spec_.num_clients, "VirtualPopulation: bad client id");
-  if (cache_capacity_ > 0) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    const auto it = cache_index_.find(client);
-    if (it != cache_index_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-      // Copy while holding the lock: a later insert may evict this entry,
-      // so the caller must never see a reference into the list.
-      slot.data = it->second->data;
-      return slot.data;
-    }
-  }
-  // Every non-hit call is one miss — also with the cache disabled, so
-  // hits + misses == materializations holds unconditionally.
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  materializations_.fetch_add(1, std::memory_order_relaxed);
   generate_into(client, slot);
-  if (cache_capacity_ > 0) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_index_.find(client) == cache_index_.end()) {
-      cache_lru_.push_front(CacheEntry{client, slot.data});
-      cache_index_[client] = cache_lru_.begin();
-      if (cache_lru_.size() > cache_capacity_) {
-        cache_index_.erase(cache_lru_.back().client);
-        cache_lru_.pop_back();
-      }
-    }
-    // A racing worker may have inserted the same client while we generated;
-    // both produced identical bytes (pure function of (spec, root, id)), so
-    // keeping the first insert is correct.
-  }
   return slot.data;
 }
 
-std::uint64_t VirtualPopulation::cache_hits() const {
-  return cache_hits_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t VirtualPopulation::cache_misses() const {
-  return cache_misses_.load(std::memory_order_relaxed);
-}
-
 bool VirtualPopulation::population_counters(PopulationCounters& out) const {
-  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  out.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  out.materializations = out.cache_hits + out.cache_misses;
+  out.materializations = materializations_.load(std::memory_order_relaxed);
+  out.cache_hits = 0;
+  out.cache_misses = out.materializations;
   out.gen_seconds = gen_seconds_.load(std::memory_order_relaxed);
   return true;
 }
@@ -287,8 +234,6 @@ FlPopulation VirtualPopulation::materialize_all() const {
   for (std::size_t i = 0; i < spec_.num_clients; ++i) {
     pop.client_device.push_back(device_of(i));
     ClientSlot slot;
-    // Bypasses the LRU: a one-shot full sweep would only churn it (and pay
-    // one extra Dataset copy per client).
     generate_into(i, slot);
     pop.client_train.push_back(std::move(slot.data));
   }

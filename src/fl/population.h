@@ -19,10 +19,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/builder.h"
@@ -143,24 +140,15 @@ class VirtualPopulation final : public ClientProvider {
   /// exactly what MaterializedPopulation serves. O(N) memory, by request.
   FlPopulation materialize_all() const;
 
-  /// Dataset-LRU introspection (see client_dataset): capacity comes from
-  /// HS_POP_CACHE (default 64 clients, 0 disables; anything that is not a
-  /// non-negative integer throws at construction).
-  std::size_t cache_capacity() const { return cache_capacity_; }
-  std::uint64_t cache_hits() const;
-  std::uint64_t cache_misses() const;
-
-  /// Cumulative materialization accounting: every client_dataset call is
-  /// one materialization and exactly one hit or miss (a disabled cache
-  /// counts every call as a miss), so hits + misses == materializations by
-  /// construction. gen_seconds is wall time inside the generation recipe.
+  /// Cumulative materialization accounting: every client_dataset call runs
+  /// the recipe once and counts one materialization. gen_seconds is wall
+  /// time inside the recipe.
   bool population_counters(PopulationCounters& out) const override;
 
  private:
-  /// Runs the full recipe for `client` into `slot` (the pre-cache
-  /// client_dataset body). Pure function of (spec, root, client): the
-  /// serial draws (class/label-set metadata) come first, then each image
-  /// renders from its own fork of the client stream.
+  /// Runs the full recipe for `client` into `slot`. Pure function of
+  /// (spec, root, client): the serial draws (class/label-set metadata) come
+  /// first, then each image renders from its own fork of the client stream.
   void generate_into(std::size_t client, ClientSlot& slot) const;
 
   PopulationSpec spec_;
@@ -171,26 +159,8 @@ class VirtualPopulation final : public ClientProvider {
   std::vector<std::string> device_names_;
   std::vector<double> device_speed_scale_;
 
-  // LRU of materialized client datasets, keyed by client id (the spec and
-  // root are fixed per provider, so the id alone identifies the bytes).
-  // client_dataset used to re-run the whole scene + ISP recipe every time a
-  // client repeated across rounds; now a repeat is one Dataset copy. Hits
-  // copy under the lock (an evicted entry must never be referenced by a
-  // caller); misses generate outside the lock so concurrent runtime workers
-  // only serialize on the map, not on the ISP pipeline.
-  struct CacheEntry {
-    std::size_t client;
-    Dataset data;
-  };
-  std::size_t cache_capacity_;
-  mutable std::mutex cache_mu_;
-  mutable std::list<CacheEntry> cache_lru_;  // front = most recent
-  mutable std::unordered_map<std::size_t, std::list<CacheEntry>::iterator>
-      cache_index_;
-  // Counted outside the LRU lock (misses are tallied even when the cache is
-  // disabled), so plain atomics instead of mutex-guarded integers.
-  mutable std::atomic<std::uint64_t> cache_hits_{0};
-  mutable std::atomic<std::uint64_t> cache_misses_{0};
+  // Counters written by concurrent workers' client_dataset calls.
+  mutable std::atomic<std::uint64_t> materializations_{0};
   mutable std::atomic<double> gen_seconds_{0.0};
 };
 

@@ -87,11 +87,10 @@ DeviceMetrics evaluate_per_device(Model& model, const ClientProvider& pop) {
   return eval.metrics();
 }
 
-SimulationResult run_simulation(Model& model,
-                                SplitFederatedAlgorithm& algorithm,
-                                const ClientProvider& population,
-                                const SimulationConfig& cfg,
-                                RemoteTrainStep* remote) {
+void check_simulation_config(const SplitFederatedAlgorithm& algorithm,
+                             const ClientProvider& population,
+                             const SimulationConfig& cfg,
+                             const RemoteTrainStep* remote) {
   const std::size_t num_clients = population.num_clients();
   HS_CHECK(num_clients > 0, "run_simulation: no clients");
   HS_CHECK(cfg.clients_per_round > 0 && cfg.clients_per_round <= num_clients,
@@ -132,7 +131,15 @@ SimulationResult run_simulation(Model& model,
              "run_simulation: algorithm does not support edge-tier partial "
              "aggregation");
   }
+}
 
+SimulationResult run_simulation(Model& model,
+                                SplitFederatedAlgorithm& algorithm,
+                                const ClientProvider& population,
+                                const SimulationConfig& cfg,
+                                RemoteTrainStep* remote) {
+  check_simulation_config(algorithm, population, cfg, remote);
+  const std::size_t num_clients = population.num_clients();
   RoundObserver* observer = cfg.observer;
   EventScheduler sched(cfg, population, remote);
   Rng rng(cfg.seed);

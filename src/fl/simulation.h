@@ -136,13 +136,6 @@ struct RuntimeStats {
   std::size_t updates_committed = 0;   ///< usable updates aggregated
   std::size_t staleness_max = 0;       ///< worst update staleness seen
   double staleness_mean = 0.0;         ///< mean over committed updates
-  /// Population-materialization totals over the run, from
-  /// ClientProvider::population_counters (all zero for eager providers).
-  /// pop_hits + pop_misses == pop_materializations always holds.
-  std::size_t pop_materializations = 0;  ///< client datasets served
-  std::size_t pop_cache_hits = 0;        ///< served from the dataset LRU
-  std::size_t pop_cache_misses = 0;      ///< ran the generation recipe
-  double pop_gen_seconds = 0.0;          ///< wall time inside generation
 };
 
 struct SimulationResult {
@@ -170,5 +163,14 @@ SimulationResult run_simulation(Model& model,
                                 const ClientProvider& population,
                                 const SimulationConfig& cfg,
                                 RemoteTrainStep* remote = nullptr);
+
+/// Throws std::invalid_argument when run_simulation would refuse this
+/// configuration before its first round; run_simulation calls it first. A
+/// daemon root calls it before waiting for its nodes, so a bad
+/// configuration fails at start-up instead of after every node has joined.
+void check_simulation_config(const SplitFederatedAlgorithm& algorithm,
+                             const ClientProvider& population,
+                             const SimulationConfig& cfg,
+                             const RemoteTrainStep* remote = nullptr);
 
 }  // namespace hetero

@@ -532,20 +532,9 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
       // thread while no worker materializes.
       PopulationCounters now;
       provider_.population_counters(now);
-      const PopulationCounters delta{
-          now.materializations - pop_mark.materializations,
-          now.cache_hits - pop_mark.cache_hits,
-          now.cache_misses - pop_mark.cache_misses,
-          now.gen_seconds - pop_mark.gen_seconds};
-      stats.extras["pop.materializations"] =
-          static_cast<double>(delta.materializations);
-      stats.extras["pop.hits"] = static_cast<double>(delta.cache_hits);
-      stats.extras["pop.misses"] = static_cast<double>(delta.cache_misses);
-      stats.extras["pop.gen_seconds"] = delta.gen_seconds;
-      rt.pop_materializations += delta.materializations;
-      rt.pop_cache_hits += delta.cache_hits;
-      rt.pop_cache_misses += delta.cache_misses;
-      rt.pop_gen_seconds += delta.gen_seconds;
+      stats.extras["pop.materializations"] = static_cast<double>(
+          now.materializations - pop_mark.materializations);
+      stats.extras["pop.gen_seconds"] = now.gen_seconds - pop_mark.gen_seconds;
     }
     if (cfg_.observer) cfg_.observer->on_round_end(flush_count, stats);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 
 namespace hetero {
 
@@ -10,24 +11,6 @@ std::optional<std::string> env_string(const std::string& name) {
   const char* v = std::getenv(name.c_str());
   if (v == nullptr || *v == '\0') return std::nullopt;
   return std::string(v);
-}
-
-std::int64_t env_int(const std::string& name, std::int64_t fallback) {
-  const auto s = env_string(name);
-  if (!s) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(s->c_str(), &end, 10);
-  if (end == s->c_str() || *end != '\0') return fallback;
-  return static_cast<std::int64_t>(v);
-}
-
-double env_double(const std::string& name, double fallback) {
-  const auto s = env_string(name);
-  if (!s) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(s->c_str(), &end);
-  if (end == s->c_str() || *end != '\0') return fallback;
-  return v;
 }
 
 std::optional<std::uint64_t> parse_uint(const std::string& text) {
@@ -44,6 +27,27 @@ std::optional<std::uint64_t> parse_uint(const std::string& text) {
   return v;
 }
 
+namespace {
+
+/// One numeric bench knob: `fallback` when the variable is unset or empty,
+/// else its value through parse_uint, which must fit in T.
+template <typename T>
+T uint_knob(const char* name, T fallback) {
+  const std::optional<std::string> text = env_string(name);
+  if (!text) return fallback;
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  const std::optional<std::uint64_t> value = parse_uint(*text);
+  if (!value || *value > max) {
+    throw std::invalid_argument(std::string(name) +
+                                ": expected an integer in 0.." +
+                                std::to_string(max) + ", got '" + *text +
+                                "'");
+  }
+  return static_cast<T>(*value);
+}
+
+}  // namespace
+
 std::int64_t BenchConfig::pick_rounds(std::int64_t smoke,
                                       std::int64_t paper) const {
   if (rounds > 0) return rounds;
@@ -56,19 +60,16 @@ std::int64_t BenchConfig::pick(std::int64_t smoke, std::int64_t paper) const {
 
 BenchConfig BenchConfig::from_env() {
   BenchConfig cfg;
-  cfg.scale = static_cast<int>(env_int("HS_SCALE", 0));
-  cfg.seed = static_cast<std::uint64_t>(env_int("HS_SEED", 42));
-  cfg.rounds = env_int("HS_ROUNDS", -1);
-  cfg.repeats = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, env_int("HS_REPEATS", 1)));
-  cfg.threads = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, env_int("HS_THREADS", 0)));
+  cfg.scale = uint_knob<int>("HS_SCALE", 0);
+  cfg.seed = uint_knob<std::uint64_t>("HS_SEED", 42);
+  cfg.rounds = uint_knob<std::int64_t>("HS_ROUNDS", -1);
+  cfg.repeats =
+      std::max<std::size_t>(1, uint_knob<std::size_t>("HS_REPEATS", 1));
+  cfg.threads = uint_knob<std::size_t>("HS_THREADS", 0);
   cfg.trace_path = env_string("HS_TRACE").value_or("");
-  cfg.trace_timings = env_int("HS_TRACE_TIMINGS", 1) != 0;
+  cfg.trace_timings = uint_knob<std::uint64_t>("HS_TRACE_TIMINGS", 1) != 0;
   cfg.fault_spec = env_string("HS_FAULTS").value_or("");
   cfg.sched_spec = env_string("HS_SCHED").value_or("");
-  cfg.sched_buffer = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, env_int("HS_BUFFER", 0)));
   return cfg;
 }
 

@@ -18,7 +18,6 @@
 //   HS_SCHED   : event-scheduler spec, e.g. "async" or
 //                "buffered,buffer=8,alpha=0.6" (unset = sync). Opaque here
 //                like HS_FAULTS; parse with parse_sched_spec().
-//   HS_BUFFER  : override the scheduler's flush threshold B (0 = default)
 #pragma once
 
 #include <cstdint>
@@ -29,12 +28,6 @@ namespace hetero {
 
 /// Reads an environment variable; empty optional when unset or empty.
 std::optional<std::string> env_string(const std::string& name);
-
-/// Reads an integer env var; returns fallback when unset or unparsable.
-std::int64_t env_int(const std::string& name, std::int64_t fallback);
-
-/// Reads a double env var; returns fallback when unset or unparsable.
-double env_double(const std::string& name, double fallback);
 
 /// Strict unsigned decimal for spec values and strict env knobs: one or
 /// more ASCII digits and nothing else — no sign, no spaces, no trailing
@@ -60,15 +53,15 @@ struct BenchConfig {
   /// Event-scheduler spec (HS_SCHED); empty = sync. Parse with
   /// parse_sched_spec() from runtime/sched/sched_options.h at the use site.
   std::string sched_spec;
-  /// Flush-threshold override (HS_BUFFER); 0 keeps the spec's / mode's
-  /// default. Applied by the use site after parsing sched_spec.
-  std::size_t sched_buffer = 0;
 
   /// Picks rounds: explicit HS_ROUNDS wins, otherwise smoke/paper default.
   std::int64_t pick_rounds(std::int64_t smoke, std::int64_t paper) const;
   /// Generic scale-based pick for any count.
   std::int64_t pick(std::int64_t smoke, std::int64_t paper) const;
 
+  /// Reads the HS_* variables above. A numeric knob that is set but is not
+  /// a plain decimal integer fitting its field throws
+  /// std::invalid_argument naming the variable and its value.
   static BenchConfig from_env();
 };
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "util/config.h"
 #include "util/stats.h"
@@ -156,24 +159,6 @@ TEST(Table, RowCount) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
-TEST(Config, EnvIntFallback) {
-  unsetenv("HS_TEST_INT");
-  EXPECT_EQ(env_int("HS_TEST_INT", 5), 5);
-  setenv("HS_TEST_INT", "12", 1);
-  EXPECT_EQ(env_int("HS_TEST_INT", 5), 12);
-  setenv("HS_TEST_INT", "junk", 1);
-  EXPECT_EQ(env_int("HS_TEST_INT", 5), 5);
-  unsetenv("HS_TEST_INT");
-}
-
-TEST(Config, EnvDoubleFallback) {
-  unsetenv("HS_TEST_DBL");
-  EXPECT_DOUBLE_EQ(env_double("HS_TEST_DBL", 0.5), 0.5);
-  setenv("HS_TEST_DBL", "2.25", 1);
-  EXPECT_DOUBLE_EQ(env_double("HS_TEST_DBL", 0.5), 2.25);
-  unsetenv("HS_TEST_DBL");
-}
-
 TEST(Config, ParseUintAcceptsDigitsOnly) {
   EXPECT_EQ(parse_uint("0"), 0u);
   EXPECT_EQ(parse_uint("0042"), 42u);
@@ -210,6 +195,34 @@ TEST(Config, BenchConfigFromEnv) {
   EXPECT_EQ(cfg.rounds, 55);
   unsetenv("HS_SCALE");
   unsetenv("HS_SEED");
+  unsetenv("HS_ROUNDS");
+
+  // A malformed numeric knob throws, naming the variable and its value,
+  // instead of falling back to the default (or wrapping, for "-1").
+  for (const char* name : {"HS_SCALE", "HS_SEED", "HS_ROUNDS", "HS_REPEATS",
+                           "HS_THREADS", "HS_TRACE_TIMINGS"}) {
+    for (const char* value :
+         {"abc", "-1", "4x", "184467440737095516160" /* 21 digits */}) {
+      setenv(name, value, 1);
+      try {
+        (void)BenchConfig::from_env();
+        ADD_FAILURE() << name << "=" << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+        EXPECT_NE(what.find(std::string("'") + value + "'"),
+                  std::string::npos)
+            << what;
+      }
+    }
+    unsetenv(name);
+  }
+  // Digits that do not fit the field are refused too, not truncated.
+  setenv("HS_SCALE", "2147483648", 1);  // INT_MAX + 1
+  EXPECT_THROW(BenchConfig::from_env(), std::invalid_argument);
+  unsetenv("HS_SCALE");
+  setenv("HS_ROUNDS", "9223372036854775808", 1);  // INT64_MAX + 1
+  EXPECT_THROW(BenchConfig::from_env(), std::invalid_argument);
   unsetenv("HS_ROUNDS");
 }
 

@@ -18,10 +18,11 @@
 # bit-identical async/buffered results and one-client batches while TSan
 # watches the fan-out. The population tests run multi-threaded simulations
 # over VirtualPopulation, where worker threads materialize client datasets
-# concurrently through per-worker slots — the provider's const-purity
-# contract under watch. The isp-parity tests run the HS_ISP=fast rewrites
-# against the reference loops (the clones compile out under TSan; the fast
-# row-major loops and their scratch arenas are what gets checked). The
+# concurrently, each into its own slot, sharing only the provider's atomic
+# counters — the provider's const-purity contract under watch. The
+# isp-parity tests run the HS_ISP=fast rewrites against the reference
+# loops (the clones compile out under TSan; the fast row-major loops and
+# their scratch arenas are what gets checked). The
 # fast-kernel tests add the HS_KERNEL=fast dispatch to the raced surface.
 # The net tests run loopback daemon rounds, where the scheduler
 # hands each wave to the root as its remote train step instead of its

@@ -569,6 +569,7 @@ int cmd_serve(const Args& args) {
     root.on_frame(conn, frame);
   });
   loop.set_closed_handler([&root](std::size_t conn) { root.on_closed(conn); });
+  check_simulation_config(*stack.algorithm, *stack.population, sim, &root);
   const std::uint16_t bound = loop.listen(host, port);
   std::printf("serving on %s:%u (%zu %s, %zu rounds)\n", host.c_str(),
               static_cast<unsigned>(bound), nodes,
