@@ -1,5 +1,5 @@
 // Imaging-substrate microbench: per-stage and full-capture-path wall time
-// under HS_ISP=reference vs HS_ISP=fast (the vectorized row-major rewrite,
+// on the reference vs the fast path (the vectorized row-major rewrite,
 // bit-exact by construction — tests/test_isp_parity.cpp).
 //
 // Writes BENCH_isp.json fresh (one JSONL record per case) and exits
@@ -54,7 +54,7 @@ double median(std::vector<double> v) {
 
 int main() {
   const Scale scale;
-  print_header("micro", "isp: HS_ISP=reference vs fast, per stage", scale);
+  print_header("micro", "isp: reference vs fast path, per stage", scale);
   const img::PathKind env_path = img::active_path();
 
   const SceneGenerator gen(64);

@@ -161,7 +161,7 @@ int main() {
 
   // Phase 3: cold generation. Every client_dataset call re-runs scene
   // synthesis + the full capture pipeline, so this row isolates the ISP
-  // substrate's share of materialization cost: HS_ISP=reference vs the
+  // substrate's share of materialization cost: the reference ISP path vs the
   // vectorized fast path (bit-identical — tests/test_isp_parity.cpp), same
   // clients, same bytes out.
   {
@@ -210,7 +210,7 @@ int main() {
       "Expected shape: RSSRatio stays within 1.10 as N grows 100x (the lazy "
       "provider's working set is O(k), not O(N)); the parity row's Identical "
       "column must read yes (virtual and materialized populations are the "
-      "same recipe); the cold row's RSSRatio column shows HS_ISP=fast's "
+      "same recipe); the cold row's RSSRatio column shows the fast ISP path's "
       "speedup over reference on materialization.\n");
   return 0;
 }

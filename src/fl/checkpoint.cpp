@@ -6,10 +6,9 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 
-#include "tensor/serialize.h"
+#include "util/bytes.h"
 #include "util/config.h"
 #include "util/crc32.h"
 
@@ -25,94 +24,132 @@ constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
 // (a tensor entry is larger still).
 constexpr std::uint64_t kMinEntryBytes = sizeof(std::uint32_t) + 8;
 
-void write_u32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+// A tensor is stored as an "HSTN" version-1 record:
+//   magic | u32 version | u32 rank | u64 dims[rank] | u64 count | f32[count]
+// The count is explicit because a default-constructed tensor is rank 0
+// with zero elements, distinct from a one-element rank-0 scalar.
+constexpr char kTensorMagic[4] = {'H', 'S', 'T', 'N'};
+constexpr std::uint32_t kTensorVersion = 1;
+constexpr std::uint32_t kMaxTensorRank = 8;
+constexpr std::uint64_t kMaxTensorDim = 1ull << 32;
+constexpr std::uint64_t kMaxTensorElements = 1ull << 31;
+
+[[noreturn]] void fail(const std::string& what) {
+  throw std::runtime_error("checkpoint: " + what);
 }
 
-void write_u64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void write_f64(std::ostream& os, double v) {
-  // Raw bit pattern: the round-trip must be bit-exact, not text-exact.
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  write_u64(os, bits);
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_u32(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::uint32_t read_u32(std::istream& is) {
-  std::uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("checkpoint: truncated file");
-  return v;
-}
-
-std::uint64_t read_u64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("checkpoint: truncated file");
-  return v;
-}
-
-double read_f64(std::istream& is) {
-  const std::uint64_t bits = read_u64(is);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-/// Bytes between the read position and the end of the file. Every length
-/// field read from disk is bounded by this before anything is allocated,
-/// so a forged count fails as a malformed file instead of reserving
-/// terabytes.
-std::uint64_t bytes_left(std::istream& is) {
-  const std::streampos here = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::streampos end = is.tellg();
-  is.seekg(here);
-  if (!is || here < 0 || end < here) {
-    throw std::runtime_error("checkpoint: unreadable file");
+/// Throws unless every read so far stayed inside the body and `n` items of
+/// `item_bytes` each fit in the bytes left. Every count and length read
+/// from the file passes through here before anything is allocated for it,
+/// so a forged one fails as a malformed file instead of reserving memory.
+void check_fits(const ByteReader& r, std::uint64_t n,
+                std::uint64_t item_bytes) {
+  if (!r.ok()) fail("truncated file");
+  if (n > r.remaining() / item_bytes) {
+    fail(std::to_string(n) + " items of " + std::to_string(item_bytes) +
+         " bytes exceed the " + std::to_string(r.remaining()) +
+         " bytes left in the file");
   }
-  return static_cast<std::uint64_t>(end - here);
 }
 
-/// Reads a u64 item count and rejects one whose items, at `min_item_bytes`
-/// each, could not fit in the rest of the file.
-std::uint64_t read_count(std::istream& is, std::uint64_t min_item_bytes) {
-  const std::uint64_t n = read_u64(is);
-  if (n > bytes_left(is) / min_item_bytes) {
-    throw std::runtime_error("checkpoint: length exceeds file size");
-  }
-  return n;
+void put_string(ByteWriter& w, const std::string& s) {
+  w.u32(static_cast<std::uint32_t>(s.size()));
+  w.bytes(s.data(), s.size());
 }
 
-std::string read_string(std::istream& is) {
-  const std::uint32_t n = read_u32(is);
-  if (n > bytes_left(is)) {
-    throw std::runtime_error("checkpoint: length exceeds file size");
-  }
+std::string get_string(ByteReader& r) {
+  const std::uint32_t n = r.u32();
+  check_fits(r, n, 1);
   std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) throw std::runtime_error("checkpoint: truncated file");
+  r.bytes(s.data(), n);
   return s;
 }
 
-void write_f64_vector(std::ostream& os, const std::vector<double>& v) {
-  write_u64(os, v.size());
-  for (double x : v) write_f64(os, x);
+// One put_value/get_value pair per stored value type; doubles are raw
+// 8-byte bit patterns, so the round trip is bit-exact, not text-exact.
+
+void put_value(ByteWriter& w, double v) { w.f64(v); }
+void get_value(ByteReader& r, double& v) { v = r.f64(); }
+void put_value(ByteWriter& w, std::uint64_t v) { w.u64(v); }
+void get_value(ByteReader& r, std::uint64_t& v) { v = r.u64(); }
+
+void put_value(ByteWriter& w, const std::vector<double>& v) {
+  w.u64(v.size());
+  for (double x : v) w.f64(x);
 }
 
-std::vector<double> read_f64_vector(std::istream& is) {
-  const std::uint64_t n = read_count(is, sizeof(std::uint64_t));
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_f64(is));
-  return v;
+void get_value(ByteReader& r, std::vector<double>& v) {
+  const std::uint64_t n = r.u64();
+  check_fits(r, n, sizeof(double));
+  v.resize(n);
+  for (double& x : v) x = r.f64();
+}
+
+void put_value(ByteWriter& w, const Tensor& t) {
+  w.bytes(kTensorMagic, sizeof(kTensorMagic));
+  w.u32(kTensorVersion);
+  w.u32(static_cast<std::uint32_t>(t.rank()));
+  for (std::size_t d : t.shape()) w.u64(d);
+  w.u64(t.size());
+  w.bytes(t.data(), t.size() * sizeof(float));
+}
+
+void get_value(ByteReader& r, Tensor& t) {
+  char magic[sizeof(kTensorMagic)];
+  r.bytes(magic, sizeof(magic));
+  const std::uint32_t version = r.u32();
+  const std::uint32_t rank = r.u32();
+  if (!r.ok()) fail("truncated file");
+  if (std::memcmp(magic, kTensorMagic, sizeof(magic)) != 0) {
+    fail("bad tensor magic");
+  }
+  if (version != kTensorVersion) {
+    fail("unsupported tensor version " + std::to_string(version));
+  }
+  if (rank > kMaxTensorRank) fail("tensor rank too large");
+  // The volume saturates one past the element cap instead of wrapping, so
+  // dims like {2^32, 2^32} cannot multiply to 0 and pass for an empty
+  // tensor; a zero dim still makes any shape empty.
+  std::vector<std::size_t> shape(rank);
+  std::uint64_t volume = 1;
+  for (std::size_t& d : shape) {
+    const std::uint64_t dim = r.u64();
+    if (dim > kMaxTensorDim) fail("tensor dim too big");
+    volume = dim != 0 && volume > kMaxTensorElements / dim
+                 ? kMaxTensorElements + 1
+                 : volume * dim;
+    d = static_cast<std::size_t>(dim);
+  }
+  if (volume > kMaxTensorElements) fail("tensor too large");
+  const std::uint64_t count = r.u64();
+  check_fits(r, count, sizeof(float));
+  if (rank == 0 && count == 0) {
+    t = Tensor();  // default-constructed
+    return;
+  }
+  if (count != volume) fail("tensor element count mismatch");
+  t = Tensor::uninit(std::move(shape));
+  r.bytes(t.data(), count * sizeof(float));
+}
+
+template <class V>
+void put_value(ByteWriter& w, const std::map<std::string, V>& m) {
+  w.u64(m.size());
+  for (const auto& [key, value] : m) {
+    put_string(w, key);
+    put_value(w, value);
+  }
+}
+
+template <class V>
+void get_value(ByteReader& r, std::map<std::string, V>& m) {
+  const std::uint64_t n = r.u64();
+  check_fits(r, n, kMinEntryBytes);
+  m.clear();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string key = get_string(r);
+    get_value(r, m[std::move(key)]);
+  }
 }
 
 }  // namespace
@@ -174,127 +211,83 @@ void write_checkpoint(const std::string& path,
   if (target.has_parent_path()) {
     std::filesystem::create_directories(target.parent_path());
   }
+  ByteWriter w;
+  w.bytes(kMagic, sizeof(kMagic));
+  w.u32(kVersion);
+  w.u64(ck.next_round);
+  w.u64(ck.seed);
+  w.u64(ck.num_clients);
+  w.u64(ck.clients_per_round);
+  put_string(w, ck.algorithm);
+  for (std::uint64_t s : ck.rng.s) w.u64(s);
+  w.u64(ck.rng.has_cached_normal ? 1 : 0);
+  w.f64(ck.rng.cached_normal);
+  put_value(w, ck.model_state);
+  put_value(w, ck.loss_history);
+  put_value(w, ck.round_virtual_seconds);
+  put_value(w, ck.counters);
+  put_value(w, ck.algo.scalars);
+  put_value(w, ck.algo.words);
+  put_value(w, ck.algo.tensors);
+  w.u32(crc32(w.data().data(), w.data().size()));
   const std::string tmp = path + ".tmp";
   {
-    std::ostringstream os(std::ios::binary);
-    os.write(kMagic, sizeof(kMagic));
-    write_u32(os, kVersion);
-    write_u64(os, ck.next_round);
-    write_u64(os, ck.seed);
-    write_u64(os, ck.num_clients);
-    write_u64(os, ck.clients_per_round);
-    write_string(os, ck.algorithm);
-    for (std::uint64_t s : ck.rng.s) write_u64(os, s);
-    write_u64(os, ck.rng.has_cached_normal ? 1 : 0);
-    write_f64(os, ck.rng.cached_normal);
-    write_tensor(os, ck.model_state);
-    write_f64_vector(os, ck.loss_history);
-    write_f64_vector(os, ck.round_virtual_seconds);
-    write_u64(os, ck.counters.size());
-    for (const auto& [key, value] : ck.counters) {
-      write_string(os, key);
-      write_f64(os, value);
-    }
-    write_u64(os, ck.algo.scalars.size());
-    for (const auto& [key, value] : ck.algo.scalars) {
-      write_string(os, key);
-      write_f64(os, value);
-    }
-    write_u64(os, ck.algo.words.size());
-    for (const auto& [key, value] : ck.algo.words) {
-      write_string(os, key);
-      write_u64(os, value);
-    }
-    write_u64(os, ck.algo.tensors.size());
-    for (const auto& [key, value] : ck.algo.tensors) {
-      write_string(os, key);
-      write_tensor(os, value);
-    }
-    std::string bytes = std::move(os).str();
-    const std::uint32_t crc = crc32(
-        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-    bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
     std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) throw std::runtime_error("checkpoint: cannot open " + tmp);
-    file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!file) throw std::runtime_error("checkpoint: write failed on " + tmp);
+    if (!file) fail("cannot open " + tmp);
+    file.write(reinterpret_cast<const char*>(w.data().data()),
+               static_cast<std::streamsize>(w.data().size()));
+    if (!file) fail("write failed on " + tmp);
   }
   // Atomic publish: a crash before this line leaves the old checkpoint.
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("checkpoint: rename to " + path + " failed");
+    fail("rename to " + path + " failed");
   }
 }
 
 bool read_checkpoint(const std::string& path, SimulationCheckpoint& out) {
-  std::string bytes;
+  std::vector<std::uint8_t> bytes;
   {
     std::ifstream file(path, std::ios::binary);
     if (!file) return false;
     bytes.assign(std::istreambuf_iterator<char>(file), {});
-    if (file.bad()) throw std::runtime_error("checkpoint: cannot read " + path);
+    if (file.bad()) fail("cannot read " + path);
   }
-  if (bytes.size() < kHeaderBytes + kCrcBytes) {
-    throw std::runtime_error("checkpoint: truncated file " + path);
+  if (bytes.size() < kHeaderBytes + kCrcBytes) fail("truncated file " + path);
+  const std::size_t body = bytes.size() - kCrcBytes;
+  ByteReader r(bytes.data(), body);
+  char magic[sizeof(kMagic)];
+  r.bytes(magic, sizeof(magic));
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    fail("bad magic in " + path);
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("checkpoint: bad magic in " + path);
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
+  const std::uint32_t version = r.u32();
   if (version != kVersion) {
-    throw std::runtime_error("checkpoint: unsupported version " +
-                             std::to_string(version) + " in " + path +
-                             " (this build reads version " +
-                             std::to_string(kVersion) + ")");
+    fail("unsupported version " + std::to_string(version) + " in " + path +
+         " (this build reads version " + std::to_string(kVersion) + ")");
   }
   // The CRC covers every byte before it, so a flipped bit anywhere in the
   // body fails here instead of loading as a different run.
-  const std::size_t body = bytes.size() - kCrcBytes;
-  std::uint32_t stored = 0;
-  std::memcpy(&stored, bytes.data() + body, sizeof(stored));
-  if (crc32(reinterpret_cast<const std::uint8_t*>(bytes.data()), body) !=
-      stored) {
-    throw std::runtime_error("checkpoint: CRC mismatch in " + path);
+  if (crc32(bytes.data(), body) !=
+      ByteReader(bytes.data() + body, kCrcBytes).u32()) {
+    fail("CRC mismatch in " + path);
   }
-  bytes.resize(body);
-  std::istringstream is(std::move(bytes), std::ios::binary);
-  is.seekg(static_cast<std::streamoff>(kHeaderBytes));
-  out.next_round = read_u64(is);
-  out.seed = read_u64(is);
-  out.num_clients = read_u64(is);
-  out.clients_per_round = read_u64(is);
-  out.algorithm = read_string(is);
-  for (std::uint64_t& s : out.rng.s) s = read_u64(is);
-  out.rng.has_cached_normal = read_u64(is) != 0;
-  out.rng.cached_normal = read_f64(is);
-  out.model_state = read_tensor(is);
-  out.loss_history = read_f64_vector(is);
-  out.round_virtual_seconds = read_f64_vector(is);
-  out.counters.clear();
-  const std::uint64_t n_counters = read_count(is, kMinEntryBytes);
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    std::string key = read_string(is);
-    out.counters[std::move(key)] = read_f64(is);
-  }
-  out.algo = AlgorithmCheckpoint{};
-  const std::uint64_t n_scalars = read_count(is, kMinEntryBytes);
-  for (std::uint64_t i = 0; i < n_scalars; ++i) {
-    std::string key = read_string(is);
-    out.algo.scalars[std::move(key)] = read_f64(is);
-  }
-  const std::uint64_t n_words = read_count(is, kMinEntryBytes);
-  for (std::uint64_t i = 0; i < n_words; ++i) {
-    std::string key = read_string(is);
-    out.algo.words[std::move(key)] = read_u64(is);
-  }
-  const std::uint64_t n_tensors = read_count(is, kMinEntryBytes);
-  for (std::uint64_t i = 0; i < n_tensors; ++i) {
-    std::string key = read_string(is);
-    out.algo.tensors[std::move(key)] = read_tensor(is);
-  }
-  if (is.peek() != std::char_traits<char>::eof()) {
-    throw std::runtime_error("checkpoint: trailing bytes in " + path);
-  }
+  out.next_round = r.u64();
+  out.seed = r.u64();
+  out.num_clients = r.u64();
+  out.clients_per_round = r.u64();
+  out.algorithm = get_string(r);
+  for (std::uint64_t& s : out.rng.s) s = r.u64();
+  out.rng.has_cached_normal = r.u64() != 0;
+  out.rng.cached_normal = r.f64();
+  get_value(r, out.model_state);
+  get_value(r, out.loss_history);
+  get_value(r, out.round_virtual_seconds);
+  get_value(r, out.counters);
+  get_value(r, out.algo.scalars);
+  get_value(r, out.algo.words);
+  get_value(r, out.algo.tensors);
+  if (!r.ok()) fail("truncated file " + path);
+  if (r.remaining() != 0) fail("trailing bytes in " + path);
   return true;
 }
 

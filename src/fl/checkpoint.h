@@ -6,10 +6,13 @@
 // engine state, the loss/virtual-time histories, the fault and dispatch
 // counters, and the algorithm's cross-round state via
 // SplitFederatedAlgorithm::save_state.
-// Doubles are stored as raw 8-byte little-endian words so the round-trip is
-// bit-exact; tensors reuse the "HSTN" serializer from tensor/serialize.h.
-// The file ("HSCK", version 2) ends in a CRC-32 of every byte before it, so
-// a corrupted file fails to load instead of resuming a different run.
+// The file ("HSCK", version 2) is written and read with the util/bytes.h
+// codec: doubles are raw 8-byte little-endian words, so the round-trip is
+// bit-exact, and tensors are "HSTN" version-1 records private to
+// checkpoint.cpp. The file ends in a CRC-32 of every byte before it, so a
+// corrupted file fails to load instead of resuming a different run; the
+// reader bounds every count, string length and tensor volume by the bytes
+// left in the file before it allocates.
 //
 // The file is written atomically (tmp file + rename) so a crash mid-write
 // leaves the previous checkpoint intact.

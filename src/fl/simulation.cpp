@@ -95,6 +95,13 @@ void check_simulation_config(const SplitFederatedAlgorithm& algorithm,
   HS_CHECK(num_clients > 0, "run_simulation: no clients");
   HS_CHECK(cfg.clients_per_round > 0 && cfg.clients_per_round <= num_clients,
            "run_simulation: bad clients_per_round");
+  if (cfg.num_threads > kMaxSimulationThreads) {
+    throw std::invalid_argument(
+        "run_simulation: num_threads " + std::to_string(cfg.num_threads) +
+        " exceeds the cap of " + std::to_string(kMaxSimulationThreads));
+  }
+  check_fault_options(cfg.faults, "run_simulation");
+  check_sched_options(cfg.sched, "run_simulation");
   // A checkpoint is a flush boundary with no client in flight, which only
   // windows of exactly one wave have.
   HS_CHECK(!cfg.checkpoint.enabled() ||

@@ -62,6 +62,12 @@ class DeviceEval {
 /// calling thread. run_simulation fans the same list out over its workers.
 DeviceMetrics evaluate_per_device(Model& model, const ClientProvider& pop);
 
+/// The most worker threads a run may ask for. The pool starts every worker,
+/// each with its own model replica, before round 0, so
+/// check_simulation_config refuses a larger SimulationConfig::num_threads
+/// rather than start whatever count HS_THREADS names.
+constexpr std::size_t kMaxSimulationThreads = 1024;
+
 struct SimulationConfig {
   std::size_t rounds = 100;            ///< T
   std::size_t clients_per_round = 20;  ///< K
@@ -69,8 +75,9 @@ struct SimulationConfig {
   /// Evaluate per-device metrics every eval_every rounds (0 = only final).
   std::size_t eval_every = 0;
   /// Worker threads for the per-client training fan-out. 1 runs everything
-  /// on the calling thread; 0 selects hardware_concurrency. Results are
-  /// bit-identical for any value (see DESIGN.md, runtime contract).
+  /// on the calling thread; 0 selects hardware_concurrency; at most
+  /// kMaxSimulationThreads. Results are bit-identical for any value (see
+  /// DESIGN.md, runtime contract).
   std::size_t num_threads = 1;
   /// Telemetry sink for the run's round/client/eval events (see
   /// fl/observer.h and DESIGN.md §8). Non-owning; null disables telemetry.

@@ -1,48 +1,22 @@
 #include "image/fastpath.h"
 
 #include <atomic>
-#include <mutex>
-#include <stdexcept>
 #include <vector>
-
-#include "util/config.h"
 
 namespace hetero::img {
 namespace {
 
 std::atomic<std::uint64_t> g_grow_count{0};
-
-PathKind path_from_env() {
-  const auto value = env_string("HS_ISP");
-  if (!value) return PathKind::kFast;
-  return parse_path_kind(*value);
-}
-
-std::atomic<PathKind>& active_slot() {
-  // First touch resolves HS_ISP exactly once, under the static-init lock.
-  static std::atomic<PathKind> slot{path_from_env()};
-  return slot;
-}
+std::atomic<PathKind> g_active_path{PathKind::kFast};
 
 }  // namespace
 
-PathKind parse_path_kind(const std::string& name) {
-  if (name == "reference") return PathKind::kReference;
-  if (name == "fast") return PathKind::kFast;
-  throw std::invalid_argument("HS_ISP: unknown path \"" + name +
-                              "\" (valid: reference, fast)");
-}
-
-const char* path_name(PathKind kind) {
-  return kind == PathKind::kReference ? "reference" : "fast";
-}
-
 PathKind active_path() {
-  return active_slot().load(std::memory_order_relaxed);
+  return g_active_path.load(std::memory_order_relaxed);
 }
 
 void set_active_path(PathKind kind) {
-  active_slot().store(kind, std::memory_order_relaxed);
+  g_active_path.store(kind, std::memory_order_relaxed);
 }
 
 float* scratch(std::size_t slot, std::size_t count) {

@@ -1,4 +1,4 @@
-// Imaging-substrate fast-path dispatch (HS_ISP) and scratch arenas.
+// Imaging-substrate fast-path dispatch and scratch arenas.
 //
 // The capture path (scene render -> sensor -> denoise -> demosaic -> WB ->
 // gamut -> tone -> JPEG) ships two implementations of every hot per-pixel
@@ -12,13 +12,13 @@
 // fast outputs are byte-identical — asserted stage-by-stage across every
 // Table-3 option and device profile by tests/test_isp_parity.cpp.
 //
-// HS_ISP=reference|fast selects the process-wide default (fast when unset);
-// set_active_path() overrides it programmatically (tests, parity sweeps).
+// Every run takes the fast path. set_active_path() switches the process to
+// the reference loops for the parity tests and the micro benches that time
+// one against the other; no knob does, since a switch could only slow a run.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace hetero::img {
 
@@ -27,13 +27,7 @@ enum class PathKind {
   kFast,       ///< row-major + target_clones passes, bit-exact (default)
 };
 
-/// Parses "reference" / "fast"; throws std::invalid_argument otherwise.
-PathKind parse_path_kind(const std::string& name);
-
-const char* path_name(PathKind kind);
-
-/// Process-wide active path. First use reads HS_ISP (unknown values throw,
-/// listing the valid modes); defaults to kFast. Thread-safe.
+/// Process-wide active path; kFast until set_active_path. Thread-safe.
 PathKind active_path();
 void set_active_path(PathKind kind);
 

@@ -224,7 +224,7 @@ Image demosaic_binning(const MosaicView& m) {
 
 // ---------------------------------------------------------------- fast path
 //
-// Row-major rewrites of the seed loops above (HS_ISP=fast). Interior pixels
+// Row-major rewrites of the seed loops above (the fast path). Interior pixels
 // — no clamped neighbour — run over raw row pointers through per-CFA-phase
 // offset tables built in the same dy/dx iteration order as the scalar scans,
 // so every floating-point accumulation happens in the seed order and the

@@ -125,7 +125,7 @@ RawImage denoise_wavelet(const RawImage& raw) {
 
 // ---------------------------------------------------------------- fast path
 //
-// HS_ISP=fast rewrites of the loops above; byte-identical results (the
+// Fast-path rewrites of the loops above; byte-identical results (the
 // blend/threshold arithmetic is untouched and a median is a k-th order
 // statistic, so any exact selection yields the seed value). See
 // tests/test_isp_parity.cpp.

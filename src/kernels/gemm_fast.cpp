@@ -19,7 +19,6 @@
 // region owns a disjoint C sub-matrix and computes its outputs' full
 // reduction chains.
 #include <algorithm>
-#include <cstring>
 
 #include "kernels/internal.h"
 #include "kernels/isa.h"
@@ -27,20 +26,6 @@
 namespace hetero::kernels::detail {
 
 namespace {
-
-typedef float v8f __attribute__((vector_size(32)));
-
-HS_ALWAYS_INLINE v8f load8(const float* p) {
-  v8f v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-HS_ALWAYS_INLINE void store8(float* p, v8f v) {
-  __builtin_memcpy(p, &v, sizeof(v));
-}
-
-HS_ALWAYS_INLINE v8f splat8(float x) { return v8f{} + x; }
 
 // ------------------------------------------------------------------- nn ----
 // C(m x n) += A(m x k) · B(k x n). B rows are contiguous in j, so a column
@@ -59,19 +44,19 @@ HS_ALWAYS_INLINE void nn_tile_v(const float* HS_RESTRICT a,
   for (; i + 4 <= iend; i += 4) {
     v8f s0[U], s1[U], s2[U], s3[U];
     for (int u = 0; u < U; ++u) {
-      s0[u] = load8(c + (i + 0) * n + j + 8 * u);
-      s1[u] = load8(c + (i + 1) * n + j + 8 * u);
-      s2[u] = load8(c + (i + 2) * n + j + 8 * u);
-      s3[u] = load8(c + (i + 3) * n + j + 8 * u);
+      s0[u] = vload<v8f>(c + (i + 0) * n + j + 8 * u);
+      s1[u] = vload<v8f>(c + (i + 1) * n + j + 8 * u);
+      s2[u] = vload<v8f>(c + (i + 2) * n + j + 8 * u);
+      s3[u] = vload<v8f>(c + (i + 3) * n + j + 8 * u);
     }
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const v8f a0 = splat8(a[(i + 0) * k + kk]);
-      const v8f a1 = splat8(a[(i + 1) * k + kk]);
-      const v8f a2 = splat8(a[(i + 2) * k + kk]);
-      const v8f a3 = splat8(a[(i + 3) * k + kk]);
+      const v8f a0 = v8f{} + a[(i + 0) * k + kk];
+      const v8f a1 = v8f{} + a[(i + 1) * k + kk];
+      const v8f a2 = v8f{} + a[(i + 2) * k + kk];
+      const v8f a3 = v8f{} + a[(i + 3) * k + kk];
       const float* HS_RESTRICT br = b + kk * n + j;
       for (int u = 0; u < U; ++u) {
-        const v8f bv = load8(br + 8 * u);
+        const v8f bv = vload<v8f>(br + 8 * u);
         s0[u] += a0 * bv;
         s1[u] += a1 * bv;
         s2[u] += a2 * bv;
@@ -79,21 +64,21 @@ HS_ALWAYS_INLINE void nn_tile_v(const float* HS_RESTRICT a,
       }
     }
     for (int u = 0; u < U; ++u) {
-      store8(c + (i + 0) * n + j + 8 * u, s0[u]);
-      store8(c + (i + 1) * n + j + 8 * u, s1[u]);
-      store8(c + (i + 2) * n + j + 8 * u, s2[u]);
-      store8(c + (i + 3) * n + j + 8 * u, s3[u]);
+      vstore(c + (i + 0) * n + j + 8 * u, s0[u]);
+      vstore(c + (i + 1) * n + j + 8 * u, s1[u]);
+      vstore(c + (i + 2) * n + j + 8 * u, s2[u]);
+      vstore(c + (i + 3) * n + j + 8 * u, s3[u]);
     }
   }
   for (; i < iend; ++i) {
     v8f sr[U];
-    for (int u = 0; u < U; ++u) sr[u] = load8(c + i * n + j + 8 * u);
+    for (int u = 0; u < U; ++u) sr[u] = vload<v8f>(c + i * n + j + 8 * u);
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const v8f av = splat8(a[i * k + kk]);
+      const v8f av = v8f{} + a[i * k + kk];
       const float* HS_RESTRICT br = b + kk * n + j;
-      for (int u = 0; u < U; ++u) sr[u] += av * load8(br + 8 * u);
+      for (int u = 0; u < U; ++u) sr[u] += av * vload<v8f>(br + 8 * u);
     }
-    for (int u = 0; u < U; ++u) store8(c + i * n + j + 8 * u, sr[u]);
+    for (int u = 0; u < U; ++u) vstore(c + i * n + j + 8 * u, sr[u]);
   }
 }
 
@@ -161,19 +146,19 @@ HS_ALWAYS_INLINE void nt_fast_tile(const float* HS_RESTRICT a,
       const float* HS_RESTRICT a3 = a + (i0 + ii + 3) * k + k0;
       v8f s0[U], s1[U], s2[U], s3[U];
       for (int u = 0; u < U; ++u) {
-        s0[u] = load8(acc + (ii + 0) * JT + 8 * u);
-        s1[u] = load8(acc + (ii + 1) * JT + 8 * u);
-        s2[u] = load8(acc + (ii + 2) * JT + 8 * u);
-        s3[u] = load8(acc + (ii + 3) * JT + 8 * u);
+        s0[u] = vload<v8f>(acc + (ii + 0) * JT + 8 * u);
+        s1[u] = vload<v8f>(acc + (ii + 1) * JT + 8 * u);
+        s2[u] = vload<v8f>(acc + (ii + 2) * JT + 8 * u);
+        s3[u] = vload<v8f>(acc + (ii + 3) * JT + 8 * u);
       }
       for (std::size_t kk = 0; kk < kb; ++kk) {
         const float* HS_RESTRICT btr = bt + kk * JT;
-        const v8f v0 = splat8(a0[kk]);
-        const v8f v1 = splat8(a1[kk]);
-        const v8f v2 = splat8(a2[kk]);
-        const v8f v3 = splat8(a3[kk]);
+        const v8f v0 = v8f{} + a0[kk];
+        const v8f v1 = v8f{} + a1[kk];
+        const v8f v2 = v8f{} + a2[kk];
+        const v8f v3 = v8f{} + a3[kk];
         for (int u = 0; u < U; ++u) {
-          const v8f bv = load8(btr + 8 * u);
+          const v8f bv = vload<v8f>(btr + 8 * u);
           s0[u] += v0 * bv;
           s1[u] += v1 * bv;
           s2[u] += v2 * bv;
@@ -181,22 +166,22 @@ HS_ALWAYS_INLINE void nt_fast_tile(const float* HS_RESTRICT a,
         }
       }
       for (int u = 0; u < U; ++u) {
-        store8(acc + (ii + 0) * JT + 8 * u, s0[u]);
-        store8(acc + (ii + 1) * JT + 8 * u, s1[u]);
-        store8(acc + (ii + 2) * JT + 8 * u, s2[u]);
-        store8(acc + (ii + 3) * JT + 8 * u, s3[u]);
+        vstore(acc + (ii + 0) * JT + 8 * u, s0[u]);
+        vstore(acc + (ii + 1) * JT + 8 * u, s1[u]);
+        vstore(acc + (ii + 2) * JT + 8 * u, s2[u]);
+        vstore(acc + (ii + 3) * JT + 8 * u, s3[u]);
       }
     }
     for (; ii < ib; ++ii) {
       const float* HS_RESTRICT arow = a + (i0 + ii) * k + k0;
       v8f sr[U];
-      for (int u = 0; u < U; ++u) sr[u] = load8(acc + ii * JT + 8 * u);
+      for (int u = 0; u < U; ++u) sr[u] = vload<v8f>(acc + ii * JT + 8 * u);
       for (std::size_t kk = 0; kk < kb; ++kk) {
-        const v8f av = splat8(arow[kk]);
+        const v8f av = v8f{} + arow[kk];
         const float* HS_RESTRICT btr = bt + kk * JT;
-        for (int u = 0; u < U; ++u) sr[u] += av * load8(btr + 8 * u);
+        for (int u = 0; u < U; ++u) sr[u] += av * vload<v8f>(btr + 8 * u);
       }
-      for (int u = 0; u < U; ++u) store8(acc + ii * JT + 8 * u, sr[u]);
+      for (int u = 0; u < U; ++u) vstore(acc + ii * JT + 8 * u, sr[u]);
     }
   }
   for (std::size_t ii = 0; ii < ib; ++ii) {
@@ -245,18 +230,18 @@ HS_ALWAYS_INLINE void nt_dot_cols4(const float* HS_RESTRICT a,
     v8f s00{}, s01{}, s02{}, s03{};
     v8f s10{}, s11{}, s12{}, s13{};
     for (std::size_t kk = 0; kk < k8; kk += 8) {
-      const v8f av0 = load8(a0 + kk);
-      const v8f av1 = load8(a1 + kk);
-      const v8f bv0 = load8(b0 + kk);
+      const v8f av0 = vload<v8f>(a0 + kk);
+      const v8f av1 = vload<v8f>(a1 + kk);
+      const v8f bv0 = vload<v8f>(b0 + kk);
       s00 += av0 * bv0;
       s10 += av1 * bv0;
-      const v8f bv1 = load8(b1 + kk);
+      const v8f bv1 = vload<v8f>(b1 + kk);
       s01 += av0 * bv1;
       s11 += av1 * bv1;
-      const v8f bv2 = load8(b2 + kk);
+      const v8f bv2 = vload<v8f>(b2 + kk);
       s02 += av0 * bv2;
       s12 += av1 * bv2;
-      const v8f bv3 = load8(b3 + kk);
+      const v8f bv3 = vload<v8f>(b3 + kk);
       s03 += av0 * bv3;
       s13 += av1 * bv3;
     }
@@ -300,11 +285,11 @@ HS_ALWAYS_INLINE void nt_dot_cols4(const float* HS_RESTRICT a,
     const float* HS_RESTRICT a0 = a + i * k;
     v8f s0{}, s1{}, s2{}, s3{};
     for (std::size_t kk = 0; kk < k8; kk += 8) {
-      const v8f av = load8(a0 + kk);
-      s0 += av * load8(b0 + kk);
-      s1 += av * load8(b1 + kk);
-      s2 += av * load8(b2 + kk);
-      s3 += av * load8(b3 + kk);
+      const v8f av = vload<v8f>(a0 + kk);
+      s0 += av * vload<v8f>(b0 + kk);
+      s1 += av * vload<v8f>(b1 + kk);
+      s2 += av * vload<v8f>(b2 + kk);
+      s3 += av * vload<v8f>(b3 + kk);
     }
     float r0 = hsum8(s0), r1 = hsum8(s1), r2 = hsum8(s2), r3 = hsum8(s3);
     for (std::size_t kk = k8; kk < k; ++kk) {
@@ -395,20 +380,20 @@ HS_ALWAYS_INLINE void tn_tile_v(const float* HS_RESTRICT a,
   for (; kk + 4 <= kend; kk += 4) {
     v8f s0[U], s1[U], s2[U], s3[U];
     for (int u = 0; u < U; ++u) {
-      s0[u] = load8(c + (kk + 0) * n + j + 8 * u);
-      s1[u] = load8(c + (kk + 1) * n + j + 8 * u);
-      s2[u] = load8(c + (kk + 2) * n + j + 8 * u);
-      s3[u] = load8(c + (kk + 3) * n + j + 8 * u);
+      s0[u] = vload<v8f>(c + (kk + 0) * n + j + 8 * u);
+      s1[u] = vload<v8f>(c + (kk + 1) * n + j + 8 * u);
+      s2[u] = vload<v8f>(c + (kk + 2) * n + j + 8 * u);
+      s3[u] = vload<v8f>(c + (kk + 3) * n + j + 8 * u);
     }
     for (std::size_t i = 0; i < m; ++i) {
       const float* HS_RESTRICT arow = a + i * k + kk;
-      const v8f a0 = splat8(arow[0]);
-      const v8f a1 = splat8(arow[1]);
-      const v8f a2 = splat8(arow[2]);
-      const v8f a3 = splat8(arow[3]);
+      const v8f a0 = v8f{} + arow[0];
+      const v8f a1 = v8f{} + arow[1];
+      const v8f a2 = v8f{} + arow[2];
+      const v8f a3 = v8f{} + arow[3];
       const float* HS_RESTRICT br = b + i * n + j;
       for (int u = 0; u < U; ++u) {
-        const v8f bv = load8(br + 8 * u);
+        const v8f bv = vload<v8f>(br + 8 * u);
         s0[u] += a0 * bv;
         s1[u] += a1 * bv;
         s2[u] += a2 * bv;
@@ -416,21 +401,21 @@ HS_ALWAYS_INLINE void tn_tile_v(const float* HS_RESTRICT a,
       }
     }
     for (int u = 0; u < U; ++u) {
-      store8(c + (kk + 0) * n + j + 8 * u, s0[u]);
-      store8(c + (kk + 1) * n + j + 8 * u, s1[u]);
-      store8(c + (kk + 2) * n + j + 8 * u, s2[u]);
-      store8(c + (kk + 3) * n + j + 8 * u, s3[u]);
+      vstore(c + (kk + 0) * n + j + 8 * u, s0[u]);
+      vstore(c + (kk + 1) * n + j + 8 * u, s1[u]);
+      vstore(c + (kk + 2) * n + j + 8 * u, s2[u]);
+      vstore(c + (kk + 3) * n + j + 8 * u, s3[u]);
     }
   }
   for (; kk < kend; ++kk) {
     v8f sr[U];
-    for (int u = 0; u < U; ++u) sr[u] = load8(c + kk * n + j + 8 * u);
+    for (int u = 0; u < U; ++u) sr[u] = vload<v8f>(c + kk * n + j + 8 * u);
     for (std::size_t i = 0; i < m; ++i) {
-      const v8f av = splat8(a[i * k + kk]);
+      const v8f av = v8f{} + a[i * k + kk];
       const float* HS_RESTRICT br = b + i * n + j;
-      for (int u = 0; u < U; ++u) sr[u] += av * load8(br + 8 * u);
+      for (int u = 0; u < U; ++u) sr[u] += av * vload<v8f>(br + 8 * u);
     }
-    for (int u = 0; u < U; ++u) store8(c + kk * n + j + 8 * u, sr[u]);
+    for (int u = 0; u < U; ++u) vstore(c + kk * n + j + 8 * u, sr[u]);
   }
 }
 

@@ -13,13 +13,13 @@ constexpr std::uint32_t kMaxTensorRank = 8;
 
 enum class TensorMode : std::uint8_t { kDense = 0, kSparse = 1 };
 
-void put_rng(WireWriter& w, const RngState& s) {
+void put_rng(ByteWriter& w, const RngState& s) {
   for (std::uint64_t word : s.s) w.u64(word);
   w.u8(s.has_cached_normal ? 1 : 0);
   w.f64(s.cached_normal);
 }
 
-bool get_rng(WireReader& r, RngState& out) {
+bool get_rng(ByteReader& r, RngState& out) {
   for (std::uint64_t& word : out.s) word = r.u64();
   const std::uint8_t cached = r.u8();
   if (cached > 1) return false;
@@ -28,7 +28,7 @@ bool get_rng(WireReader& r, RngState& out) {
   return r.ok();
 }
 
-void put_meta(WireWriter& w, const WireUpdateMeta& m) {
+void put_meta(ByteWriter& w, const WireUpdateMeta& m) {
   w.u64(m.client_id);
   w.u64(m.position);
   w.f64(m.weight);
@@ -39,7 +39,7 @@ void put_meta(WireWriter& w, const WireUpdateMeta& m) {
   w.f64(m.train_seconds);
 }
 
-bool get_meta(WireReader& r, WireUpdateMeta& out) {
+bool get_meta(ByteReader& r, WireUpdateMeta& out) {
   out.client_id = r.u64();
   out.position = r.u64();
   out.weight = r.f64();
@@ -54,11 +54,11 @@ bool get_meta(WireReader& r, WireUpdateMeta& out) {
 
 /// Finishes a decode: the payload must have parsed cleanly AND completely —
 /// trailing bytes mean a schema mismatch, not extra padding.
-bool done(const WireReader& r) { return r.ok() && r.remaining() == 0; }
+bool done(const ByteReader& r) { return r.ok() && r.remaining() == 0; }
 
 }  // namespace
 
-void put_tensor(WireWriter& w, const Tensor& t) {
+void put_tensor(ByteWriter& w, const Tensor& t) {
   w.u32(static_cast<std::uint32_t>(t.rank()));
   for (std::size_t d : t.shape()) w.u64(d);
   // Sparse only when lossless: every omitted coordinate must be bit-zero
@@ -83,7 +83,7 @@ void put_tensor(WireWriter& w, const Tensor& t) {
   }
 }
 
-bool get_tensor(WireReader& r, Tensor& out) {
+bool get_tensor(ByteReader& r, Tensor& out) {
   const std::uint32_t rank = r.u32();
   if (!r.ok() || rank > kMaxTensorRank) return false;
   std::vector<std::size_t> shape(rank);
@@ -134,7 +134,7 @@ bool get_tensor(WireReader& r, Tensor& out) {
   return true;
 }
 
-void put_update(WireWriter& w, const ClientUpdate& u) {
+void put_update(ByteWriter& w, const ClientUpdate& u) {
   w.u64(u.client_id);
   w.f64(u.weight);
   w.f64(u.train_loss);
@@ -146,7 +146,7 @@ void put_update(WireWriter& w, const ClientUpdate& u) {
   put_tensor(w, u.aux);
 }
 
-bool get_update(WireReader& r, ClientUpdate& out) {
+bool get_update(ByteReader& r, ClientUpdate& out) {
   out.client_id = r.u64();
   out.weight = r.f64();
   out.train_loss = r.f64();
@@ -159,14 +159,14 @@ bool get_update(WireReader& r, ClientUpdate& out) {
 }
 
 std::vector<std::uint8_t> encode_hello(const HelloMsg& m) {
-  WireWriter w;
+  ByteWriter w;
   w.u8(static_cast<std::uint8_t>(m.role));
   w.u64(m.node_index);
   return w.take();
 }
 
 bool decode_hello(const std::vector<std::uint8_t>& payload, HelloMsg& out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   const std::uint8_t role = r.u8();
   if (role != static_cast<std::uint8_t>(NodeRole::kWorker) &&
       role != static_cast<std::uint8_t>(NodeRole::kEdge)) {
@@ -178,7 +178,7 @@ bool decode_hello(const std::vector<std::uint8_t>& payload, HelloMsg& out) {
 }
 
 std::vector<std::uint8_t> encode_hello_ack(const HelloAckMsg& m) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(m.node_index);
   w.u64(m.rounds);
   return w.take();
@@ -186,14 +186,14 @@ std::vector<std::uint8_t> encode_hello_ack(const HelloAckMsg& m) {
 
 bool decode_hello_ack(const std::vector<std::uint8_t>& payload,
                       HelloAckMsg& out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out.node_index = r.u64();
   out.rounds = r.u64();
   return done(r);
 }
 
 std::vector<std::uint8_t> encode_round_config(const RoundConfigMsg& m) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(m.round);
   w.u64(m.n_selected);
   w.u64(m.clients.size());
@@ -210,7 +210,7 @@ std::vector<std::uint8_t> encode_round_config(const RoundConfigMsg& m) {
 
 bool decode_round_config(const std::vector<std::uint8_t>& payload,
                          RoundConfigMsg& out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out.round = r.u64();
   out.n_selected = r.u64();
   const std::uint64_t count = r.u64();
@@ -236,20 +236,20 @@ bool decode_round_config(const std::vector<std::uint8_t>& payload,
 }
 
 std::vector<std::uint8_t> encode_model_pull(const ModelPullMsg& m) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(m.round);
   return w.take();
 }
 
 bool decode_model_pull(const std::vector<std::uint8_t>& payload,
                        ModelPullMsg& out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out.round = r.u64();
   return done(r);
 }
 
 std::vector<std::uint8_t> encode_model_state(const ModelStateMsg& m) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(m.round);
   put_tensor(w, m.state);
   return w.take();
@@ -257,14 +257,14 @@ std::vector<std::uint8_t> encode_model_state(const ModelStateMsg& m) {
 
 bool decode_model_state(const std::vector<std::uint8_t>& payload,
                         ModelStateMsg& out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out.round = r.u64();
   if (!get_tensor(r, out.state)) return false;
   return done(r);
 }
 
 std::vector<std::uint8_t> encode_update_push(const UpdatePushMsg& m) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(m.round);
   w.u64(m.position);
   put_update(w, m.update);
@@ -273,7 +273,7 @@ std::vector<std::uint8_t> encode_update_push(const UpdatePushMsg& m) {
 
 bool decode_update_push(const std::vector<std::uint8_t>& payload,
                         UpdatePushMsg& out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out.round = r.u64();
   out.position = r.u64();
   if (!get_update(r, out.update)) return false;
@@ -281,7 +281,7 @@ bool decode_update_push(const std::vector<std::uint8_t>& payload,
 }
 
 std::vector<std::uint8_t> encode_digest(const DigestMsg& m) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(m.round);
   w.u64(m.edge_index);
   w.u8(m.has_digest);
@@ -292,7 +292,7 @@ std::vector<std::uint8_t> encode_digest(const DigestMsg& m) {
 }
 
 bool decode_digest(const std::vector<std::uint8_t>& payload, DigestMsg& out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out.round = r.u64();
   out.edge_index = r.u64();
   out.has_digest = r.u8();
@@ -308,13 +308,13 @@ bool decode_digest(const std::vector<std::uint8_t>& payload, DigestMsg& out) {
 }
 
 std::vector<std::uint8_t> encode_bye(const ByeMsg& m) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(m.rounds_done);
   return w.take();
 }
 
 bool decode_bye(const std::vector<std::uint8_t>& payload, ByeMsg& out) {
-  WireReader r(payload);
+  ByteReader r(payload);
   out.rounds_done = r.u64();
   return done(r);
 }

@@ -1,9 +1,10 @@
 // Message schemas carried by the wire frames (net/wire.h).
 //
-// One struct + encode/decode pair per FrameType. Decoders run over a
-// WireReader and return false on any truncation, trailing garbage, or
-// invalid field — never throwing, never reading out of bounds — so a
-// malformed but CRC-valid payload degrades into a clean rejection.
+// One struct + encode/decode pair per FrameType, over the util/bytes.h
+// codec. Decoders run over a ByteReader and return false on any
+// truncation, trailing garbage, or invalid field — never throwing, never
+// reading out of bounds — so a malformed but CRC-valid payload degrades
+// into a clean rejection.
 //
 // Tensors travel with a 1-byte mode tag: dense (raw f32 stream) or sparse
 // ((u32 index, f32 value) pairs — the SparseUpdate layout from
@@ -20,6 +21,7 @@
 #include "net/wire.h"
 #include "runtime/sched/remote_step.h"
 #include "tensor/tensor.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace hetero::net {
@@ -91,10 +93,10 @@ struct ByeMsg {
 };
 
 // Tensor / ClientUpdate codecs, shared by the messages above.
-void put_tensor(WireWriter& w, const Tensor& t);
-bool get_tensor(WireReader& r, Tensor& out);
-void put_update(WireWriter& w, const ClientUpdate& u);
-bool get_update(WireReader& r, ClientUpdate& out);
+void put_tensor(ByteWriter& w, const Tensor& t);
+bool get_tensor(ByteReader& r, Tensor& out);
+void put_update(ByteWriter& w, const ClientUpdate& u);
+bool get_update(ByteReader& r, ClientUpdate& out);
 
 std::vector<std::uint8_t> encode_hello(const HelloMsg& m);
 bool decode_hello(const std::vector<std::uint8_t>& payload, HelloMsg& out);

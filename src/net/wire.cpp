@@ -1,25 +1,9 @@
 #include "net/wire.h"
 
-#include <bit>
+#include "util/bytes.h"
+#include "util/crc32.h"
 
 namespace hetero::net {
-namespace {
-
-void put_le(std::vector<std::uint8_t>& buf, std::uint64_t v, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t get_le(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 const char* frame_type_name(FrameType type) {
   switch (type) {
@@ -51,22 +35,22 @@ const char* parse_error_name(ParseError error) {
 std::vector<std::uint8_t> encode_frame(
     FrameType type, std::uint64_t run, std::uint64_t seq,
     const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  put_le(frame, kFrameMagic, 4);
-  frame.push_back(kWireVersion);
-  frame.push_back(static_cast<std::uint8_t>(type));
-  put_le(frame, 0, 2);  // reserved
-  put_le(frame, run, 8);
-  put_le(frame, seq, 8);
-  put_le(frame, static_cast<std::uint64_t>(payload.size()), 4);
+  ByteWriter w;
+  w.reserve(kFrameHeaderSize + payload.size());
+  w.u32(kFrameMagic);
+  w.u8(kWireVersion);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u16(0);  // reserved
+  w.u64(run);
+  w.u64(seq);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
   // CRC over header-after-magic [4, 28) then the payload, so any single
   // corrupted bit — header or body — fails the check.
-  std::uint32_t crc = crc32(frame.data() + 4, 24);
+  std::uint32_t crc = crc32(w.data().data() + 4, 24);
   crc = crc32(payload.data(), payload.size(), crc);
-  put_le(frame, crc, 4);
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
+  w.u32(crc);
+  w.bytes(payload.data(), payload.size());
+  return w.take();
 }
 
 void FrameParser::fail(ParseError error) {
@@ -90,15 +74,16 @@ bool FrameParser::next(Frame& out) {
   if (quarantined()) return false;
   if (buffered() < kFrameHeaderSize) return false;
   const std::uint8_t* h = buf_.data() + off_;
+  ByteReader r(h, kFrameHeaderSize);
   FrameHeader header;
-  header.magic = static_cast<std::uint32_t>(get_le(h, 4));
-  header.version = h[4];
-  header.type = h[5];
-  header.reserved = static_cast<std::uint16_t>(get_le(h + 6, 2));
-  header.run = get_le(h + 8, 8);
-  header.seq = get_le(h + 16, 8);
-  header.payload_len = static_cast<std::uint32_t>(get_le(h + 24, 4));
-  header.crc = static_cast<std::uint32_t>(get_le(h + 28, 4));
+  header.magic = r.u32();
+  header.version = r.u8();
+  header.type = r.u8();
+  header.reserved = r.u16();
+  header.run = r.u64();
+  header.seq = r.u64();
+  header.payload_len = r.u32();
+  header.crc = r.u32();
 
   // Validate every header field before trusting payload_len for indexing.
   if (header.magic != kFrameMagic) {
@@ -136,64 +121,6 @@ bool FrameParser::next(Frame& out) {
   out.payload.assign(body, body + header.payload_len);
   off_ += kFrameHeaderSize + header.payload_len;
   return true;
-}
-
-bool WireReader::take(void* dst, std::size_t n) {
-  if (!ok_ || n > len_ - off_) {
-    ok_ = false;
-    std::memset(dst, 0, n);
-    return false;
-  }
-  std::memcpy(dst, p_ + off_, n);
-  off_ += n;
-  return true;
-}
-
-std::uint8_t WireReader::u8() {
-  std::uint8_t b = 0;
-  take(&b, 1);
-  return b;
-}
-
-std::uint16_t WireReader::u16() {
-  std::uint8_t b[2] = {};
-  take(b, 2);
-  return static_cast<std::uint16_t>(get_le(b, 2));
-}
-
-std::uint32_t WireReader::u32() {
-  std::uint8_t b[4] = {};
-  take(b, 4);
-  return static_cast<std::uint32_t>(get_le(b, 4));
-}
-
-std::uint64_t WireReader::u64() {
-  std::uint8_t b[8] = {};
-  take(b, 8);
-  return get_le(b, 8);
-}
-
-float WireReader::f32() { return std::bit_cast<float>(u32()); }
-
-double WireReader::f64() { return std::bit_cast<double>(u64()); }
-
-void WireReader::bytes(void* dst, std::size_t n) { take(dst, n); }
-
-void WireWriter::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void WireWriter::u16(std::uint16_t v) { put_le(buf_, v, 2); }
-
-void WireWriter::u32(std::uint32_t v) { put_le(buf_, v, 4); }
-
-void WireWriter::u64(std::uint64_t v) { put_le(buf_, v, 8); }
-
-void WireWriter::f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
-
-void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void WireWriter::bytes(const void* src, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(src);
-  buf_.insert(buf_.end(), p, p + n);
 }
 
 }  // namespace hetero::net

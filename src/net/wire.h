@@ -16,8 +16,8 @@
 //       32     n  payload
 //
 // All integers are little-endian; f32/f64 travel as their raw IEEE bit
-// patterns, so numeric payloads round-trip bit-exactly (the checkpoint
-// layer's rule applied to the wire).
+// patterns, so numeric payloads round-trip bit-exactly. Headers and
+// payloads go through util/bytes.h, the codec checkpoint files use too.
 //
 // FrameParser is an incremental bounds-checked decoder: feed() raw bytes,
 // next() yields complete validated frames. Any malformed input — bad magic,
@@ -29,11 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <string>
 #include <vector>
-
-#include "util/crc32.h"
 
 namespace hetero::net {
 
@@ -128,57 +124,6 @@ class FrameParser {
   std::uint64_t expected_seq_ = 0;
   ParseError error_ = ParseError::kNone;
   std::size_t max_payload_;
-};
-
-/// Bounds-checked little-endian reader over a payload. Reads past the end
-/// set a sticky failure flag and return zeros instead of touching memory;
-/// decoders check ok() once at the end.
-class WireReader {
- public:
-  WireReader(const std::uint8_t* data, std::size_t len)
-      : p_(data), len_(len) {}
-  explicit WireReader(const std::vector<std::uint8_t>& payload)
-      : WireReader(payload.data(), payload.size()) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  float f32();
-  double f64();
-  /// Copies n raw bytes; zero-fills dst on overrun.
-  void bytes(void* dst, std::size_t n);
-
-  bool ok() const { return ok_; }
-  std::size_t remaining() const { return len_ - off_; }
-  /// Marks the read as failed (decoder-level validation).
-  void invalidate() { ok_ = false; }
-
- private:
-  bool take(void* dst, std::size_t n);
-
-  const std::uint8_t* p_;
-  std::size_t len_;
-  std::size_t off_ = 0;
-  bool ok_ = true;
-};
-
-/// Little-endian payload builder; the writing twin of WireReader.
-class WireWriter {
- public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f32(float v);
-  void f64(double v);
-  void bytes(const void* src, std::size_t n);
-
-  const std::vector<std::uint8_t>& data() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::uint8_t> buf_;
 };
 
 }  // namespace hetero::net

@@ -1,9 +1,10 @@
 #include "runtime/faults.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "fl/algorithm.h"
 #include "util/config.h"
@@ -11,24 +12,7 @@
 namespace hetero {
 namespace {
 
-double spec_double(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("parse_fault_spec: bad value for \"" + key +
-                                "\": " + value);
-  }
-  return v;
-}
-
-std::uint64_t spec_uint(const std::string& key, const std::string& value) {
-  const std::optional<std::uint64_t> v = parse_uint(value);
-  if (!v) {
-    throw std::invalid_argument("parse_fault_spec: bad value for \"" + key +
-                                "\": " + value);
-  }
-  return *v;
-}
+constexpr const char* kParser = "parse_fault_spec";
 
 }  // namespace
 
@@ -49,33 +33,59 @@ FaultOptions parse_fault_spec(const std::string& spec) {
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
     if (key == "drop") {
-      opts.dropout_prob = spec_double(key, value);
+      opts.dropout_prob = spec_double(kParser, key, value);
     } else if (key == "fail") {
-      opts.fail_prob = spec_double(key, value);
+      opts.fail_prob = spec_double(kParser, key, value);
     } else if (key == "retries") {
-      opts.max_retries = static_cast<std::size_t>(spec_uint(key, value));
+      opts.max_retries =
+          static_cast<std::size_t>(spec_uint(kParser, key, value));
     } else if (key == "backoff") {
-      opts.retry_backoff_s = spec_double(key, value);
+      opts.retry_backoff_s = spec_double(kParser, key, value);
     } else if (key == "straggle") {
-      opts.straggler_prob = spec_double(key, value);
+      opts.straggler_prob = spec_double(kParser, key, value);
     } else if (key == "delay") {
-      opts.straggler_delay_s = spec_double(key, value);
+      opts.straggler_delay_s = spec_double(kParser, key, value);
     } else if (key == "timeout") {
-      opts.timeout_s = spec_double(key, value);
+      opts.timeout_s = spec_double(kParser, key, value);
     } else if (key == "corrupt") {
-      opts.corrupt_prob = spec_double(key, value);
+      opts.corrupt_prob = spec_double(kParser, key, value);
     } else if (key == "min") {
-      opts.min_clients = static_cast<std::size_t>(spec_uint(key, value));
+      opts.min_clients =
+          static_cast<std::size_t>(spec_uint(kParser, key, value));
     } else if (key == "seed") {
-      opts.seed = spec_uint(key, value);
+      opts.seed = spec_uint(kParser, key, value);
     } else if (key == "tiers") {
-      opts.device_tier_delays = spec_uint(key, value) != 0;
+      opts.device_tier_delays = spec_uint(kParser, key, value) != 0;
     } else {
       throw std::invalid_argument("parse_fault_spec: unknown key \"" + key +
                                   "\"");
     }
   }
+  check_fault_options(opts, kParser);
   return opts;
+}
+
+void check_fault_options(const FaultOptions& options, const char* caller) {
+  const auto fail = [caller](const char* knob, const char* range, double v) {
+    throw std::invalid_argument(std::string(caller) + ": " + knob +
+                                " must be " + range + ", got " +
+                                std::to_string(v));
+  };
+  for (const auto& [knob, p] :
+       {std::pair{"dropout_prob", options.dropout_prob},
+        {"fail_prob", options.fail_prob},
+        {"straggler_prob", options.straggler_prob},
+        {"corrupt_prob", options.corrupt_prob}}) {
+    if (!(p >= 0.0 && p <= 1.0)) fail(knob, "in [0, 1]", p);
+  }
+  for (const auto& [knob, s] :
+       {std::pair{"retry_backoff_s", options.retry_backoff_s},
+        {"straggler_delay_s", options.straggler_delay_s},
+        {"timeout_s", options.timeout_s}}) {
+    if (!(std::isfinite(s) && s >= 0.0)) {
+      fail(knob, "finite and non-negative", s);
+    }
+  }
 }
 
 void poison_update(ClientUpdate& update, const FaultDecision& d) {

@@ -82,9 +82,16 @@ struct FaultOptions {
 /// Parses an HS_FAULTS-style spec: comma-separated key=value pairs over
 /// the keys drop, fail, retries, backoff, straggle, delay, timeout,
 /// corrupt, min, seed, tiers (e.g. "drop=0.1,corrupt=0.05,min=2" or
-/// "straggle=0.3,delay=2,tiers=1"). Unknown keys or malformed pairs throw
-/// std::invalid_argument.
+/// "straggle=0.3,delay=2,tiers=1"). Unknown keys, malformed pairs and
+/// out-of-range values (check_fault_options) throw std::invalid_argument.
 FaultOptions parse_fault_spec(const std::string& spec);
+
+/// Throws std::invalid_argument "<caller>: ..." naming the first knob out
+/// of range: a probability outside [0, 1], or a negative or non-finite
+/// duration (retry_backoff_s, straggler_delay_s, timeout_s).
+/// parse_fault_spec and check_simulation_config both run it, so options
+/// built in code are held to the spec's ranges.
+void check_fault_options(const FaultOptions& options, const char* caller);
 
 /// What happened to one client in one round. kOk and kStraggler produced a
 /// usable update; every other kind excluded the client from aggregation.

@@ -1,12 +1,15 @@
 #include "runtime/sched/sched_options.h"
 
-#include <cstdlib>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "util/config.h"
 
 namespace hetero {
 namespace {
+
+constexpr const char* kParser = "parse_sched_spec";
 
 SchedMode parse_mode(const std::string& value) {
   if (value == "sync") return SchedMode::kSync;
@@ -15,26 +18,6 @@ SchedMode parse_mode(const std::string& value) {
   throw std::invalid_argument("parse_sched_spec: unknown mode \"" + value +
                               "\" (expected sync, async or buffered)");
 }
-
-double spec_double(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("parse_sched_spec: bad value for \"" + key +
-                                "\": " + value);
-  }
-  return v;
-}
-
-std::size_t spec_uint(const std::string& key, const std::string& value) {
-  const std::optional<std::uint64_t> v = parse_uint(value);
-  if (!v) {
-    throw std::invalid_argument("parse_sched_spec: bad value for \"" + key +
-                                "\": " + value);
-  }
-  return static_cast<std::size_t>(*v);
-}
-
 }  // namespace
 
 const char* sched_mode_name(SchedMode mode) {
@@ -73,21 +56,42 @@ SchedulerOptions parse_sched_spec(const std::string& spec) {
     if (key == "mode") {
       opts.mode = parse_mode(value);
     } else if (key == "buffer") {
-      opts.buffer = spec_uint(key, value);
+      opts.buffer = static_cast<std::size_t>(spec_uint(kParser, key, value));
     } else if (key == "alpha") {
-      opts.mix_alpha = spec_double(key, value);
+      opts.mix_alpha = spec_double(kParser, key, value);
     } else if (key == "exp") {
-      opts.staleness_exponent = spec_double(key, value);
+      opts.staleness_exponent = spec_double(kParser, key, value);
     } else if (key == "compute") {
-      opts.base_compute_s = spec_double(key, value);
+      opts.base_compute_s = spec_double(kParser, key, value);
     } else if (key == "wave") {
-      opts.wave_sampling = spec_uint(key, value) != 0;
+      opts.wave_sampling = spec_uint(kParser, key, value) != 0;
     } else {
       throw std::invalid_argument("parse_sched_spec: unknown key \"" + key +
                                   "\"");
     }
   }
+  check_sched_options(opts, kParser);
   return opts;
+}
+
+void check_sched_options(const SchedulerOptions& options, const char* caller) {
+  const auto fail = [caller](const char* knob, const char* range, double v) {
+    throw std::invalid_argument(std::string(caller) + ": " + knob +
+                                " must be " + range + ", got " +
+                                std::to_string(v));
+  };
+  if (!(options.mix_alpha > 0.0 && options.mix_alpha <= 1.0)) {
+    fail("mix_alpha", "in (0, 1]", options.mix_alpha);
+  }
+  if (!(std::isfinite(options.staleness_exponent) &&
+        options.staleness_exponent >= 0.0)) {
+    fail("staleness_exponent", "finite and non-negative",
+         options.staleness_exponent);
+  }
+  if (!(std::isfinite(options.base_compute_s) &&
+        options.base_compute_s >= 0.0)) {
+    fail("base_compute_s", "finite and non-negative", options.base_compute_s);
+  }
 }
 
 }  // namespace hetero

@@ -78,8 +78,14 @@ struct SchedulerOptions {
 /// Parses an HS_SCHED-style spec. The first comma-separated token may be a
 /// bare mode name (sync, async, buffered); the rest are key=value pairs
 /// over mode, buffer, alpha, exp, compute, wave — e.g. "async,exp=1" or
-/// "buffered,buffer=8,alpha=0.6". Unknown keys or malformed pairs throw
-/// std::invalid_argument.
+/// "buffered,buffer=8,alpha=0.6". Unknown keys, malformed pairs and
+/// out-of-range values (check_sched_options) throw std::invalid_argument.
 SchedulerOptions parse_sched_spec(const std::string& spec);
+
+/// Throws std::invalid_argument "<caller>: ..." naming the first knob out
+/// of range: mix_alpha outside (0, 1], or a negative or non-finite
+/// staleness_exponent or base_compute_s. parse_sched_spec and
+/// check_simulation_config both run it.
+void check_sched_options(const SchedulerOptions& options, const char* caller);
 
 }  // namespace hetero

@@ -1,6 +1,8 @@
 #include "util/config.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -25,6 +27,42 @@ std::optional<std::uint64_t> parse_uint(const std::string& text) {
     v = v * 10 + digit;
   }
   return v;
+}
+
+std::optional<double> parse_double(const std::string& text) {
+  // from_chars takes no leading space or '+' and reads "0x1p-1" as 0
+  // followed by garbage; it does take "nan" and "inf", hence isfinite.
+  const char* end = text.data() + text.size();
+  double v = 0.0;
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || stop != end || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+namespace {
+
+[[noreturn]] void bad_spec_value(const char* parser, const std::string& key,
+                                 const std::string& value) {
+  throw std::invalid_argument(std::string(parser) + ": bad value for \"" +
+                              key + "\": " + value);
+}
+
+}  // namespace
+
+std::uint64_t spec_uint(const char* parser, const std::string& key,
+                        const std::string& value) {
+  const std::optional<std::uint64_t> v = parse_uint(value);
+  if (!v) bad_spec_value(parser, key, value);
+  return *v;
+}
+
+double spec_double(const char* parser, const std::string& key,
+                   const std::string& value) {
+  const std::optional<double> v = parse_double(value);
+  if (!v) bad_spec_value(parser, key, value);
+  return *v;
 }
 
 namespace {

@@ -35,6 +35,20 @@ std::optional<std::string> env_string(const std::string& name);
 /// anything else, so each caller words its own error.
 std::optional<std::uint64_t> parse_uint(const std::string& text);
 
+/// Strict finite decimal double for spec values and numeric flags: an
+/// optional '-', digits with an optional fraction and exponent, and nothing
+/// else — no '+', no spaces, no hex form, no "nan" or "inf", no value that
+/// overflows. Returns an empty optional on anything else.
+std::optional<double> parse_double(const std::string& text);
+
+/// The value of one key=value field of a spec: parse_uint / parse_double,
+/// throwing std::invalid_argument "<parser>: bad value for "<key>":
+/// <value>" when it fails.
+std::uint64_t spec_uint(const char* parser, const std::string& key,
+                        const std::string& value);
+double spec_double(const char* parser, const std::string& key,
+                   const std::string& value);
+
 /// Benchmark scale knobs resolved from the environment.
 struct BenchConfig {
   int scale = 0;              ///< 0 = smoke, 1 = paper-shaped.

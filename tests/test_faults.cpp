@@ -177,6 +177,15 @@ TEST(FaultSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse_fault_spec("retries=-1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("min=-1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("retries= 3"), std::invalid_argument);
+  // Doubles are finite decimals, and each knob stays in its range: nan
+  // would turn dropout off silently, 1.5 is no probability.
+  for (const char* spec :
+       {"drop=nan", "drop=inf", "drop=1.5", "drop=-0.1", "drop= 0.1",
+        "drop=0x1p-1", "timeout=-1", "delay=inf", "backoff=-0.5",
+        "corrupt=2"}) {
+    EXPECT_THROW(parse_fault_spec(spec), std::invalid_argument) << spec;
+  }
+  EXPECT_NO_THROW(parse_fault_spec("drop=0,fail=1,timeout=0"));
 }
 
 // ------------------------------------------------------------- fault plan --

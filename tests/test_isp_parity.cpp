@@ -1,4 +1,4 @@
-// HS_ISP=fast vs HS_ISP=reference parity: the fast imaging substrate is
+// Fast vs reference ISP path parity: the fast imaging substrate is
 // bit-exact by construction (vectorization only widens across independent
 // pixels; per-pixel FP evaluation order is the seed's), so every stage and
 // the composed capture path must produce byte-identical outputs across all

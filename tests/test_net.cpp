@@ -39,6 +39,8 @@
 #include "obs/jsonl.h"
 #include "obs/tracer.h"
 #include "scene/scene_gen.h"
+#include "test_util.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 
 namespace hetero {
@@ -198,10 +200,10 @@ void expect_tensor_bits(const Tensor& a, const Tensor& b) {
 }
 
 Tensor tensor_round_trip(const Tensor& t) {
-  net::WireWriter w;
+  ByteWriter w;
   net::put_tensor(w, t);
   const auto bytes = w.take();
-  net::WireReader r(bytes);
+  ByteReader r(bytes);
   Tensor out;
   EXPECT_TRUE(net::get_tensor(r, out));
   EXPECT_EQ(r.remaining(), 0u);
@@ -228,7 +230,7 @@ TEST(WireCodec, SparseTensorRoundTripsAndIsSmaller) {
   Tensor t({256});
   t[3] = 1.5f;
   t[200] = -2.25f;
-  net::WireWriter dense_probe;
+  ByteWriter dense_probe;
   net::put_tensor(dense_probe, t);
   // 2 nonzeros of 256: far under the dense 1KiB.
   EXPECT_LT(dense_probe.data().size(), 256 * sizeof(float));
@@ -279,6 +281,44 @@ TEST(WireCodec, UpdatePushRoundTripsBitExactly) {
   EXPECT_EQ(out.update.payload_bytes, msg.update.payload_bytes);
   expect_tensor_bits(msg.update.state, out.update.state);
   EXPECT_EQ(out.update.aux.size(), 0u);
+}
+
+TEST(WireCodec, UpdatePushFrameBytesPinned) {
+  // The wire v1 layout of one UpdatePush frame carrying a dense state and a
+  // sparse aux, field by field. A change to any byte here is a protocol
+  // change: it needs a kWireVersion bump, not a new constant.
+  net::UpdatePushMsg msg;
+  msg.round = 5;
+  msg.position = 2;
+  msg.update.client_id = 77;
+  msg.update.weight = 24.0;
+  msg.update.train_loss = 1.125;
+  msg.update.aux_scalar = -0.5;
+  msg.update.flags = 3;
+  msg.update.train_seconds = 0.25;
+  msg.update.payload_bytes = 4096;
+  msg.update.state = Tensor({5}, {1.5f, -2.0f, 0.25f, 3.0f, -0.0f});
+  msg.update.aux = Tensor({64});
+  msg.update.aux[3] = 1.5f;
+  msg.update.aux[40] = -2.25f;
+  const auto frame = net::encode_frame(net::FrameType::kUpdatePush, 0x1234, 7,
+                                       net::encode_update_push(msg));
+  const char* expected =
+      "464e5348" "01" "06" "0000"                // HSNF, v1, type, reserved
+      "3412000000000000" "0700000000000000"      // run, seq
+      "8a000000" "3d4ffa9c"                      // 138 payload bytes, CRC-32
+      "0500000000000000" "0200000000000000"      // round, position
+      "4d00000000000000" "0000000000003840"      // client 77, weight 24
+      "000000000000f23f" "000000000000e0bf"      // loss 1.125, aux -0.5
+      "03000000" "000000000000d03f"              // flags, train_seconds
+      "0010000000000000"                         // payload_bytes 4096
+      "01000000" "0500000000000000" "00"         // state: rank 1, {5}, dense
+      "0000c03f" "000000c0" "0000803e" "00004040" "00000080"
+      "01000000" "4000000000000000" "01"         // aux: rank 1, {64}, sparse
+      "0200000000000000"                         // two nonzeros
+      "03000000" "0000c03f" "28000000" "000010c0";  // [3] 1.5, [40] -2.25
+  EXPECT_EQ(frame.size(), 170u);
+  EXPECT_EQ(hetero::testing::to_hex(frame.data(), frame.size()), expected);
 }
 
 /// A wave assignment of three clients: one clean, one corrupt, and one

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <stdexcept>
 #include <vector>
@@ -201,6 +202,13 @@ TEST(SchedSpec, RejectsMalformedInput) {
   EXPECT_THROW(parse_sched_spec("buffer=x"), std::invalid_argument);
   EXPECT_THROW(parse_sched_spec("async,buffer"), std::invalid_argument);
   EXPECT_THROW(parse_sched_spec("buffered,buffer=-1"), std::invalid_argument);
+  for (const char* spec :
+       {"async,alpha=nan", "async,alpha=inf", "async,alpha=0",
+        "async,alpha=1.5", "async,exp=-1", "async,exp=inf",
+        "async,compute=-1", "async,alpha=0x1p-1"}) {
+    EXPECT_THROW(parse_sched_spec(spec), std::invalid_argument) << spec;
+  }
+  EXPECT_NO_THROW(parse_sched_spec("async,alpha=1,exp=0,compute=0"));
 }
 
 // ------------------------------------------------------------- event queue --
@@ -630,6 +638,51 @@ TEST(SchedGuards, ContinuousRefillNeedsHeadroom) {
   EXPECT_THROW(run_simulation(*model, algo, pop, sim), std::invalid_argument);
   sim.sched = parse_sched_spec("async,wave=1");
   EXPECT_NO_THROW(run_simulation(*model, algo, pop, sim));
+}
+
+TEST(SchedGuards, ThreadCountAboveTheCapIsRefusedBeforeAnyThreadStarts) {
+  // check_simulation_config runs before the scheduler builds its pool, so
+  // an absurd count fails here without starting a thread.
+  auto model = tiny_model(99);
+  FedAvg algo(fast_cfg());
+  const MaterializedPopulation pop(synthetic_population(4, 100));
+  SimulationConfig sim;
+  sim.clients_per_round = 2;
+  sim.num_threads = 100000;
+  try {
+    check_simulation_config(algo, pop, sim);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("num_threads 100000 exceeds the cap "
+                                         "of 1024"),
+              std::string::npos)
+        << e.what();
+  }
+  sim.num_threads = kMaxSimulationThreads;
+  EXPECT_NO_THROW(check_simulation_config(algo, pop, sim));
+}
+
+TEST(SchedGuards, OutOfRangeKnobsBuiltInCodeAreRefused) {
+  // The spec parsers refuse these values; a config built in code meets the
+  // same ranges when the run is checked.
+  FedAvg algo(fast_cfg());
+  const MaterializedPopulation pop(synthetic_population(4, 101));
+  const auto refused = [&](auto edit) {
+    SimulationConfig sim;
+    sim.clients_per_round = 2;
+    edit(sim);
+    EXPECT_THROW(check_simulation_config(algo, pop, sim),
+                 std::invalid_argument);
+  };
+  refused([](SimulationConfig& s) { s.faults.dropout_prob = std::nan(""); });
+  refused([](SimulationConfig& s) { s.faults.corrupt_prob = 1.5; });
+  refused([](SimulationConfig& s) { s.faults.timeout_s = -1.0; });
+  refused([](SimulationConfig& s) {
+    s.faults.straggler_delay_s = std::numeric_limits<double>::infinity();
+  });
+  refused([](SimulationConfig& s) { s.sched.mix_alpha = 0.0; });
+  refused([](SimulationConfig& s) { s.sched.staleness_exponent = -1.0; });
+  refused([](SimulationConfig& s) { s.sched.base_compute_s = -0.5; });
 }
 
 TEST(SchedGuards, WaveSamplingRejectsBufferAboveK) {

@@ -1,4 +1,5 @@
-// Serialization (tensors, archives, model checkpoints) and PPM export.
+// HSCK checkpoint files — the HSTN tensor records inside them, every
+// length bound, the CRC — and PPM export.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,13 +8,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
+#include <string>
 
 #include "fl/checkpoint.h"
 #include "image/ppm.h"
-#include "nn/model_zoo.h"
-#include "tensor/serialize.h"
 #include "test_util.h"
+#include "util/bytes.h"
 #include "util/crc32.h"
 
 namespace hetero {
@@ -23,134 +23,159 @@ std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+// -------------------------------------------------------------- helpers --
+
+/// Writes `ck` to `path` and returns the file's bytes.
+std::string checkpoint_bytes(const std::string& path,
+                             const SimulationCheckpoint& ck) {
+  write_checkpoint(path, ck);
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Writes a small valid checkpoint to `path` and returns its bytes.
+std::string write_small_checkpoint(const std::string& path) {
+  SimulationCheckpoint ck;
+  ck.next_round = 3;
+  ck.seed = 7;
+  ck.num_clients = 10;
+  ck.clients_per_round = 2;
+  ck.algorithm = "FedAvg";
+  ck.model_state = Tensor({4});
+  ck.loss_history = {1.5, 1.25};
+  return checkpoint_bytes(path, ck);
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Recomputes the trailing CRC-32 after a deliberate edit, so the edit
+/// reaches the parser's own checks.
+void reseal(std::string& bytes) {
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc =
+      crc32(reinterpret_cast<const std::uint8_t*>(bytes.data()), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+}
+
+/// A checkpoint of a two-client run whose only payload is `model_state`.
+SimulationCheckpoint tensor_checkpoint(Tensor model_state) {
+  SimulationCheckpoint ck;
+  ck.num_clients = 2;
+  ck.clients_per_round = 1;
+  ck.algorithm = "FedAvg";
+  ck.model_state = std::move(model_state);
+  return ck;
+}
+
+/// Writes `ck` and reads it back.
+SimulationCheckpoint round_trip(const SimulationCheckpoint& ck) {
+  const std::string path = temp_path("hs_ckpt_tensor.bin");
+  write_checkpoint(path, ck);
+  SimulationCheckpoint back;
+  EXPECT_TRUE(read_checkpoint(path, back));
+  std::remove(path.c_str());
+  return back;
+}
+
+/// Offset of the first HSTN record (the model state) in a checkpoint.
+std::size_t model_state_record(const std::string& bytes) {
+  const std::size_t at = bytes.find("HSTN");
+  EXPECT_NE(at, std::string::npos);
+  return at;
+}
+
+/// The error message read_checkpoint throws for `bytes`, or "" if it loads.
+std::string load_error(const std::string& path, const std::string& bytes) {
+  write_bytes(path, bytes);
+  SimulationCheckpoint out;
+  try {
+    read_checkpoint(path, out);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// --------------------------------------------------- HSTN tensor records --
+
 TEST(Serialize, TensorStreamRoundTrip) {
   Rng rng(1);
   Tensor t = Tensor::randn({3, 4, 5}, rng);
-  std::stringstream ss;
-  write_tensor(ss, t);
-  Tensor back = read_tensor(ss);
-  EXPECT_EQ(back.shape(), t.shape());
-  hetero::testing::expect_tensor_near(back, t, 0.0f);
+  const SimulationCheckpoint back = round_trip(tensor_checkpoint(t));
+  EXPECT_EQ(back.model_state.shape(), t.shape());
+  hetero::testing::expect_tensor_near(back.model_state, t, 0.0f);
 }
 
 TEST(Serialize, EmptyAndScalarTensors) {
-  std::stringstream ss;
-  write_tensor(ss, Tensor());
-  write_tensor(ss, Tensor({1}, {42.0f}));
-  Tensor empty = read_tensor(ss);
-  Tensor scalar = read_tensor(ss);
-  EXPECT_EQ(empty.rank(), 0u);
-  EXPECT_FLOAT_EQ(scalar[0], 42.0f);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  Rng rng(2);
-  Tensor t = Tensor::randn({17}, rng);
-  const std::string path = temp_path("hs_test_tensor.bin");
-  save_tensor(path, t);
-  Tensor back = load_tensor(path);
-  hetero::testing::expect_tensor_near(back, t, 0.0f);
-  std::remove(path.c_str());
+  SimulationCheckpoint ck = tensor_checkpoint(Tensor());
+  ck.algo.tensors["scalar"] = Tensor({1}, {42.0f});
+  const SimulationCheckpoint back = round_trip(ck);
+  EXPECT_EQ(back.model_state.rank(), 0u);
+  EXPECT_FLOAT_EQ(back.algo.tensors.at("scalar")[0], 42.0f);
 }
 
 TEST(Serialize, BadMagicRejected) {
-  std::stringstream ss("NOPE and some garbage");
-  EXPECT_THROW(read_tensor(ss), std::runtime_error);
+  const std::string path = temp_path("hs_ckpt_tensor_magic.bin");
+  std::string bytes = checkpoint_bytes(path, tensor_checkpoint(Tensor({4})));
+  std::memcpy(bytes.data() + model_state_record(bytes), "NOPE", 4);
+  reseal(bytes);
+  EXPECT_NE(load_error(path, bytes), "");
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, TruncatedInputRejected) {
   Rng rng(3);
-  Tensor t = Tensor::randn({100}, rng);
-  std::stringstream ss;
-  write_tensor(ss, t);
-  const std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(read_tensor(truncated), std::runtime_error);
+  const std::string path = temp_path("hs_ckpt_tensor_cut.bin");
+  const std::string full =
+      checkpoint_bytes(path, tensor_checkpoint(Tensor::randn({100}, rng)));
+  // Cut the record halfway through its 400 data bytes and seal what is
+  // left, so the cut reaches the record parser instead of the CRC check.
+  const std::size_t data = model_state_record(full) + 4 + 4 + 4 + 8 + 8;
+  std::string truncated = full.substr(0, data + 200) + "CRC!";
+  reseal(truncated);
+  EXPECT_NE(load_error(path, truncated), "");
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, WrappedVolumeRejected) {
   // Two dims of 2^32 multiply to 2^64, which wraps a 64-bit volume to 0: with
   // count 0 the header would pass for an empty tensor whose shape claims
   // 2^64 elements.
-  std::stringstream ss;
-  const std::uint32_t version = 1, rank = 2;
-  const std::uint64_t dim = 1ull << 32, count = 0;
-  ss.write("HSTN", 4);
-  ss.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  ss.write(reinterpret_cast<const char*>(&rank), sizeof(rank));
-  ss.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-  ss.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
-  ss.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  EXPECT_THROW(read_tensor(ss), std::runtime_error);
-}
-
-TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(load_tensor("/nonexistent/dir/tensor.bin"),
-               std::runtime_error);
+  const std::string path = temp_path("hs_ckpt_tensor_wrap.bin");
+  const std::string full = checkpoint_bytes(path, tensor_checkpoint(Tensor()));
+  ByteWriter forged;
+  forged.bytes("HSTN", 4);
+  forged.u32(1);  // version
+  forged.u32(2);  // rank
+  forged.u64(1ull << 32);
+  forged.u64(1ull << 32);
+  forged.u64(0);  // count
+  // The empty model state's record is 20 bytes: magic, version, rank 0 and
+  // count 0.
+  const std::size_t at = model_state_record(full);
+  std::string bytes = full.substr(0, at) +
+                      std::string(forged.data().begin(), forged.data().end()) +
+                      full.substr(at + 20);
+  reseal(bytes);
+  EXPECT_NE(load_error(path, bytes), "");
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, SequentialTensorsInOneStream) {
   Rng rng(4);
   Tensor a = Tensor::randn({2, 2}, rng);
   Tensor b = Tensor::randn({5}, rng);
-  std::stringstream ss;
-  write_tensor(ss, a);
-  write_tensor(ss, b);
-  hetero::testing::expect_tensor_near(read_tensor(ss), a, 0.0f);
-  hetero::testing::expect_tensor_near(read_tensor(ss), b, 0.0f);
+  SimulationCheckpoint ck = tensor_checkpoint(a);
+  ck.algo.tensors["b"] = b;
+  const SimulationCheckpoint back = round_trip(ck);
+  hetero::testing::expect_tensor_near(back.model_state, a, 0.0f);
+  hetero::testing::expect_tensor_near(back.algo.tensors.at("b"), b, 0.0f);
 }
 
-TEST(TensorArchive, PutGetContains) {
-  TensorArchive ar;
-  EXPECT_FALSE(ar.contains("w"));
-  ar.put("w", Tensor({2}, {1, 2}));
-  EXPECT_TRUE(ar.contains("w"));
-  EXPECT_FLOAT_EQ(ar.get("w")[1], 2.0f);
-  EXPECT_THROW(ar.get("missing"), std::runtime_error);
-}
-
-TEST(TensorArchive, StreamRoundTrip) {
-  Rng rng(5);
-  TensorArchive ar;
-  ar.put("alpha", Tensor::randn({3, 3}, rng));
-  ar.put("beta", Tensor::randn({7}, rng));
-  std::stringstream ss;
-  ar.write(ss);
-  TensorArchive back = TensorArchive::read(ss);
-  EXPECT_EQ(back.size(), 2u);
-  hetero::testing::expect_tensor_near(back.get("alpha"), ar.get("alpha"),
-                                      0.0f);
-  hetero::testing::expect_tensor_near(back.get("beta"), ar.get("beta"), 0.0f);
-}
-
-TEST(TensorArchive, ModelCheckpointRoundTrip) {
-  // The canonical use: persist and restore a model's full state.
-  Rng rng(6);
-  ModelSpec spec;
-  spec.arch = "mlp-tiny";
-  spec.image_size = 8;
-  auto model = make_model(spec, rng);
-  const Tensor state = model->state();
-
-  TensorArchive ar;
-  ar.put("state", state);
-  const std::string path = temp_path("hs_test_ckpt.bin");
-  ar.save(path);
-
-  auto model2 = make_model(spec, rng);  // different random init
-  TensorArchive loaded = TensorArchive::load(path);
-  model2->set_state(loaded.get("state"));
-  hetero::testing::expect_tensor_near(model2->state(), state, 0.0f);
-  std::remove(path.c_str());
-}
-
-TEST(TensorArchive, OverwriteKey) {
-  TensorArchive ar;
-  ar.put("x", Tensor({1}, {1.0f}));
-  ar.put("x", Tensor({1}, {2.0f}));
-  EXPECT_EQ(ar.size(), 1u);
-  EXPECT_FLOAT_EQ(ar.get("x")[0], 2.0f);
-}
+// ------------------------------------------------------------ PPM export --
 
 TEST(Ppm, WritesValidHeaderAndPayload) {
   Image img(2, 3);
@@ -193,35 +218,6 @@ TEST(Ppm, EmptyImageFails) {
 }
 
 // ----------------------------------------------------------- checkpoints --
-
-/// Writes a small valid checkpoint to `path` and returns its bytes.
-std::string write_small_checkpoint(const std::string& path) {
-  SimulationCheckpoint ck;
-  ck.next_round = 3;
-  ck.seed = 7;
-  ck.num_clients = 10;
-  ck.clients_per_round = 2;
-  ck.algorithm = "FedAvg";
-  ck.model_state = Tensor({4});
-  ck.loss_history = {1.5, 1.25};
-  write_checkpoint(path, ck);
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-/// Recomputes the trailing CRC-32 after a deliberate edit, so the edit
-/// reaches the parser's own checks.
-void reseal(std::string& bytes) {
-  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
-  const std::uint32_t crc =
-      crc32(reinterpret_cast<const std::uint8_t*>(bytes.data()), body);
-  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
-}
 
 TEST(CheckpointFile, ForgedLossCountRejected) {
   const std::string path = temp_path("hs_ckpt_forged.bin");
@@ -304,6 +300,49 @@ TEST(CheckpointFile, EveryStrictPrefixRejected) {
     EXPECT_THROW(read_checkpoint(path, out), std::runtime_error)
         << "prefix of " << len << " bytes";
   }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, SmallFileBytesPinned) {
+  // The HSCK v2 and HSTN v1 layouts, field by field. A change to any byte
+  // here is a format change: it needs a version bump, not a new constant.
+  const std::string path = temp_path("hs_ckpt_pinned.bin");
+  const std::string bytes = write_small_checkpoint(path);
+  const std::string expected = std::string("4853434b02000000") +  // HSCK v2
+      "0300000000000000" "0700000000000000"     // next round, seed
+      "0a00000000000000" "0200000000000000"     // N, k
+      "06000000" "466564417667" +               // "FedAvg"
+      std::string(4 * 16, '0') +                // rng words
+      std::string(2 * 16, '0') +                // no cached normal
+      "4853544e" "01000000" "01000000"          // HSTN v1, rank 1
+      "0400000000000000" "0400000000000000" +   // dim 4, count 4
+      std::string(4 * 8, '0') +                 // four 0.0f
+      "0200000000000000"                        // loss history:
+      "000000000000f83f" "000000000000f43f" +   //   1.5, 1.25
+      std::string(5 * 16, '0') +                // five empty counts
+      "d7bd0b68";                               // CRC-32
+  EXPECT_EQ(bytes.size(), 210u);
+  EXPECT_EQ(hetero::testing::to_hex(bytes.data(), bytes.size()), expected);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFile, ForgedTensorVolumeRejectedBeforeAllocating) {
+  // The model state's record claims 2^20 floats (4 MiB) in a 210-byte
+  // file, CRC intact: the reader must refuse on the length bound before
+  // it allocates, not after zero-filling a tensor and running out of input.
+  const std::string path = temp_path("hs_ckpt_forged_tensor.bin");
+  std::string bytes = write_small_checkpoint(path);
+  const std::size_t at = model_state_record(bytes);
+  const std::uint64_t claimed = 1ull << 20;
+  std::memcpy(bytes.data() + at + 12, &claimed, sizeof(claimed));  // dim
+  std::memcpy(bytes.data() + at + 20, &claimed, sizeof(claimed));  // count
+  reseal(bytes);
+  const std::string error = load_error(path, bytes);
+  EXPECT_NE(error.find("1048576 items of 4 bytes exceed the"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("bytes left in the file"), std::string::npos) << error;
+  EXPECT_EQ(error.find("truncated"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 

@@ -174,6 +174,26 @@ TEST(Config, ParseUintAcceptsDigitsOnly) {
   EXPECT_FALSE(parse_uint("184467440737095516160"));  // 21 digits
 }
 
+TEST(Config, ParseDoubleAcceptsFiniteDecimalsOnly) {
+  EXPECT_EQ(parse_double("0"), 0.0);
+  EXPECT_EQ(parse_double("0.25"), 0.25);
+  EXPECT_EQ(parse_double("-1.5"), -1.5);
+  EXPECT_EQ(parse_double("1e-3"), 1e-3);
+  EXPECT_EQ(parse_double(".5"), 0.5);
+  EXPECT_FALSE(parse_double(""));
+  EXPECT_FALSE(parse_double("nan"));
+  EXPECT_FALSE(parse_double("-nan"));
+  EXPECT_FALSE(parse_double("inf"));
+  EXPECT_FALSE(parse_double("-infinity"));
+  EXPECT_FALSE(parse_double("1e999"));  // overflows to inf
+  EXPECT_FALSE(parse_double("0x1p-1"));
+  EXPECT_FALSE(parse_double("+0.5"));
+  EXPECT_FALSE(parse_double(" 0.1"));
+  EXPECT_FALSE(parse_double("0.1 "));
+  EXPECT_FALSE(parse_double("0.1x"));
+  EXPECT_FALSE(parse_double("abc"));
+}
+
 TEST(Config, BenchConfigPickRounds) {
   BenchConfig cfg;
   cfg.scale = 0;

@@ -47,6 +47,18 @@ inline void expect_tensor_near(const Tensor& a, const Tensor& b,
   }
 }
 
+/// Lowercase hex of a byte buffer, for pinning encoded formats.
+inline std::string to_hex(const void* data, std::size_t n) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) {
+    s += kDigits[p[i] >> 4];
+    s += kDigits[p[i] & 15];
+  }
+  return s;
+}
+
 /// Scalar loss used by gradient checks: sum(weights ⊙ layer(x)), with fixed
 /// random weights so every output element participates.
 inline float weighted_output_sum(Layer& layer, const Tensor& x,

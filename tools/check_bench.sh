@@ -3,7 +3,7 @@
 # per-mode round throughput against the committed BENCH_round_e2e.json
 # baseline. A mode that lands more than TOLERANCE (default 10%) below its
 # committed rounds_per_s fails the gate. Also re-runs the ISP microbench,
-# whose own exit code enforces the HS_ISP=fast >= 3x paired-median contract
+# whose own exit code enforces the fast ISP path's >= 3x paired-median contract
 # on the full raw->RGB pipeline (bench/micro_isp.cpp).
 #
 # Usage: tools/check_bench.sh [tolerance-fraction]
@@ -93,7 +93,7 @@ awk -v tol="${TOLERANCE}" '
   }
 ' "${BASELINE}" "${FRESH}"
 
-# ISP vectorization gate: micro_isp exits nonzero if HS_ISP=fast drops
+# ISP vectorization gate: micro_isp exits nonzero if the fast ISP path drops
 # below 3x reference on the full ISP pipeline (median of paired per-rep
 # ratios, so box-speed noise cancels). No baseline-file comparison — the
 # contract is the ratio itself.

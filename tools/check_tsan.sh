@@ -20,7 +20,7 @@
 # over VirtualPopulation, where worker threads materialize client datasets
 # concurrently, each into its own slot, sharing only the provider's atomic
 # counters — the provider's const-purity contract under watch. The
-# isp-parity tests run the HS_ISP=fast rewrites against the reference
+# isp-parity tests run the fast ISP rewrites against the reference
 # loops (the clones compile out under TSan; the fast row-major loops and
 # their scratch arenas are what gets checked). The
 # fast-kernel tests add the HS_KERNEL=fast dispatch to the raced surface.

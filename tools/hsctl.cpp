@@ -124,11 +124,9 @@ class Args {
   double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    const char* text = it->second.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0') bad_value(key, "a number");
-    return v;
+    const std::optional<double> v = parse_double(it->second);
+    if (!v) bad_value(key, "a finite number");
+    return *v;
   }
 
  private:
