@@ -6,14 +6,18 @@
 // after each. The lazy provider's working set is O(k) — per-worker
 // ClientSlot arenas plus the O(#devices) test sets — so the peak must stay
 // flat as N grows 100x: the acceptance gate is peak RSS at the largest N
-// within 10% of the smallest. Populations run in ascending order because
-// VmHWM is monotonic; only that ordering makes the ratio meaningful.
+// within 10% of the smallest (kMaxRssRatio). Populations run in ascending
+// order because VmHWM is monotonic; only that ordering makes the ratio
+// meaningful.
 //
 // Phase 2 (parity): builds VirtualPopulation and MaterializedPopulation
 // from the same (spec, root) and runs the identical simulation on both —
 // final model state and loss history must match bit-for-bit (the
 // Identical column), the per-client half of which is asserted in
 // tests/test_population.cpp.
+//
+// The bench exits 1 when either gate fails, so the trace_smoke_population
+// ctest fails with it.
 //
 // Honours HS_ROUNDS / HS_SEED / HS_SCALE / HS_THREADS; HS_TRACE wires the
 // runs into the trace_smoke_population ctest. Appends one JSONL record per
@@ -31,6 +35,9 @@ using namespace hetero;
 using namespace hetero::bench;
 
 namespace {
+
+/// Largest allowed peak-RSS ratio of the largest population to the smallest.
+constexpr double kMaxRssRatio = 1.10;
 
 /// Peak resident set size of this process in kB (VmHWM; 0 off-Linux).
 std::size_t vm_hwm_kb() {
@@ -102,6 +109,7 @@ int main() {
 
   // Phase 1: ascending-N sweep over the lazy provider.
   std::size_t base_hwm_kb = 0;
+  double rss_ratio = 0.0;
   for (std::size_t n : sweep) {
     const VirtualPopulation pop(bench_spec(n, scenes), pop_root);
     const SimulationResult r =
@@ -113,6 +121,7 @@ int main() {
         base_hwm_kb > 0 ? static_cast<double>(hwm) /
                               static_cast<double>(base_hwm_kb)
                         : 0.0;
+    rss_ratio = ratio;
     char loss_s[32], rss_s[32], ratio_s[32];
     std::snprintf(loss_s, sizeof loss_s, "%.4f", r.train_loss_history.back());
     std::snprintf(rss_s, sizeof rss_s, "%.1f",
@@ -132,6 +141,7 @@ int main() {
   // Phase 2: virtual vs materialized parity at a size the eager layout can
   // afford. Same spec + root, same simulation — results must be
   // bit-identical.
+  bool identical = false;
   {
     const std::size_t n = 200;
     const std::size_t parity_k = std::min<std::size_t>(k, 20);
@@ -142,9 +152,8 @@ int main() {
         lazy, rounds, parity_k, scale, "micro_population.parity.virtual");
     const SimulationResult rm = run_fedavg(
         eager, rounds, parity_k, scale, "micro_population.parity.eager");
-    const bool identical =
-        rv.train_loss_history == rm.train_loss_history &&
-        rv.final_metrics.per_device == rm.final_metrics.per_device;
+    identical = rv.train_loss_history == rm.train_loss_history &&
+                rv.final_metrics.per_device == rm.final_metrics.per_device;
     char loss_s[32];
     std::snprintf(loss_s, sizeof loss_s, "%.4f",
                   rv.train_loss_history.back());
@@ -212,5 +221,15 @@ int main() {
       "column must read yes (virtual and materialized populations are the "
       "same recipe); the cold row's RSSRatio column shows the fast ISP path's "
       "speedup over reference on materialization.\n");
-  return 0;
+  if (rss_ratio > kMaxRssRatio) {
+    std::fprintf(stderr,
+                 "[micro_population] peak RSS ratio %.3f exceeds %.2f\n",
+                 rss_ratio, kMaxRssRatio);
+  }
+  if (!identical) {
+    std::fprintf(stderr,
+                 "[micro_population] virtual and materialized runs "
+                 "diverged\n");
+  }
+  return rss_ratio > kMaxRssRatio || !identical ? 1 : 0;
 }

@@ -1,40 +1,14 @@
-// Microbenchmarks (google-benchmark) for the compute substrate: matmul,
-// im2col convolution, and model forward/backward throughput.
+// Microbenchmarks (google-benchmark) for the compute substrate: conv layer
+// and model forward/backward throughput.
 #include <benchmark/benchmark.h>
 
 #include "nn/conv2d.h"
 #include "nn/loss.h"
 #include "nn/model_zoo.h"
-#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 namespace hetero {
 namespace {
-
-void BM_Matmul(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  Tensor a = Tensor::randn({n, n}, rng);
-  Tensor b = Tensor::randn({n, n}, rng);
-  for (auto _ : state) {
-    Tensor c = matmul(a, b);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n * n * n));
-}
-BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_Im2Col(benchmark::State& state) {
-  Rng rng(2);
-  Conv2dGeometry g{16, 32, 32, 3, 1, 1};
-  Tensor img = Tensor::randn({16, 32, 32}, rng);
-  for (auto _ : state) {
-    Tensor cols = im2col(img, g);
-    benchmark::DoNotOptimize(cols.data());
-  }
-}
-BENCHMARK(BM_Im2Col);
 
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(3);

@@ -5,11 +5,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <optional>
 #include <stdexcept>
 
 #include "util/bytes.h"
-#include "util/config.h"
 #include "util/crc32.h"
 
 namespace hetero {
@@ -153,53 +151,6 @@ void get_value(ByteReader& r, std::map<std::string, V>& m) {
 }
 
 }  // namespace
-
-CheckpointOptions parse_checkpoint_spec(const std::string& spec) {
-  CheckpointOptions opts;
-  std::size_t start = 0;
-  bool first = true;
-  while (start <= spec.size()) {
-    std::size_t end = spec.find(',', start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string field = spec.substr(start, end - start);
-    if (first) {
-      opts.dir = field;
-      first = false;
-    } else if (!field.empty()) {
-      const std::size_t eq = field.find('=');
-      if (eq == std::string::npos) {
-        throw std::runtime_error("parse_checkpoint_spec: bad field '" + field +
-                                 "'");
-      }
-      const std::string key = field.substr(0, eq);
-      const std::string value = field.substr(eq + 1);
-      if (key == "every") {
-        const std::optional<std::uint64_t> n = parse_uint(value);
-        if (!n || *n == 0) {
-          throw std::runtime_error(
-              "parse_checkpoint_spec: every must be a positive integer, got '" +
-              value + "'");
-        }
-        opts.every = static_cast<std::size_t>(*n);
-      } else if (key == "resume") {
-        if (value != "0" && value != "1") {
-          throw std::runtime_error(
-              "parse_checkpoint_spec: resume must be 0 or 1, got '" + value +
-              "'");
-        }
-        opts.resume = value == "1";
-      } else {
-        throw std::runtime_error("parse_checkpoint_spec: unknown key '" + key +
-                                 "'");
-      }
-    }
-    start = end + 1;
-  }
-  if (opts.dir.empty()) {
-    throw std::runtime_error("parse_checkpoint_spec: empty directory");
-  }
-  return opts;
-}
 
 std::string checkpoint_path(const CheckpointOptions& opts) {
   return opts.dir + "/checkpoint.bin";

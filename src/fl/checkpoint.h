@@ -29,19 +29,15 @@
 
 namespace hetero {
 
-/// Where / how often a run checkpoints. Parsed from the HS_CHECKPOINT
-/// environment spec "DIR[,every=N][,resume=0|1]" by parse_checkpoint_spec.
+/// Where / how often a run checkpoints (hsctl's --checkpoint and
+/// --ckpt-every). A run with a directory always resumes from the checkpoint
+/// there when one exists.
 struct CheckpointOptions {
   std::string dir;        ///< empty disables checkpointing entirely
   std::size_t every = 1;  ///< write after every N completed rounds
-  bool resume = true;     ///< resume from an existing checkpoint if present
 
   bool enabled() const { return !dir.empty(); }
 };
-
-/// Parses "DIR[,every=N][,resume=0|1]" (the HS_CHECKPOINT format). Throws
-/// std::runtime_error on a malformed spec.
-CheckpointOptions parse_checkpoint_spec(const std::string& spec);
 
 /// The canonical checkpoint file inside opts.dir.
 std::string checkpoint_path(const CheckpointOptions& opts);

@@ -1,6 +1,5 @@
 #include "fl/observer.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "fl/algorithm.h"
@@ -20,12 +19,6 @@ ClientObservation make_observation(const ClientUpdate& update,
   o.update_bytes = static_cast<std::size_t>(update_payload_bytes(update));
   o.train_seconds = update.train_seconds;
   return o;
-}
-
-void RoundContext::finish_client(const ClientObservation& client) {
-  client_seconds_sum += client.train_seconds;
-  client_seconds_max = std::max(client_seconds_max, client.train_seconds);
-  if (observer) observer->on_client_end(round, client);
 }
 
 // --------------------------------------------------------- MulticastObserver

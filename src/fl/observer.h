@@ -88,21 +88,6 @@ class RoundObserver {
                        const DeviceMetrics& /*metrics*/) {}
 };
 
-/// Per-round execution context of the round engines: carries the observer
-/// (may be null) plus the per-client wall-time accounting behind
-/// RuntimeStats::client_seconds_*.
-struct RoundContext {
-  std::size_t round = 0;
-  RoundObserver* observer = nullptr;  ///< non-owning; null = no telemetry
-
-  double client_seconds_sum = 0.0;
-  double client_seconds_max = 0.0;
-
-  /// Records one client's wall time and, when an observer is attached,
-  /// delivers its observation.
-  void finish_client(const ClientObservation& client);
-};
-
 /// Fans events out to any number of child observers (registration order).
 class MulticastObserver : public RoundObserver {
  public:

@@ -153,7 +153,7 @@ SimulationResult run_simulation(Model& model,
   algorithm.init(model, num_clients);
 
   SimulationResult result;
-  if (cfg.checkpoint.enabled() && cfg.checkpoint.resume) {
+  if (cfg.checkpoint.enabled()) {
     SimulationCheckpoint ck;
     if (read_checkpoint(checkpoint_path(cfg.checkpoint), ck)) {
       // Resume only a run with the same identity: the checkpointed streams

@@ -96,13 +96,12 @@ struct SimulationConfig {
   /// window to be exactly one wave (sync, or buffered wave sampling with
   /// buffer == K); continuous refill rejects it. When enabled, the run
   /// writes <dir>/checkpoint.bin every `every` completed rounds (plus at
-  /// the final round) and, with resume on, continues a matching run
-  /// bit-for-bit from an existing file: model state, algorithm cross-round
-  /// state, sampling RNG cursor, loss/virtual-time histories, and fault
-  /// counters all round-trip exactly. Wall-clock fields (round_seconds,
-  /// total_seconds) and eval_every checkpoints cover only the rounds this
-  /// process executed. Populated from HS_CHECKPOINT by the benches/CLI via
-  /// parse_checkpoint_spec.
+  /// the final round) and continues a matching run bit-for-bit from an
+  /// existing file: model state, algorithm cross-round state, sampling RNG
+  /// cursor, loss/virtual-time histories, and fault counters all round-trip
+  /// exactly. Wall-clock fields (round_seconds, total_seconds) and
+  /// eval_every checkpoints cover only the rounds this process executed.
+  /// hsctl sets it from --checkpoint / --ckpt-every.
   CheckpointOptions checkpoint;
   /// Two-level edge-aggregation tree (DESIGN.md §14): >0 splits every
   /// flush window's survivors into this many contiguous blocks of window

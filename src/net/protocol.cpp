@@ -5,10 +5,11 @@
 namespace hetero::net {
 namespace {
 
-/// Hard cap on decoded tensor volume (elements). The frame length bound
-/// already limits dense payloads; this stops a tiny *sparse* payload from
-/// claiming astronomic dims and forcing a huge allocation at decode time.
-constexpr std::uint64_t kMaxTensorElems = 1ull << 26;
+/// Hard cap on decoded tensor volume (elements), dense or sparse: no more
+/// than a default-bounded frame holds as dense f32s. The bytes present
+/// bound a dense payload; this bound also stops a tiny *sparse* payload from
+/// claiming huge dims and forcing a zero-filled allocation at decode time.
+constexpr std::uint64_t kMaxTensorElems = kDefaultMaxPayload / sizeof(float);
 constexpr std::uint32_t kMaxTensorRank = 8;
 
 enum class TensorMode : std::uint8_t { kDense = 0, kSparse = 1 };

@@ -11,7 +11,11 @@
 // fl/compression). The encoder picks sparse only when it is smaller AND
 // lossless (every omitted coordinate is exactly 0.0f, including -0.0f),
 // so compressed algorithms' sparse post-densify states shrink on the wire
-// while decode always reconstructs bit-identical tensors.
+// while decode always reconstructs bit-identical tensors. In either mode a
+// decoded tensor holds at most kDefaultMaxPayload / 4 elements (16 Mi, the
+// 64 MiB default frame bound as dense f32s), whatever the frame bound: an
+// HS_NET maxframe above 64 MiB lets one frame carry more tensors, not a
+// larger one.
 #pragma once
 
 #include <cstdint>

@@ -407,10 +407,11 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
     // known now, so its round_begin is emitted retroactively; `order` is
     // the position in the window (selection order for one wave, commit
     // order otherwise). The vt / version / staleness provenance is only traced
-    // for scheduled modes.
-    RoundContext ctx;
-    ctx.round = flush_count;
-    ctx.observer = cfg_.observer;
+    // for scheduled modes. The window's client wall times are summed on
+    // their own and then added to RuntimeStats::client_seconds_*: perfbench
+    // reconciles client_seconds_sum, so that grouping of the adds is kept.
+    double client_seconds_sum = 0.0;
+    double client_seconds_max = 0.0;
     if (cfg_.observer && !one_wave_) {
       std::vector<std::size_t> ids;
       ids.reserve(window_.size());
@@ -446,7 +447,9 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
       obs.virtual_time = d.end_vt;
       obs.version = d.version;
       obs.staleness = static_cast<std::size_t>(version_ - d.version);
-      ctx.finish_client(obs);
+      client_seconds_sum += obs.train_seconds;
+      client_seconds_max = std::max(client_seconds_max, obs.train_seconds);
+      if (cfg_.observer) cfg_.observer->on_client_end(flush_count, obs);
     }
 
     RoundStats stats;
@@ -542,9 +545,8 @@ void EventScheduler::run(Model& model, SplitFederatedAlgorithm& algorithm,
     rt.round_seconds.push_back(stats.round_seconds);
     rt.total_seconds += stats.round_seconds;
     rt.round_virtual_seconds.push_back(stats.virtual_seconds);
-    rt.client_seconds_sum += ctx.client_seconds_sum;
-    rt.client_seconds_max =
-        std::max(rt.client_seconds_max, ctx.client_seconds_max);
+    rt.client_seconds_sum += client_seconds_sum;
+    rt.client_seconds_max = std::max(rt.client_seconds_max, client_seconds_max);
     rt.clients_dropped += dropped;
     rt.clients_quarantined += quarantined;
     rt.clients_straggled += straggled;

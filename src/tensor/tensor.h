@@ -1,8 +1,8 @@
 // Dense float32 tensor used throughout the library.
 //
 // Deliberately simple: row-major contiguous storage, value semantics, shape
-// checked at the API boundary with HS_CHECK. The NN layers (src/nn) build
-// conv/matmul on top of the free functions in tensor_ops.h. There is no
+// checked at the API boundary with HS_CHECK. The NN layers (src/nn) run
+// conv and matmul through the compute kernels in src/kernels. There is no
 // autograd graph — layers implement forward/backward explicitly, which keeps
 // the federated-learning parameter flattening trivial and the memory
 // behaviour predictable.

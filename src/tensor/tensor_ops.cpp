@@ -3,86 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "kernels/kernels.h"
-
 namespace hetero {
-
-namespace {
-
-/// A single-image (batch 1, groups 1) kernel-layer shape for a geometry.
-kernels::ConvShape conv_shape(const Conv2dGeometry& g) {
-  kernels::ConvShape s;
-  s.n = 1;
-  s.in_c = g.in_c;
-  s.in_h = g.in_h;
-  s.in_w = g.in_w;
-  s.out_c = g.in_c;
-  s.kernel = g.kernel;
-  s.stride = g.stride;
-  s.pad = g.pad;
-  s.groups = 1;
-  return s;
-}
-
-}  // namespace
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  HS_CHECK(a.rank() == 2 && b.rank() == 2, "matmul: rank-2 inputs required");
-  HS_CHECK(a.dim(1) == b.dim(0), "matmul: inner dimensions differ");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  kernels::gemm_nn(kernels::active_kernel(), a.data(), b.data(), c.data(), m,
-                   k, n, /*accumulate=*/false);
-  return c;
-}
-
-Tensor matmul_transpose_b(const Tensor& a, const Tensor& b) {
-  HS_CHECK(a.rank() == 2 && b.rank() == 2,
-           "matmul_transpose_b: rank-2 inputs required");
-  HS_CHECK(a.dim(1) == b.dim(1), "matmul_transpose_b: inner dims differ");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  Tensor c({m, n});
-  kernels::gemm_nt(kernels::active_kernel(), a.data(), b.data(), c.data(), m,
-                   k, n, /*accumulate=*/false);
-  return c;
-}
-
-Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
-  HS_CHECK(a.rank() == 2 && b.rank() == 2,
-           "matmul_transpose_a: rank-2 inputs required");
-  HS_CHECK(a.dim(0) == b.dim(0), "matmul_transpose_a: inner dims differ");
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({k, n});
-  kernels::gemm_tn(kernels::active_kernel(), a.data(), b.data(), c.data(), m,
-                   k, n, /*accumulate=*/false);
-  return c;
-}
-
-Tensor im2col(const Tensor& img, const Conv2dGeometry& g) {
-  HS_CHECK(img.rank() == 3, "im2col: image must be (C,H,W)");
-  HS_CHECK(img.dim(0) == g.in_c && img.dim(1) == g.in_h && img.dim(2) == g.in_w,
-           "im2col: geometry mismatch");
-  HS_CHECK(g.in_h + 2 * g.pad >= g.kernel && g.in_w + 2 * g.pad >= g.kernel,
-           "im2col: kernel larger than padded input");
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  Tensor cols({g.in_c * g.kernel * g.kernel, oh * ow});
-  // The unfold is a pure copy, so both kernel kinds share one
-  // implementation (kernels/conv.cpp); values are exact either way.
-  kernels::im2col_strided(img.data(), conv_shape(g), 0, cols.data(), oh * ow,
-                          0);
-  return cols;
-}
-
-Tensor col2im(const Tensor& cols, const Conv2dGeometry& g) {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  HS_CHECK(cols.rank() == 2 && cols.dim(0) == g.in_c * g.kernel * g.kernel &&
-               cols.dim(1) == oh * ow,
-           "col2im: column matrix shape mismatch");
-  Tensor img({g.in_c, g.in_h, g.in_w});
-  kernels::col2im_strided_add(cols.data(), conv_shape(g), 0, oh * ow, 0,
-                              img.data());
-  return img;
-}
 
 Tensor softmax_rows(const Tensor& logits) {
   HS_CHECK(logits.rank() == 2, "softmax_rows: rank-2 input required");

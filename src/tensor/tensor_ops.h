@@ -1,6 +1,6 @@
-// Free-function kernels on Tensor: matmul, im2col/col2im for convolution,
-// softmax, and batched utilities. These are the compute hot spots; all other
-// layer logic in src/nn is bookkeeping around them.
+// Row-wise free functions on Tensor: softmax, sigmoid and argmax. The
+// compute hot spots (GEMMs, im2col/col2im) live in src/kernels over raw
+// float buffers.
 #pragma once
 
 #include <cstddef>
@@ -8,34 +8,6 @@
 #include "tensor/tensor.h"
 
 namespace hetero {
-
-/// C = A(MxK) * B(KxN). Shapes are validated.
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// C = A(MxK) * B(KxN)^T where b has shape (N, K).
-Tensor matmul_transpose_b(const Tensor& a, const Tensor& b);
-
-/// C = A(MxK)^T * B(MxN) -> (K, N).
-Tensor matmul_transpose_a(const Tensor& a, const Tensor& b);
-
-/// Geometry of a 2-D convolution / pooling window.
-struct Conv2dGeometry {
-  std::size_t in_c = 0, in_h = 0, in_w = 0;
-  std::size_t kernel = 1;
-  std::size_t stride = 1;
-  std::size_t pad = 0;
-
-  std::size_t out_h() const { return (in_h + 2 * pad - kernel) / stride + 1; }
-  std::size_t out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
-};
-
-/// Unfolds one image (C,H,W) into a (C*k*k, out_h*out_w) patch matrix.
-/// Out-of-bounds (padding) samples read as zero.
-Tensor im2col(const Tensor& img, const Conv2dGeometry& g);
-
-/// Adjoint of im2col: folds a patch matrix back into an image (C,H,W),
-/// accumulating overlapping contributions. Used for the conv input gradient.
-Tensor col2im(const Tensor& cols, const Conv2dGeometry& g);
 
 /// Row-wise softmax of a (N, C) tensor (numerically stabilized).
 Tensor softmax_rows(const Tensor& logits);

@@ -39,7 +39,6 @@
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/model_zoo.h"
-#include "tensor/tensor_ops.h"
 #include "util/rng.h"
 
 // ------------------------------------------------- allocation counting ----
@@ -179,32 +178,6 @@ TEST(GemmParity, TnBitIdenticalAcrossKinds) {
       ASSERT_EQ(c_ref[i], c_til[i]) << s.m << "x" << s.k << "x" << s.n
                                     << " elem " << i;
     }
-  }
-}
-
-TEST(GemmParity, TensorOpsMatchAcrossKinds) {
-  KernelGuard guard;
-  Rng rng(104);
-  Tensor a = Tensor::randn({9, 14}, rng, 1.0f);
-  Tensor b = Tensor::randn({14, 11}, rng, 1.0f);
-  Tensor bt = Tensor::randn({11, 14}, rng, 1.0f);
-  Tensor c = Tensor::randn({9, 11}, rng, 1.0f);
-  kernels::set_active_kernel(KernelKind::kReference);
-  const Tensor nn_ref = matmul(a, b);
-  const Tensor nt_ref = matmul_transpose_b(a, bt);
-  const Tensor tn_ref = matmul_transpose_a(a, c);
-  kernels::set_active_kernel(KernelKind::kTiled);
-  const Tensor nn_til = matmul(a, b);
-  const Tensor nt_til = matmul_transpose_b(a, bt);
-  const Tensor tn_til = matmul_transpose_a(a, c);
-  for (std::size_t i = 0; i < nn_ref.size(); ++i) {
-    EXPECT_EQ(nn_ref[i], nn_til[i]);
-  }
-  for (std::size_t i = 0; i < nt_ref.size(); ++i) {
-    EXPECT_EQ(nt_ref[i], nt_til[i]);
-  }
-  for (std::size_t i = 0; i < tn_ref.size(); ++i) {
-    EXPECT_EQ(tn_ref[i], tn_til[i]);
   }
 }
 

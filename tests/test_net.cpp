@@ -252,6 +252,27 @@ TEST(WireCodec, NegativeZeroSurvivesLosslessly) {
   EXPECT_EQ(std::bit_cast<std::uint32_t>(out[7]), 0x80000000u);
 }
 
+TEST(WireCodec, SparseTensorVolumeIsBoundedByTheDefaultFrame) {
+  // A sparse tensor with no nonzeros costs 29 bytes on the wire whatever
+  // its dims claim, so the decoder must bound the volume itself: at most
+  // what a 64 MiB frame holds as dense f32s (2^24 elements).
+  auto sparse_model_state = [](std::uint64_t dim) {
+    ByteWriter w;
+    w.u64(0);    // round
+    w.u32(1);    // rank
+    w.u64(dim);  // the only dim
+    w.u8(1);     // sparse
+    w.u64(0);    // nnz
+    return w.take();
+  };
+  const auto payload = sparse_model_state(std::uint64_t{1} << 26);
+  ASSERT_EQ(payload.size(), 29u);
+  net::ModelStateMsg out;
+  EXPECT_FALSE(net::decode_model_state(payload, out));
+  EXPECT_FALSE(
+      net::decode_model_state(sparse_model_state((1u << 24) + 1), out));
+}
+
 TEST(WireCodec, UpdatePushRoundTripsBitExactly) {
   Rng rng(13);
   net::UpdatePushMsg msg;

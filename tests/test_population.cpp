@@ -254,31 +254,14 @@ TEST(VirtualPopulation, SimulationMatchesMaterializedAndThreads) {
 // -------------------------------------------------- checkpoint/resume --
 
 TEST(Checkpoint, SpecParsing) {
-  CheckpointOptions opts = parse_checkpoint_spec("/tmp/ck,every=5,resume=0");
-  EXPECT_EQ(opts.dir, "/tmp/ck");
-  EXPECT_EQ(opts.every, 5u);
-  EXPECT_FALSE(opts.resume);
+  CheckpointOptions opts;
+  EXPECT_FALSE(opts.enabled());
+  EXPECT_EQ(opts.every, 1u);
+
+  opts.dir = "/tmp/ck";
+  opts.every = 5;
   EXPECT_TRUE(opts.enabled());
   EXPECT_EQ(checkpoint_path(opts), "/tmp/ck/checkpoint.bin");
-
-  opts = parse_checkpoint_spec("ckdir");
-  EXPECT_EQ(opts.dir, "ckdir");
-  EXPECT_EQ(opts.every, 1u);
-  EXPECT_TRUE(opts.resume);
-
-  EXPECT_THROW(parse_checkpoint_spec(""), std::runtime_error);
-  EXPECT_THROW(parse_checkpoint_spec("dir,every=0"), std::runtime_error);
-  EXPECT_THROW(parse_checkpoint_spec("dir,bogus=1"), std::runtime_error);
-  EXPECT_THROW(parse_checkpoint_spec("dir,every=-1"), std::runtime_error);
-  EXPECT_THROW(parse_checkpoint_spec("dir,every=5x"), std::runtime_error);
-  EXPECT_THROW(parse_checkpoint_spec("dir,resume=yes"), std::runtime_error);
-  try {
-    parse_checkpoint_spec("dir,every=abc");
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("every"), std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(Checkpoint, ResumeIsBitIdentical) {
@@ -347,9 +330,8 @@ TEST(Checkpoint, RejectedUnderScheduledModes) {
 }
 
 TEST(Checkpoint, ZeroPeriodRejected) {
-  // The HS_CHECKPOINT parser refuses every=0; a config built in code (or
-  // from hsctl's --ckpt-every) must be refused too, not divide by zero
-  // after the first flush.
+  // A zero period (from code or from hsctl's --ckpt-every) must be refused
+  // before round 0, not divide by zero after the first flush.
   SceneGenerator scenes(16);
   const VirtualPopulation pop(small_single_label(scenes, 8), Rng(73).fork(1));
   FedAvg algo(fast_cfg());

@@ -15,9 +15,10 @@
 #     truncates it at every length and forges its counts and tensor
 #     volumes, all of which the CRC-checked, length-bounded reader (the same
 #     codec) must reject;
-#   * env and CLI specs: the faults, sched, stats and population suites hold
-#     the HS_FAULTS, HS_SCHED, HS_CHECKPOINT and BenchConfig parser tests.
-# The tensor tests ride along with the codecs. The kernel tests run every
+#   * env and CLI specs: the faults, sched and stats suites hold the
+#     HS_FAULTS, HS_SCHED and BenchConfig parser tests.
+# The tensor tests ride along with the codecs, and the population tests
+# with the checkpoint files they resume from. The kernel tests run every
 # conv path with workspace slabs sized to what that path reads (the direct
 # paths retain only the input), so a read past a trimmed slab is an ASan
 # report; they also pin the batch-norm, bias and SE-gate vector loops,

@@ -409,7 +409,7 @@ bool split_host_port(const std::string& s, std::string& host,
 }
 
 /// The SimulationConfig of `hsctl fl` and `hsctl serve`, built from the
-/// same flags (and HS_CHECKPOINT when --checkpoint is absent).
+/// same flags.
 SimulationConfig fl_sim_config(const Args& args) {
   SimulationConfig sim;
   sim.rounds = args.get_uint("rounds", 40);
@@ -424,12 +424,8 @@ SimulationConfig fl_sim_config(const Args& args) {
   sim.sched.mix_alpha = args.get_double("alpha", sim.sched.mix_alpha);
   sim.sched.staleness_exponent =
       args.get_double("staleness-exp", sim.sched.staleness_exponent);
-  if (args.has("checkpoint")) {
-    sim.checkpoint.dir = args.get("checkpoint", "");
-    sim.checkpoint.every = args.get_uint("ckpt-every", 1);
-  } else if (const char* env = std::getenv("HS_CHECKPOINT")) {
-    sim.checkpoint = parse_checkpoint_spec(env);
-  }
+  sim.checkpoint.dir = args.get("checkpoint", "");
+  sim.checkpoint.every = args.get_uint("ckpt-every", 1);
   return sim;
 }
 
@@ -501,10 +497,7 @@ int cmd_fl(const Args& args) {
         "either way.\n"
         "Checkpoint: write <DIR>/checkpoint.bin every --ckpt-every rounds "
         "and resume from\n"
-        "         it when present (sync, or buffered with wave=1 and B = K). "
-        "HS_CHECKPOINT=\n"
-        "         \"DIR[,every=N][,resume=0|1]\" is the env equivalent "
-        "when --checkpoint is absent.\n"
+        "         it when present (sync, or buffered with wave=1 and B = K).\n"
         "Edges:   --edges E folds each round through E partial digests (the "
         "two-level\n"
         "         tree of DESIGN.md §14; any --sched mode, "

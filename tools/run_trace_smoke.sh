@@ -1,6 +1,7 @@
 #!/bin/sh
 # Trace smoke test (wired into ctest): run one tiny bench with HS_TRACE set
-# and validate the emitted JSONL with trace_check.
+# and validate the emitted JSONL with trace_check. A bench that exits
+# nonzero (one of its own gates failed) fails the smoke as well.
 #
 #   run_trace_smoke.sh <bench-binary> <trace_check-binary> <work-dir>
 set -eu
